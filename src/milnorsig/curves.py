@@ -3,7 +3,8 @@ twisted/untwisted pairing, intersection tables, and the curve Milnor number."""
 
 from __future__ import annotations
 
-from .arith import poly_gcd, resultant, squarefree_part, try_divide
+# poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
+from .arith import poly_gcd, resultant, squarefree_part, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, canonical_key, factor_components
 from .germs import AnalysisError, Germ, OverrideRequired, UV, fold_normal_data, multipoint_data
 from .localring import INFINITE, intersection_multiplicity, milnor_number
@@ -84,7 +85,13 @@ def _fold_pairing(comps: list[Poly]):
 
 def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
     """Indices of components dividing the elimination of v1 from
-    (h(u, v1), P, Q)."""
+    (h(u, v1), P, Q), that is, dividing both resultants r0 = Res(h, P) and
+    r1 = Res(h, Q).
+
+    Every component g is squarefree (an irreducible factor, or an override
+    component checked squarefree by ``decompose``), and for squarefree g,
+    g divides sqfree(gcd(r0, r1)) exactly when g divides r0 and r1.  So two
+    exact divisions replace the gcd."""
     h1 = h.rename({"v": "v1"}, ("u", "v1", "v2"))
     rs = []
     for g in (mp.P, mp.Q):
@@ -94,8 +101,8 @@ def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
             rs.append(resultant(h1, g, "v1"))
     if rs[0].is_zero() or rs[1].is_zero():
         raise AnalysisError("degenerate elimination while classifying twists")
-    elim = squarefree_part(poly_gcd(rs[0], rs[1]))
-    return [j for j, g in enumerate(comps_v2) if try_divide(elim, g) is not None]
+    return [j for j, g in enumerate(comps_v2)
+            if try_divide(rs[0], g) is not None and try_divide(rs[1], g) is not None]
 
 
 def classify_twist(f: Germ, comps: list[Poly], override=None):

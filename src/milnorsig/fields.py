@@ -123,6 +123,13 @@ class NumberField:
         d = self.degree
         if d == 1:
             return
+        if d == 2:
+            # a monic quadratic has a rational root iff its discriminant is a
+            # rational square; trial division would factor the constant term
+            c0, c1 = self.minimal_poly[0], self.minimal_poly[1]
+            if rational_sqrt(c1 * c1 - 4 * c0) is not None:
+                raise FieldError("minimal polynomial has a rational root")
+            return
         if d <= 4 and _rational_roots(list(self.minimal_poly)):
             raise FieldError("minimal polynomial has a rational root")
         if d == 4 and _quartic_is_reducible(list(self.minimal_poly)):

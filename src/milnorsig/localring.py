@@ -88,7 +88,18 @@ def _spoly(a: Poly, b: Poly, order: MonomialOrder) -> Poly:
 
 
 def standard_basis(I: LocalIdeal, step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
+    """Standard basis of I by Mora's tangent-cone algorithm.
+
+    If a generator has a nonzero constant term it is a unit of the local
+    ring, so I is the whole ring: the basis is [1] and the leading ideal is
+    generated by (0, ..., 0).  Checking the generators is exact: when none is
+    a unit, every element of I lies in the maximal ideal and the loop below
+    never produces a unit either.
+    """
     order = I.order
+    if any(g.is_unit_local() for g in I.generators):
+        one = Poly.constant(1, I.vars, I.field)
+        return StandardBasis(I, [one], [(0,) * len(I.vars)])
     G = [g.normalized(order) for g in I.generators]
     pairs = [(i, j) for i in range(len(G)) for j in range(i)]
     steps = 0

@@ -1,11 +1,31 @@
 import pytest
 
+from milnorsig.arith import poly_gcd, resultant, squarefree_part, try_divide
 from milnorsig.corpus import B, C_, F4, H, S, corank2, cross_cap
-from milnorsig.curves import (associate, classify_twist, component_set,
-                              curve_milnor, decompose, intersection_table,
-                              v_axis_multiplicities)
-from milnorsig.germs import AnalysisError, UV, double_curve_equation
+from milnorsig.curves import (_general_partner, associate, classify_twist,
+                              component_set, curve_milnor, decompose,
+                              intersection_table, v_axis_multiplicities)
+from milnorsig.fields import QQ
+from milnorsig.germs import (AnalysisError, MultiPointData, UV, double_curve_equation,
+                             multipoint_data)
 from milnorsig.parser import parse_poly
+from milnorsig.poly import LOCAL_ORDER
+
+UVV = ("u", "v1", "v2")
+
+
+def gcd_route_partner(h, mp, comps_v2):
+    """Reference for _general_partner: the components dividing the squarefree
+    gcd of the two resultants, computed without any shortcut."""
+    h1 = h.rename({"v": "v1"}, UVV)
+    rs = [g if h1.degree_in("v1") <= 0 and g.degree_in("v1") <= 0
+          else resultant(h1, g, "v1") for g in (mp.P, mp.Q)]
+    elim = squarefree_part(poly_gcd(rs[0], rs[1]))
+    return [j for j, g in enumerate(comps_v2) if try_divide(elim, g) is not None]
+
+
+def in_v2(comps):
+    return [h.rename({"v": "v2"}, UVV).normalized(LOCAL_ORDER) for h in comps]
 
 
 def test_decompose_examples():
@@ -55,12 +75,8 @@ def test_twist_general_path_matches_fold_path():
         comps = decompose(double_curve_equation(f))
         fold_pairing = classify_twist(f, comps)
         # exercise the divided-difference partner route directly
-        from milnorsig.curves import _general_partner
-        from milnorsig.germs import multipoint_data
-        from milnorsig.poly import LOCAL_ORDER
         mp = multipoint_data(f)
-        comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized(LOCAL_ORDER)
-                    for h in comps]
+        comps_v2 = in_v2(comps)
         for entry in fold_pairing:
             if entry[0] == "twisted":
                 i = entry[1]
@@ -76,6 +92,49 @@ def test_twist_general_path_Hk():
     comps = decompose(double_curve_equation(f))
     pairing = classify_twist(f, comps)
     assert pairing == [("untwisted", 0, 1)]
+
+
+def test_general_partner_matches_gcd_route_Hk():
+    for k in (2, 3, 4, 5):
+        f = H(k)
+        comps = decompose(double_curve_equation(f))
+        mp = multipoint_data(f)
+        comps_v2 = in_v2(comps)
+        for i, h in enumerate(comps):
+            got = _general_partner(h, mp, comps_v2)
+            assert got == gcd_route_partner(h, mp, comps_v2), (f.name, i)
+            assert got == [1 - i], (f.name, i)
+
+
+def test_general_partner_matches_gcd_route_reducible_overrides():
+    # override components must be squarefree, not irreducible: join branches
+    cases = []
+    f = H(2)
+    cases.append((f, [double_curve_equation(f)]))
+    f = C_(5)
+    a, b, c = decompose(double_curve_equation(f))
+    cases += [(f, [a * b, c]), (f, [a, b * c]), (f, [a * c, b])]
+    f = B(4)
+    cases.append((f, [double_curve_equation(f)]))
+    for f, override in cases:
+        comps = decompose(double_curve_equation(f), override)
+        mp = multipoint_data(f)
+        comps_v2 = in_v2(comps)
+        for h in comps:
+            assert (_general_partner(h, mp, comps_v2)
+                    == gcd_route_partner(h, mp, comps_v2)), f.name
+
+
+def test_general_partner_needs_both_resultants():
+    # Res(u - v1, P) = (u - v2)^2 (u + 2 v2) and Res(u - v1, Q) = (u - v2)(u + v2):
+    # only u - v2 divides both, so a one-resultant test would pick extra partners
+    v1, v2 = (parse_poly(v, UVV, QQ) for v in ("v1", "v2"))
+    mp = MultiPointData((v1 - v2) * (v1 - v2) * (v1 + v2.scale(2)),
+                        (v1 - v2) * (v1 + v2), None)
+    h = parse_poly("u - v", UV, QQ)
+    comps_v2 = in_v2([parse_poly(s, UV, QQ) for s in
+                      ("u - v", "u + v", "u + 2*v", "(u - v)*(u + v)", "(u - v)*(u + 2*v)")])
+    assert _general_partner(h, mp, comps_v2) == gcd_route_partner(h, mp, comps_v2) == [0]
 
 
 def test_twist_override_validation():

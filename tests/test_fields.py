@@ -90,3 +90,19 @@ def test_quadratic_roots():
 def test_bad_descriptor():
     with pytest.raises(FieldError):
         parse_field("R")
+
+
+def test_quadratic_with_large_constant_is_fast():
+    # the discriminant test needs no factoring of 10^23 + 3
+    F = parse_field("Q[a]/(a^2 - 100000000000000000000003)")
+    assert F.degree == 2
+    a = F.generator()
+    assert a * a == 100000000000000000000003
+
+
+def test_quadratic_square_discriminant_rejected():
+    with pytest.raises(FieldError):
+        parse_field(f"Q[a]/(a^2 - {(10 ** 11 + 3) ** 2})")
+    with pytest.raises(FieldError):
+        parse_field("Q[a]/(a^2 + 3*a + 2)")   # (a + 1)(a + 2)
+    assert parse_field("Q[a]/(a^2 + a + 1)").degree == 2

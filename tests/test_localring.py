@@ -1,7 +1,9 @@
 import random
 from itertools import product
 
+from milnorsig.corpus import corpus
 from milnorsig.fields import QQ, parse_field
+from milnorsig.germs import fold_normal_data, multipoint_data, triple_point_number
 from milnorsig.localring import (INFINITE, LocalIdeal, intersection_multiplicity,
                                  milnor_number, mora_normal_form, quotient_dim,
                                  standard_basis)
@@ -156,3 +158,23 @@ def test_milnor_number_branch_oracle():
             prod = prod * b
         assert milnor_number(prod) == 2 * delta - len(branches) + 1
         done += 1
+
+
+def test_unit_generator_gives_whole_ring():
+    # 1 + v is a unit of the local ring, so the ideal is all of O
+    I = LocalIdeal([P("u"), P("1 + v"), P("v^2")])
+    sb = standard_basis(I)
+    assert sb.leading_ideal == [(0, 0)]
+    assert len(sb.basis) == 1 and sb.basis[0].is_unit_local()
+    assert quotient_dim(I) == 0
+
+
+def test_fold_triple_point_ideal_is_whole_ring():
+    # on f = (u, v^2, v*p), ddP = 1: a fold germ has no triple points
+    folds = [f for f in corpus(8) if fold_normal_data(f) is not None]
+    assert len(folds) >= 20
+    for f in folds:
+        ideal = multipoint_data(f).D3_ideal
+        assert any(g.is_unit_local() and g.total_degree() == 0
+                   for g in ideal.generators), f.name
+        assert triple_point_number(f) == 0, f.name
