@@ -7,7 +7,7 @@ determinant (rows of the first argument on top).
 
 from __future__ import annotations
 
-from .poly import LOCAL_ORDER, Poly, PolyError
+from .poly import Poly, PolyError
 
 
 def _global_key(exp):
@@ -105,9 +105,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero() and b.is_zero():
         raise PolyError("gcd(0, 0) is undefined")
     if a.is_zero():
-        return b.normalized(LOCAL_ORDER)
+        return b.normalized()
     if b.is_zero():
-        return a.normalized(LOCAL_ORDER)
+        return a.normalized()
     # main variable: the cheapest PRS, i.e. smallest maximal degree
     candidates = [v for v in a.vars if a.degree_in(v) > 0 or b.degree_in(v) > 0]
     if not candidates:
@@ -115,10 +115,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     var = min(candidates, key=lambda v: max(a.degree_in(v), b.degree_in(v)))
     if a.degree_in(var) == 0:
         ub = _univ_coeffs(b, var)
-        return poly_gcd(a, _content(ub)).normalized(LOCAL_ORDER)
+        return poly_gcd(a, _content(ub)).normalized()
     if b.degree_in(var) == 0:
         ua = _univ_coeffs(a, var)
-        return poly_gcd(_content(ua), b).normalized(LOCAL_ORDER)
+        return poly_gcd(_content(ua), b).normalized()
     ua, ub = _univ_coeffs(a, var), _univ_coeffs(b, var)
     ca, cb = _content(ua), _content(ub)
     cont = poly_gcd(ca, cb)
@@ -134,9 +134,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         cr = _content(r)
         g, h = h, [exact_divide(c, cr) for c in r]
     if _udeg(g) == 0:
-        return cont.normalized(LOCAL_ORDER)
+        return cont.normalized()
     gp = _from_univ(g, var, a.vars, a.field)
-    return (gp * cont).normalized(LOCAL_ORDER)
+    return (gp * cont).normalized()
 
 
 def squarefree_part(a: Poly) -> Poly:
@@ -150,8 +150,8 @@ def squarefree_part(a: Poly) -> Poly:
         if not d.is_zero():
             g = poly_gcd(g, d)
     if g.is_constant():
-        return a.normalized(LOCAL_ORDER)
-    return exact_divide(a, g).normalized(LOCAL_ORDER)
+        return a.normalized()
+    return exact_divide(a, g).normalized()
 
 
 def resultant(a: Poly, b: Poly, var: str) -> Poly:

@@ -11,7 +11,6 @@ from .corpus import TRIPLE_POINT_MATRIX, corpus, expected_invariants
 from .germfile import GermFileError, load_germ_file
 from .germs import AnalysisError, OverrideRequired
 from .localring import ResourceExceeded
-from .poly import format_poly
 from .signature import SignatureReport, analyze, signature_of_form
 
 EXIT_OK = 0

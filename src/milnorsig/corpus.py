@@ -3,27 +3,16 @@ selftest command and the test suite."""
 
 from __future__ import annotations
 
-from .fields import parse_field
-from .germs import Germ, OverrideSet, UV
-from .parser import parse_poly
+from .germfile import load_germ
 
 TRIPLE_POINT_MATRIX = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
-def _germ(name, maps, field_desc, overrides=None):
-    field = parse_field(field_desc)
-    comps = tuple(parse_poly(s, UV, field) for s in maps)
-    ov = None
-    if overrides:
-        ov = OverrideSet(
-            double_curve=parse_poly(overrides["double_curve"], UV, field)
-            if "double_curve" in overrides else None,
-            components=[parse_poly(s, UV, field) for s in overrides["components"]]
-            if "components" in overrides else None,
-            twist=overrides.get("twist"),
-            T=overrides.get("T"),
-        )
-    return Germ(comps, field, name=name, overrides=ov)
+def _germ(name, maps, field, overrides=""):
+    """Build a germ from germ-file text, the one way germs are made."""
+    text = (f"[germ]\nname = {name!r}\nmap = {list(maps)!r}\n"
+            f"field = {field!r}\n{overrides}")
+    return load_germ(text)[0]
 
 
 def cross_cap():
@@ -51,14 +40,12 @@ def H(k):
 
 
 def corank2():
-    overrides = {
-        "double_curve":
-            "(u + v^2)*(u^2 + v)*(u + v)*(u + zeta3*v)*(u + zeta3^2*v)",
-        "components": ["u + v^2", "u^2 + v", "u + v", "u + zeta3*v",
-                       "u + zeta3^2*v"],
-        "twist": [("twisted", i) for i in range(5)],
-        "T": 1,
-    }
+    overrides = """[overrides]
+double_curve = "(u + v^2)*(u^2 + v)*(u + v)*(u + zeta3*v)*(u + zeta3^2*v)"
+components = ["u + v^2", "u^2 + v", "u + v", "u + zeta3*v", "u + zeta3^2*v"]
+twist = ["0:twisted", "1:twisted", "2:twisted", "3:twisted", "4:twisted"]
+T = 1
+"""
     return _germ("corank-2", ("u^2", "v^2", "u^3 + v^3 + u*v"), "Q(zeta3)",
                  overrides)
 

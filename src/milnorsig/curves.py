@@ -6,9 +6,9 @@ from __future__ import annotations
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
 from .arith import poly_gcd, resultant, squarefree_part, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, canonical_key, factor_components
-from .germs import AnalysisError, Germ, OverrideRequired, UV, fold_normal_data, multipoint_data
+from .germs import AnalysisError, Germ, OverrideRequired, UV
 from .localring import INFINITE, intersection_multiplicity, milnor_number
-from .poly import LOCAL_ORDER, Poly
+from .poly import Poly
 
 
 class ComponentSet:
@@ -34,14 +34,14 @@ class ComponentSet:
 
 
 def associate(a: Poly, b: Poly) -> bool:
-    return a.normalized(LOCAL_ORDER) == b.normalized(LOCAL_ORDER)
+    return a.normalized() == b.normalized()
 
 
 def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     if override is not None:
         prod = Poly.constant(1, curve_eq.vars, curve_eq.field)
         for h in override:
-            if squarefree_part(h) != h.normalized(LOCAL_ORDER):
+            if squarefree_part(h) != h.normalized():
                 raise AnalysisError(f"override component {h} is not squarefree")
             prod = prod * h
         for i, a in enumerate(override):
@@ -50,7 +50,7 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
                     raise AnalysisError("override components repeat a factor")
         if not associate(prod, curve_eq):
             raise AnalysisError("override components do not multiply to the curve")
-        return [h.normalized(LOCAL_ORDER) for h in override]
+        return [h.normalized() for h in override]
     try:
         factors = factor_components(curve_eq)
     except FactorizationIncomplete as exc:
@@ -64,7 +64,7 @@ def _fold_pairing(comps: list[Poly]):
     flipped = []
     v = Poly.variable("v", UV, comps[0].field)
     for h in comps:
-        flipped.append(h.substitute({"v": -v}).normalized(LOCAL_ORDER))
+        flipped.append(h.substitute({"v": -v}).normalized())
     pairing = []
     seen = set()
     for i, h in enumerate(comps):
@@ -122,10 +122,10 @@ def classify_twist(f: Germ, comps: list[Poly], override=None):
         if len(seen) != len(comps):
             raise AnalysisError("twist override misses a component")
         return list(override)
-    if fold_normal_data(f) is not None:
+    if f.fold_data is not None:
         return _fold_pairing(comps)
-    mp = multipoint_data(f)
-    comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized(LOCAL_ORDER)
+    mp = f.multipoint
+    comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized()
                 for h in comps]
     pairing = []
     seen = set()
@@ -186,5 +186,5 @@ def component_set(f: Germ, curve_eq: Poly) -> ComponentSet:
     comps = decompose(curve_eq, ov.components)
     pairing = classify_twist(f, comps, ov.twist)
     table = intersection_table(comps)
-    vax = v_axis_multiplicities(comps) if fold_normal_data(f) is not None else None
+    vax = v_axis_multiplicities(comps) if f.fold_data is not None else None
     return ComponentSet(curve_eq, comps, pairing, table, vax)

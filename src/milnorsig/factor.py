@@ -9,9 +9,9 @@ FactorizationIncomplete so the caller can supply components explicitly.
 
 from __future__ import annotations
 
-from .arith import _content, _from_univ, _univ_coeffs, exact_divide, poly_gcd, squarefree_part, try_divide
+from .arith import _content, _univ_coeffs, exact_divide, squarefree_part, try_divide
 from .fields import quadratic_roots
-from .poly import LOCAL_ORDER, Poly, PolyError
+from .poly import Poly, PolyError, local_key
 
 
 class FactorizationIncomplete(ValueError):
@@ -45,7 +45,7 @@ def factor_components(a: Poly) -> list[tuple[Poly, int]]:
 
 def _factor_squarefree(s: Poly) -> list[Poly]:
     factors: list[Poly] = []
-    work = [s.normalized(LOCAL_ORDER)]
+    work = [s.normalized()]
     while work:
         h = work.pop()
         if h.is_constant():
@@ -82,7 +82,7 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
             x, y = y, x
         # primitive and linear in a variable: irreducible
         if h.degree_in(x) == 1:
-            factors.append(h.normalized(LOCAL_ORDER))
+            factors.append(h.normalized())
             continue
         if h.degree_in(x) == 2:
             pair = _split_by_edge_root(h, x, y)
@@ -90,7 +90,7 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
                 work.extend(pair)
                 continue
         if _newton_certificate(h, x, y):
-            factors.append(h.normalized(LOCAL_ORDER))
+            factors.append(h.normalized())
             continue
         raise FactorizationIncomplete(
             f"cannot certify a factorization of {h}; supply components explicitly"
@@ -98,7 +98,7 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
     # canonical order, deduplicate associates defensively
     uniq: list[Poly] = []
     for f in factors:
-        f = f.normalized(LOCAL_ORDER)
+        f = f.normalized()
         if f not in uniq:
             uniq.append(f)
     uniq.sort(key=canonical_key)
@@ -106,7 +106,7 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
 
 
 def canonical_key(p: Poly):
-    items = sorted(p.terms.items(), key=lambda t: LOCAL_ORDER.key(t[0]), reverse=True)
+    items = sorted(p.terms.items(), key=lambda t: local_key(t[0]), reverse=True)
     return tuple((e, c.coeffs) for e, c in items)
 
 
@@ -122,7 +122,7 @@ def _factor_univariate(h: Poly, var: str) -> list[Poly]:
     if d <= 0:
         return factors
     if d == 1:
-        factors.append(h.normalized(LOCAL_ORDER))
+        factors.append(h.normalized())
         return factors
     if d == 2:
         coeffs = [c.constant_term() for c in _univ_coeffs(h, var)]
@@ -131,11 +131,11 @@ def _factor_univariate(h: Poly, var: str) -> list[Poly]:
         if roots:
             for r in roots:
                 lin = Poly.variable(var, h.vars, h.field) - Poly.constant(1, h.vars, field).scale_elem(r)
-                factors.append(lin.normalized(LOCAL_ORDER))
+                factors.append(lin.normalized())
             if len(roots) == 1:  # double root contradicts squarefree input
                 raise PolyError("internal error: squarefree input with double root")
             return factors
-        factors.append(h.normalized(LOCAL_ORDER))
+        factors.append(h.normalized())
         return factors
     raise FactorizationIncomplete(f"univariate factor of degree {d}: {h}")
 
@@ -202,7 +202,7 @@ def _split_by_edge_root(h: Poly, x: str, y: str):
             ).scale_elem(c)
             q = try_divide(h, cand)
             if q is not None:
-                return cand.normalized(LOCAL_ORDER), q
+                return cand.normalized(), q
     return None
 
 

@@ -15,22 +15,63 @@ class FieldError(ValueError):
     pass
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
+def _eval(ints: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _root_floors(ints: list[int], bound: int) -> set[int]:
+    """A set of integers holding floor(r) for every real root r, |r| < bound,
+    of the integer polynomial ``ints`` (index = exponent, nonzero).
+
+    The polynomial is monotone between consecutive real roots of its
+    derivative, whose floors come from the same function.  So each stretch
+    of integers between those floors holds at most one sign change, found by
+    bisection; the unit intervals that may hold a root of the derivative are
+    kept whole by putting their left ends in the set."""
+    if len(ints) <= 1:
+        return set()
+    breaks = sorted(_root_floors([i * c for i, c in enumerate(ints)][1:], bound))
+    floors = set(breaks)
+    for a, b in zip([-bound] + [m + 1 for m in breaks], breaks + [bound]):
+        if a > b:
+            continue
+        sa, sb = _sign(_eval(ints, a)), _sign(_eval(ints, b))
+        if sa == 0:
+            floors.add(a)
+        if sb == 0:
+            floors.add(b)
+        if sa * sb >= 0:
+            continue
+        while b - a > 1:
+            mid = (a + b) // 2
+            sm = _sign(_eval(ints, mid))
+            if sm == 0:
+                floors.add(mid)
+                break
+            if sm == sa:
+                a = mid
+            else:
+                b = mid
+        else:
+            floors.add(a)
+    return floors
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots of the polynomial with the given coefficients
-    (index = exponent, any degree, not all zero)."""
+    (index = exponent, any degree, not all zero).
+
+    With integer coefficients a_0..a_n, y = a_n*x turns a_n^(n-1)*p(x) into a
+    monic integer polynomial, whose rational roots are integers below its
+    Cauchy bound in absolute value; bisection finds them in time polynomial
+    in the coefficients' bit length."""
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     if not coeffs:
@@ -39,25 +80,11 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
-    # strip trailing ... leading x^0 zeros: x=0 root
-    roots = []
-    shift = 0
-    while ints[shift] == 0:
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-        ints = ints[shift:]
-    if len(ints) == 1:
-        return roots
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
+    n, lead = len(ints) - 1, ints[-1]
+    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    bound = 1 + max(abs(c) for c in monic)
+    return [Fraction(y, lead) for y in sorted(_root_floors(monic, bound))
+            if _eval(monic, y) == 0]
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

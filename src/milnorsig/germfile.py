@@ -46,7 +46,7 @@ def _parse_sections(text: str) -> dict:
     return sections
 
 
-def _parse_twist(entries, n_hint=None):
+def _parse_twist(entries):
     out = []
     for s in entries:
         parts = s.split(":")

@@ -4,10 +4,12 @@ number."""
 
 from __future__ import annotations
 
-from .arith import poly_gcd, resultant, squarefree_part, try_divide
+from functools import cached_property
+
+from .arith import poly_gcd, resultant, squarefree_part
 from .factor import FactorizationIncomplete, factor_components
 from .localring import INFINITE, LocalIdeal, quotient_dim
-from .poly import LOCAL_ORDER, Poly, PolyError, divided_difference
+from .poly import Poly, PolyError, divided_difference
 
 UV = ("u", "v")
 
@@ -31,6 +33,11 @@ class OverrideSet:
 
 
 class Germ:
+    """A map germ (f1, f2, f3) in (u, v) over a number field, and its own
+    analysis context: the corank, the fold data and the multiple-point data
+    depend only on the components and the field, which never change, so each
+    is computed on first use and kept.  Overrides are read afresh."""
+
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
         for f in (f1, f2, f3):
@@ -45,6 +52,18 @@ class Germ:
 
     def __repr__(self):
         return f"Germ({self.name or ', '.join(map(str, self.components))})"
+
+    @cached_property
+    def corank(self) -> int:
+        return corank(self)
+
+    @cached_property
+    def fold_data(self) -> Poly | None:
+        return fold_normal_data(self)
+
+    @cached_property
+    def multipoint(self) -> MultiPointData:
+        return multipoint_data(self)
 
 
 class MultiPointData:
@@ -119,7 +138,7 @@ def fold_normal_data(f: Germ) -> Poly | None:
 
 
 def multipoint_data(f: Germ) -> MultiPointData:
-    if corank(f) != 1:
+    if f.corank != 1:
         raise OverrideRequired("multiple-point spaces need a corank-1 germ; "
                                "supply double_curve/T overrides instead")
     f1, f2, f3 = f.components
@@ -137,77 +156,59 @@ def multipoint_data(f: Germ) -> MultiPointData:
     return MultiPointData(P, Q, LocalIdeal(gens))
 
 
-def _resultant_curve(mp: MultiPointData, eliminate: str, keep: str) -> Poly:
-    if mp.P.degree_in(eliminate) <= 0 and mp.Q.degree_in(eliminate) <= 0:
+def _resultant_curve(mp: MultiPointData) -> Poly:
+    """Squarefree part of Res_{v2}(P, Q), with v1 renamed to v.
+
+    P and Q are symmetric in v1 <-> v2, so eliminating v1 instead gives the
+    same curve with v2 renamed to v: one elimination is enough."""
+    if mp.P.degree_in("v2") <= 0 and mp.Q.degree_in("v2") <= 0:
         r = poly_gcd(mp.P, mp.Q)
     else:
-        r = resultant(mp.P, mp.Q, eliminate)
+        r = resultant(mp.P, mp.Q, "v2")
     if r.is_zero():
         raise AnalysisError("divided-difference resultant vanishes identically; "
                             "the germ is not finitely determined")
-    return squarefree_part(r).rename({keep: "v"}, UV)
+    return squarefree_part(r).rename({"v1": "v"}, UV)
 
 
 def double_curve_equation(f: Germ) -> Poly:
     ov = f.overrides
     if ov.double_curve is not None:
         d = ov.double_curve
-        if squarefree_part(d) != d.normalized(LOCAL_ORDER):
+        if squarefree_part(d) != d.normalized():
             raise AnalysisError("double_curve override is not squarefree")
-        if corank(f) == 1 and f.components[0] == Poly.variable("u", UV, f.field):
-            mp = multipoint_data(f)
-            r = _resultant_curve(mp, "v2", "v1")
+        if f.corank == 1 and f.components[0] == Poly.variable("u", UV, f.field):
+            r = _resultant_curve(f.multipoint)
             if squarefree_part(r * d) != r:
                 raise AnalysisError("double_curve override has a factor outside "
                                     "the divided-difference resultant")
-        return d.normalized(LOCAL_ORDER)
-    p = fold_normal_data(f)
+        return d.normalized()
+    p = f.fold_data
     if p is not None:
         v = Poly.variable("v", UV, f.field)
         return squarefree_part(p.substitute(
             {"u": Poly.variable("u", UV, f.field), "y": v * v}))
-    if corank(f) != 1:
-        raise OverrideRequired("corank >= 2: supply the double_curve override")
-    mp = multipoint_data(f)
-    r12 = _resultant_curve(mp, "v2", "v1")
-    r21 = _resultant_curve(mp, "v1", "v2")
     try:
-        factors = factor_components(r12)
+        factors = factor_components(_resultant_curve(f.multipoint))
     except FactorizationIncomplete as exc:
         raise OverrideRequired(str(exc)) from exc
-    kept = []
-    for h, _ in factors:
-        if h.is_unit_local():
-            continue  # unit of the local ring: no branch through the origin
-        if try_divide(r21, h) is None:
-            continue  # survives only one elimination: spurious
-        kept.append(h)
+    # a unit of the local ring has no branch through the origin
+    kept = [h for h, _ in factors if not h.is_unit_local()]
     if not kept:
-        raise AnalysisError("no double-curve component survives both eliminations")
+        raise AnalysisError("no double-curve component passes through the origin")
     out = Poly.constant(1, UV, f.field)
     for h in kept:
         out = out * h
-    return out.normalized(LOCAL_ORDER)
+    return out.normalized()
 
 
 def triple_point_number(f: Germ) -> int:
     if f.overrides.T is not None:
         return f.overrides.T
-    mp = multipoint_data(f)
-    d = quotient_dim(mp.D3_ideal)
+    d = quotient_dim(f.multipoint.D3_ideal)
     if d == INFINITE:
         raise AnalysisError("triple-point space is not zero-dimensional")
     if d % 6:
         raise AnalysisError(f"triple-point space dimension {d} is not divisible by 6")
     return d // 6
 
-
-def image_equation_fold(f: Germ) -> Poly:
-    p = fold_normal_data(f)
-    if p is None:
-        raise AnalysisError("image equation implemented for fold germs only")
-    xyz = ("x", "y", "z")
-    px = p.rename({"u": "x"}, xyz)
-    y = Poly.variable("y", xyz, f.field)
-    z = Poly.variable("z", xyz, f.field)
-    return y * px * px - z * z

@@ -9,7 +9,7 @@ normal form follows from the ecart bound.
 from __future__ import annotations
 
 from .arith import squarefree_part
-from .poly import LOCAL_ORDER, MonomialOrder, Poly, PolyError
+from .poly import Poly, PolyError
 
 INFINITE = float("inf")
 
@@ -21,7 +21,7 @@ class ResourceExceeded(RuntimeError):
 
 
 class LocalIdeal:
-    def __init__(self, generators, order: MonomialOrder = LOCAL_ORDER):
+    def __init__(self, generators):
         gens = [g for g in generators if not g.is_zero()]
         if not gens:
             raise PolyError("ideal needs at least one nonzero generator")
@@ -30,7 +30,6 @@ class LocalIdeal:
             if g.vars != vars or g.field != field:
                 raise PolyError("generators disagree on variables or field")
         self.generators = gens
-        self.order = order
         self.vars = vars
         self.field = field
 
@@ -39,14 +38,13 @@ class LocalIdeal:
 
 
 class StandardBasis:
-    def __init__(self, ideal: LocalIdeal, basis, leading_ideal):
-        self.ideal = ideal
+    def __init__(self, basis, leading_ideal):
         self.basis = basis
         self.leading_ideal = leading_ideal  # minimal generating exponents
 
 
-def _ecart(p: Poly, order: MonomialOrder) -> int:
-    e, _ = p.leading(order)
+def _ecart(p: Poly) -> int:
+    e, _ = p.leading()
     return p.total_degree() - sum(e)
 
 
@@ -54,21 +52,20 @@ def _divides(e1, e2) -> bool:
     return all(a <= b for a, b in zip(e1, e2))
 
 
-def mora_normal_form(f: Poly, basis, order: MonomialOrder = LOCAL_ORDER,
-                     step_cap: int = DEFAULT_STEP_CAP) -> Poly:
+def mora_normal_form(f: Poly, basis, step_cap: int = DEFAULT_STEP_CAP) -> Poly:
     """Weak normal form: u*f = sum a_i g_i + result for some local unit u."""
     reducers = [g for g in basis if not g.is_zero()]
     h = f
     steps = 0
     while not h.is_zero():
-        lh, ch = h.leading(order)
-        usable = [g for g in reducers if _divides(g.leading(order)[0], lh)]
+        lh, ch = h.leading()
+        usable = [g for g in reducers if _divides(g.leading()[0], lh)]
         if not usable:
             return h
-        g = min(usable, key=lambda g: _ecart(g, order))
-        if _ecart(g, order) > _ecart(h, order):
+        g = min(usable, key=_ecart)
+        if _ecart(g) > _ecart(h):
             reducers.append(h)
-        lg, cg = g.leading(order)
+        lg, cg = g.leading()
         mono = tuple(a - b for a, b in zip(lh, lg))
         factor = Poly(h.vars, {mono: ch * cg.inverse()}, h.field)
         h = h - factor * g
@@ -78,9 +75,9 @@ def mora_normal_form(f: Poly, basis, order: MonomialOrder = LOCAL_ORDER,
     return h
 
 
-def _spoly(a: Poly, b: Poly, order: MonomialOrder) -> Poly:
-    la, ca = a.leading(order)
-    lb, cb = b.leading(order)
+def _spoly(a: Poly, b: Poly) -> Poly:
+    la, ca = a.leading()
+    lb, cb = b.leading()
     lcm = tuple(max(x, y) for x, y in zip(la, lb))
     ma = Poly(a.vars, {tuple(x - y for x, y in zip(lcm, la)): ca.inverse()}, a.field)
     mb = Poly(a.vars, {tuple(x - y for x, y in zip(lcm, lb)): cb.inverse()}, a.field)
@@ -96,30 +93,29 @@ def standard_basis(I: LocalIdeal, step_cap: int = DEFAULT_STEP_CAP) -> StandardB
     a unit, every element of I lies in the maximal ideal and the loop below
     never produces a unit either.
     """
-    order = I.order
     if any(g.is_unit_local() for g in I.generators):
         one = Poly.constant(1, I.vars, I.field)
-        return StandardBasis(I, [one], [(0,) * len(I.vars)])
-    G = [g.normalized(order) for g in I.generators]
+        return StandardBasis([one], [(0,) * len(I.vars)])
+    G = [g.normalized() for g in I.generators]
     pairs = [(i, j) for i in range(len(G)) for j in range(i)]
     steps = 0
     while pairs:
         pairs.sort(key=lambda p: sum(max(x, y) for x, y in zip(
-            G[p[0]].leading(order)[0], G[p[1]].leading(order)[0])), reverse=True)
+            G[p[0]].leading()[0], G[p[1]].leading()[0])), reverse=True)
         i, j = pairs.pop()
-        li, lj = G[i].leading(order)[0], G[j].leading(order)[0]
+        li, lj = G[i].leading()[0], G[j].leading()[0]
         lcm = tuple(max(x, y) for x, y in zip(li, lj))
         if lcm == tuple(x + y for x, y in zip(li, lj)):
             continue  # product criterion
-        r = mora_normal_form(_spoly(G[i], G[j], order), G, order, step_cap)
+        r = mora_normal_form(_spoly(G[i], G[j]), G, step_cap)
         steps += 1
         if steps > step_cap:
             raise ResourceExceeded("standard basis exceeded the step budget")
         if not r.is_zero():
-            G.append(r.normalized(order))
+            G.append(r.normalized())
             k = len(G) - 1
             pairs.extend((k, t) for t in range(k))
-    leads = [g.leading(order)[0] for g in G]
+    leads = [g.leading()[0] for g in G]
     minimal = [e for e in leads
                if not any(f != e and _divides(f, e) for f in leads)]
     # deduplicate
@@ -127,7 +123,7 @@ def standard_basis(I: LocalIdeal, step_cap: int = DEFAULT_STEP_CAP) -> StandardB
     for e in minimal:
         if e not in lead_set:
             lead_set.append(e)
-    return StandardBasis(I, G, lead_set)
+    return StandardBasis(G, lead_set)
 
 
 def _staircase_count(leading, nvars):

@@ -15,35 +15,11 @@ class PolyError(ValueError):
     pass
 
 
-class MonomialOrder:
-    """A local monomial order: 1 is larger than every non-constant monomial.
-
-    kind 'local-degrevlex': negative total degree, ties broken by reverse
-    lexicographic comparison.  kind 'elimination': ranks monomials containing
-    a variable of ``block`` above all block-free monomials, then falls back
-    to local-degrevlex.
-    """
-
-    def __init__(self, kind: str = "local-degrevlex", block: tuple[int, ...] = ()):
-        if kind not in ("local-degrevlex", "elimination"):
-            raise PolyError(f"unknown monomial order {kind!r}")
-        if kind == "elimination" and not block:
-            raise PolyError("elimination order needs a variable block")
-        self.kind = kind
-        self.block = tuple(block)
-
-    def key(self, exp: tuple[int, ...]):
-        """Sort key; larger key means larger monomial."""
-        local = (-sum(exp), tuple(-e for e in reversed(exp)))
-        if self.kind == "elimination":
-            return (sum(exp[i] for i in self.block), local)
-        return local
-
-    def __repr__(self):
-        return self.kind
-
-
-LOCAL_ORDER = MonomialOrder()
+def local_key(exp: tuple[int, ...]):
+    """Sort key of the local monomial order, in which 1 is larger than every
+    non-constant monomial: negative total degree, ties broken by reverse
+    lexicographic comparison.  Larger key means larger monomial."""
+    return (-sum(exp), tuple(-e for e in reversed(exp)))
 
 
 class Poly:
@@ -96,11 +72,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def order_at_origin(self) -> int:
-        if not self.terms:
-            raise PolyError("zero polynomial has no vanishing order")
-        return min(sum(e) for e in self.terms)
-
     def degree_in(self, var: str) -> int:
         i = self.vars.index(var)
         if not self.terms:
@@ -109,18 +80,18 @@ class Poly:
 
     # -- term access -----------------------------------------------------------
 
-    def leading(self, order: MonomialOrder = LOCAL_ORDER):
-        """(exponent, coefficient) of the leading term."""
+    def leading(self):
+        """(exponent, coefficient) of the leading term under the local order."""
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
+        e = max(self.terms, key=local_key)
         return e, self.terms[e]
 
-    def normalized(self, order: MonomialOrder = LOCAL_ORDER) -> "Poly":
+    def normalized(self) -> "Poly":
         """Scaled so the leading coefficient is 1."""
         if not self.terms:
             return self
-        _, c = self.leading(order)
+        _, c = self.leading()
         inv = c.inverse()
         return Poly(self.vars, {e: k * inv for e, k in self.terms.items()}, self.field)
 
@@ -263,16 +234,6 @@ class Poly:
         return format_poly(self)
 
 
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise PolyError(f"unknown operation {op!r}")
-
-
 def divided_difference(a: Poly, var: str, fresh: tuple[str, str]) -> Poly:
     """(a[var -> v1] - a[var -> v2]) / (v1 - v2), an exact polynomial.
 
@@ -317,7 +278,7 @@ def format_poly(p: Poly) -> str:
     """Deterministic printing; parses back to the same polynomial."""
     if not p.terms:
         return "0"
-    items = sorted(p.terms.items(), key=lambda t: LOCAL_ORDER.key(t[0]), reverse=True)
+    items = sorted(p.terms.items(), key=lambda t: local_key(t[0]), reverse=True)
     chunks = []
     for e, c in items:
         mono = format_exponent(p.vars, e)

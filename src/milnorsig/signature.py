@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import ComponentSet, component_set, curve_milnor
-from .germs import (AnalysisError, Germ, OverrideRequired, corank,
-                    crosscap_number, double_curve_equation, fold_normal_data,
-                    triple_point_number)
+from .curves import ComponentSet, associate, component_set, curve_milnor
+from .germs import (AnalysisError, Germ, OverrideRequired, _resultant_curve,
+                    crosscap_number, double_curve_equation, triple_point_number)
 from .poly import format_poly
 
 
@@ -226,18 +225,16 @@ class SignatureReport:
 
 def analyze(germ: Germ) -> SignatureReport:
     """Run the full pipeline on one germ."""
-    rk = corank(germ)
-    if rk == 0:
+    if germ.corank == 0:
         raise AnalysisError("the germ is an immersion (corank 0): "
                             "the double-point curve is empty")
     C = crosscap_number(germ)
-    T = triple_point_number(germ) if (rk == 1 or germ.overrides.T is not None) \
-        else _missing_T()
+    T = triple_point_number(germ)
     curve_eq = double_curve_equation(germ)
     cs = component_set(germ, curve_eq)
     checks = []
 
-    is_fold = fold_normal_data(germ) is not None
+    is_fold = germ.fold_data is not None
     if is_fold:
         vi = fold_vertical_indices(cs)
     else:
@@ -267,20 +264,14 @@ def analyze(germ: Germ) -> SignatureReport:
     checks.append(("parity", "pass",
                    f"mu(D)+C-4T-1 = {mu_D + C - 4 * T - 1} is even"))
 
-    if is_fold and rk == 1:
-        from .germs import multipoint_data, _resultant_curve
-        from .curves import associate
+    if is_fold:
         try:
-            alt = _resultant_curve(multipoint_data(germ), "v2", "v1")
+            alt = _resultant_curve(germ.multipoint)
             status = "pass" if associate(alt, curve_eq) else "fail"
             checks.append(("fold-vs-resultant", status,
                            f"resultant route gives {format_poly(alt)}"))
         except (AnalysisError, OverrideRequired) as exc:
             checks.append(("fold-vs-resultant", "skipped", str(exc)))
 
-    return SignatureReport(germ.name, rk, C, T, mu_D, mu_I, b2, cs, vi, form,
-                           sigma_X, sigma_F, checks)
-
-
-def _missing_T():
-    raise OverrideRequired("triple-point number needs the corank-1 route or a T override")
+    return SignatureReport(germ.name, germ.corank, C, T, mu_D, mu_I, b2, cs,
+                           vi, form, sigma_X, sigma_F, checks)

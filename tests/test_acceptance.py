@@ -257,7 +257,7 @@ def test_criterion_6_property_suites():
         if fold_normal_data(f) is None:
             continue
         fold = double_curve_equation(f)
-        res = _resultant_curve(multipoint_data(f), "v2", "v1")
+        res = _resultant_curve(multipoint_data(f))
         if not associate(fold, res):
             failures.append(f"double-curve routes disagree on {f.name}")
 

@@ -9,7 +9,6 @@ from milnorsig.fields import QQ
 from milnorsig.germs import (AnalysisError, MultiPointData, UV, double_curve_equation,
                              multipoint_data)
 from milnorsig.parser import parse_poly
-from milnorsig.poly import LOCAL_ORDER
 
 UVV = ("u", "v1", "v2")
 
@@ -25,7 +24,7 @@ def gcd_route_partner(h, mp, comps_v2):
 
 
 def in_v2(comps):
-    return [h.rename({"v": "v2"}, UVV).normalized(LOCAL_ORDER) for h in comps]
+    return [h.rename({"v": "v2"}, UVV).normalized() for h in comps]
 
 
 def test_decompose_examples():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,3 +107,22 @@ def test_quadratic_square_discriminant_rejected():
     with pytest.raises(FieldError):
         parse_field("Q[a]/(a^2 + 3*a + 2)")   # (a + 1)(a + 2)
     assert parse_field("Q[a]/(a^2 + a + 1)").degree == 2
+
+
+def test_cubic_and_quartic_with_large_constant_are_fast():
+    # rational roots are found by bisection, not by factoring 10^23 + 3
+    for desc, degree in (("Q[a]/(a^3 - 100000000000000000000003)", 3),
+                         ("Q[a]/(a^4 - 100000000000000000000003)", 4)):
+        start = time.perf_counter()
+        assert parse_field(desc).degree == degree
+        assert time.perf_counter() - start < 1.0
+
+
+def test_large_integer_root_rejected():
+    with pytest.raises(FieldError):
+        parse_field("Q[a]/(a^3 - 1000000900000270000027)")   # (10^7 + 3)^3
+    with pytest.raises(FieldError):
+        # (a - 10000019)*(a^3 + 2)
+        parse_field("Q[a]/(a^4 - 10000019*a^3 + 2*a - 20000038)")
+    with pytest.raises(FieldError):
+        parse_field("Q[a]/(a^3 - 1/8)")                      # root 1/2

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import milnorsig
 from milnorsig import cli
 from milnorsig.cli import (EXIT_ERROR, EXIT_OK, EXIT_OVERRIDES, main,
                            render_report, run_analyze, run_batch, run_selftest)
@@ -190,3 +194,14 @@ def test_main_selftest_kmax(capsys, monkeypatch):
     fails = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("FAIL")]
     assert len(fails) == 1 and fails[0].startswith("FAIL S_2:")
+
+
+def test_cli_import_stays_light():
+    # dataclasses pulls in inspect, which adds several ms to every start-up
+    src = os.path.dirname(os.path.dirname(milnorsig.__file__))
+    code = ("import sys, milnorsig.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -1,12 +1,12 @@
 import pytest
 
-from milnorsig.arith import squarefree_part
+from milnorsig.arith import resultant, squarefree_part
 from milnorsig.corpus import B, C_, F4, H, S, corank2, cross_cap
 from milnorsig.curves import associate
 from milnorsig.fields import QQ, parse_field
-from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, UV, corank,
-                             crosscap_number, double_curve_equation,
-                             fold_normal_data, image_equation_fold,
+from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, UV,
+                             _resultant_curve, corank, crosscap_number,
+                             double_curve_equation, fold_normal_data,
                              multipoint_data, triple_point_number)
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
@@ -116,11 +116,23 @@ def test_double_curve_fold_examples():
 
 
 def test_double_curve_routes_agree_on_folds():
-    from milnorsig.germs import _resultant_curve
     for f in (cross_cap(), S(1), S(2), B(2), B(3), C_(3), C_(4), F4()):
         fold = double_curve_equation(f)
-        res = _resultant_curve(multipoint_data(f), "v2", "v1")
+        res = _resultant_curve(multipoint_data(f))
         assert associate(fold, res), f.name
+
+
+def test_eliminating_v1_or_v2_gives_one_curve():
+    """P and Q are symmetric in v1 <-> v2, so Res_v1(P, Q) is Res_v2(P, Q)
+    with v1 and v2 swapped: after renaming the kept variable to v, both give
+    the same squarefree curve, and one elimination is enough."""
+    scaled_h3 = G(("u", "6*u*v + 6561*v^8", "27*v^3"), parse_field("Q(zeta3)"))
+    for f in [H(k) for k in range(2, 6)] + [scaled_h3]:
+        mp = multipoint_data(f)
+        r12 = squarefree_part(resultant(mp.P, mp.Q, "v2")).rename({"v1": "v"}, UV)
+        r21 = squarefree_part(resultant(mp.P, mp.Q, "v1")).rename({"v2": "v"}, UV)
+        assert r12 == r21, f
+        assert _resultant_curve(mp) == r12, f
 
 
 def test_double_curve_requires_override_for_corank2():
@@ -149,13 +161,3 @@ def test_triple_point_numbers():
         assert triple_point_number(H(k)) == k - 1
     assert triple_point_number(corank2()) == 1  # override
 
-
-def test_image_equation_fold():
-    xyz = ("x", "y", "z")
-    assert image_equation_fold(cross_cap()) == parse_poly("x^2*y - z^2", xyz, QQ)
-    f = S(2)
-    assert image_equation_fold(f) == parse_poly("y*(y + x^3)^2 - z^2", xyz, f.field)
-    f4 = F4()
-    assert image_equation_fold(f4) == parse_poly("y*(x^3 + y^2)^2 - z^2", xyz, QQ)
-    with pytest.raises(AnalysisError):
-        image_equation_fold(H(2))

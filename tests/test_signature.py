@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from milnorsig import curves, germs, signature
 from milnorsig.corpus import (B, C_, F4, H, S, TRIPLE_POINT_MATRIX, corank2,
                               corpus, cross_cap, expected_invariants)
 from milnorsig.curves import component_set
@@ -273,3 +275,21 @@ def test_corank0_is_an_error():
     g = Germ(tuple(parse_poly(s, UV, QQ) for s in ("u", "v", "u*v")), QQ)
     with pytest.raises(AnalysisError):
         analyze(g)
+
+
+def test_germ_data_computed_once_per_analyze(monkeypatch):
+    # every module's name for the function is counted, not only germs'
+    calls = Counter()
+    for name in ("corank", "fold_normal_data", "multipoint_data"):
+        original = getattr(germs, name)
+
+        def counted(f, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(f)
+        for module in (germs, curves, signature):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for germ in (cross_cap(), S(2), H(3), corank2()):
+        calls.clear()
+        analyze(germ)
+        assert calls and max(calls.values()) == 1, (germ.name, calls)
