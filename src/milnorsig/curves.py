@@ -37,7 +37,10 @@ def associate(a: Poly, b: Poly) -> bool:
     return a.normalized() == b.normalized()
 
 
-def decompose(curve_eq: Poly, override=None) -> list[Poly]:
+def decompose(curve_eq: Poly, override=None, factors=None) -> list[Poly]:
+    """The components of the curve: the override's, checked against the
+    curve, else ``factors`` when the caller has factored the curve already
+    (sorted by ``canonical_key``), else the curve's own factorization."""
     if override is not None:
         prod = Poly.constant(1, curve_eq.vars, curve_eq.field)
         for h in override:
@@ -51,6 +54,8 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
         if not associate(prod, curve_eq):
             raise AnalysisError("override components do not multiply to the curve")
         return [h.normalized() for h in override]
+    if factors is not None:
+        return factors
     try:
         factors = factor_components(curve_eq)
     except FactorizationIncomplete as exc:
@@ -183,7 +188,11 @@ def curve_milnor(curve_eq: Poly) -> int:
 
 def component_set(f: Germ, curve_eq: Poly) -> ComponentSet:
     ov = f.overrides
-    comps = decompose(curve_eq, ov.components)
+    if ov.components is None and ov.double_curve is None and f.fold_data is None:
+        # the resultant route: double_curve_equation factored the curve
+        comps = decompose(curve_eq, factors=f.resultant_components)
+    else:
+        comps = decompose(curve_eq, ov.components)
     pairing = classify_twist(f, comps, ov.twist)
     table = intersection_table(comps)
     vax = v_axis_multiplicities(comps) if f.fold_data is not None else None

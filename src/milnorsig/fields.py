@@ -1,8 +1,14 @@
 """Exact coefficient arithmetic: rationals and simple number fields Q(alpha).
 
-Rationals are ``fractions.Fraction``.  A number field is described by the
-monic minimal polynomial of its generator; elements are coordinate vectors
-in the power basis 1, alpha, ..., alpha^(d-1).  Degree 1 represents Q itself.
+A number field is described by the monic minimal polynomial of its
+generator; degree 1 represents Q itself.  An element holds its coordinates
+in the power basis 1, alpha, ..., alpha^(d-1) as integer numerators over one
+positive denominator, in lowest terms (Cohen, *A Course in Computational
+Algebraic Number Theory*, 4.2), so arithmetic runs on Python ints: degree 2
+has a closed-form product and a norm inverse, higher degrees a schoolbook
+product reduced by an integer table.  ``fractions.Fraction`` appears only at
+the boundary: ``FieldElem(field, coeffs)``, ``from_rational``, ``.coeffs``
+and ``as_rational``.
 """
 
 from __future__ import annotations
@@ -64,6 +70,13 @@ def _root_floors(ints: list[int], bound: int) -> set[int]:
     return floors
 
 
+def _lcm_denominators(values) -> int:
+    lcm = 1
+    for c in values:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    return lcm
+
+
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots of the polynomial with the given coefficients
     (index = exponent, any degree, not all zero).
@@ -76,9 +89,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         coeffs = coeffs[:-1]
     if not coeffs:
         raise FieldError("zero polynomial has every root")
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = _lcm_denominators(coeffs)
     ints = [int(c * lcm) for c in coeffs]
     n, lead = len(ints) - 1, ints[-1]
     monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
@@ -141,10 +152,17 @@ class NumberField:
             raise FieldError("minimal polynomial must be monic of degree >= 1")
         self.generator_name = generator_name
         self.minimal_poly = tuple(Fraction(c) for c in minimal_poly)
-        self.degree = len(minimal_poly) - 1
+        self.degree = d = len(minimal_poly) - 1
         self._check_irreducible()
-        # power-basis expansions of alpha^d .. alpha^(2d-2)
-        self._high_powers = self._reduction_table()
+        self._zeros = (0,) * (d - 1)
+        # q * minimal_poly = p_0 + p_1 x + ... + q x^d with integers p_i, q > 0
+        self._q = _lcm_denominators(self.minimal_poly)
+        self._p = tuple(int(c * self._q) for c in self.minimal_poly)
+        # power-basis expansions of alpha^d .. alpha^(2d-2), as integer rows
+        # over the one denominator _red_den
+        table = self._reduction_table()
+        self._red_den = _lcm_denominators([c for row in table for c in row])
+        self._red = [tuple(int(c * self._red_den) for c in row) for row in table]
 
     def _check_irreducible(self) -> None:
         d = self.degree
@@ -197,48 +215,79 @@ class NumberField:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> FieldElem:
-        return FieldElem(self, (Fraction(0),) * self.degree)
+        return _elem(self, (0,) + self._zeros, 1)
 
     def one(self) -> FieldElem:
-        return self.from_rational(Fraction(1))
+        return _elem(self, (1,) + self._zeros, 1)
 
     def from_rational(self, q) -> FieldElem:
-        coords = [Fraction(q)] + [Fraction(0)] * (self.degree - 1)
-        return FieldElem(self, tuple(coords))
+        if isinstance(q, int):
+            return _elem(self, (q,) + self._zeros, 1)
+        q = Fraction(q)
+        return _elem(self, (q.numerator,) + self._zeros, q.denominator)
 
     def generator(self) -> FieldElem:
         if self.degree == 1:
             raise FieldError("Q has no generator element")
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return FieldElem(self, tuple(coords))
+        return _elem(self, (0, 1) + self._zeros[1:], 1)
+
+
+def _elem(field: NumberField, num: tuple[int, ...], den: int) -> FieldElem:
+    """An element from numerators and a denominator already in lowest terms."""
+    x = object.__new__(FieldElem)
+    x.field = field
+    x.num = num
+    x.den = den
+    return x
+
+
+def _reduced(field: NumberField, num: tuple[int, ...], den: int) -> FieldElem:
+    """An element from numerators and a positive denominator, put in lowest
+    terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([n // g for n in num])
+            den //= g
+    return _elem(field, num, den)
 
 
 class FieldElem:
-    """An element of a NumberField, as power-basis coordinates."""
+    """An element of a NumberField: power-basis coordinates num[i]/den with
+    integers num and one denominator den > 0, in lowest terms
+    (gcd(den, *num) == 1), so each value has exactly one representation."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
         if len(coeffs) != field.degree:
             raise FieldError("coordinate vector has wrong length")
+        coeffs = [Fraction(c) for c in coeffs]
+        den = _lcm_denominators(coeffs)
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise FieldError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -249,18 +298,24 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElem(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple([a + b for a, b in zip(self.num, o.num)])
+        else:
+            num = tuple([a * db + b * da for a, b in zip(self.num, o.num)])
+            da *= db
+        return _reduced(self.field, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.field, tuple(-a for a in self.coeffs))
+        return _elem(self.field, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElem(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + -o
 
     def __rsub__(self, other):
         return -(self - other)
@@ -269,35 +324,56 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        d = self.field.degree
+        F = self.field
+        d = F.degree
+        den = self.den * o.den
         if d == 1:
-            return FieldElem(self.field, (self.coeffs[0] * o.coeffs[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        out = prod[:d]
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                red = self.field._high_powers[k - d]
-                for i in range(d):
-                    out[i] += c * red[i]
-        return FieldElem(self.field, tuple(out))
+            num = (self.num[0] * o.num[0],)
+        elif d == 2:
+            # alpha^2 = -(p1 alpha + p0) / q
+            a0, a1 = self.num
+            b0, b1 = o.num
+            t = a1 * b1
+            q, (p0, p1, _) = F._q, F._p
+            num = (q * a0 * b0 - p0 * t, q * (a0 * b1 + a1 * b0) - p1 * t)
+            den *= q
+        else:
+            prod = [0] * (2 * d - 1)
+            for i, a in enumerate(self.num):
+                if a:
+                    for j, b in enumerate(o.num):
+                        prod[i + j] += a * b
+            L = F._red_den
+            out = [c * L for c in prod[:d]]
+            for k, row in enumerate(F._red, d):
+                c = prod[k]
+                if c:
+                    for i in range(d):
+                        out[i] += c * row[i]
+            num = tuple(out)
+            den *= L
+        return _reduced(F, num, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        d = self.field.degree
+        F = self.field
+        d = F.degree
         if d == 1:
-            return FieldElem(self.field, (1 / self.coeffs[0],))
+            n = self.num[0]
+            return _elem(F, (self.den,), n) if n > 0 else _elem(F, (-self.den,), -n)
+        if d == 2:
+            # x * conj(x) is the norm; scaled by q both stay integral:
+            # 1/x = den * ((q n0 - p1 n1) - q n1 alpha) / (q n0^2 - p1 n0 n1 + p0 n1^2)
+            n0, n1 = self.num
+            q, (p0, p1, _) = F._q, F._p
+            norm = q * n0 * n0 - p1 * n0 * n1 + p0 * n1 * n1
+            s = self.den if norm > 0 else -self.den
+            return _reduced(F, (s * (q * n0 - p1 * n1), -s * q * n1), abs(norm))
         # extended Euclid in Q[x]: s*self + t*minpoly = gcd = const
-        r0 = list(self.field.minimal_poly)
+        r0 = list(F.minimal_poly)
         r1 = list(self.coeffs)
         s0, s1 = [Fraction(0)], [Fraction(1)]
 
@@ -316,7 +392,7 @@ class FieldElem:
         c = r1[deg(r1)]
         inv = [x / c for x in s1]
         inv += [Fraction(0)] * (d - len(inv))
-        return FieldElem(self.field, tuple(inv[:d]))
+        return FieldElem(F, tuple(inv[:d]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -332,12 +408,13 @@ class FieldElem:
             other = self.field.from_rational(other)
         return (
             isinstance(other, FieldElem)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.num == other.num
+            and self.den == other.den
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.num, self.den))
 
     def __repr__(self):
         return format_field_elem(self)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arith import poly_gcd, resultant, squarefree_part
-from .factor import FactorizationIncomplete, factor_components
+from .factor import FactorizationIncomplete, canonical_key, factor_components
 from .localring import INFINITE, LocalIdeal, quotient_dim
 from .poly import Poly, PolyError, divided_difference
 
@@ -34,9 +34,10 @@ class OverrideSet:
 
 class Germ:
     """A map germ (f1, f2, f3) in (u, v) over a number field, and its own
-    analysis context: the corank, the fold data and the multiple-point data
-    depend only on the components and the field, which never change, so each
-    is computed on first use and kept.  Overrides are read afresh."""
+    analysis context: the corank, the fold data, the multiple-point data and
+    the factors of the resultant-route double curve depend only on the
+    components and the field, which never change, so each is computed on
+    first use and kept.  Overrides are read afresh."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -64,6 +65,10 @@ class Germ:
     @cached_property
     def multipoint(self) -> MultiPointData:
         return multipoint_data(self)
+
+    @cached_property
+    def resultant_components(self) -> list[Poly]:
+        return resultant_components(self)
 
 
 class MultiPointData:
@@ -188,18 +193,24 @@ def double_curve_equation(f: Germ) -> Poly:
         v = Poly.variable("v", UV, f.field)
         return squarefree_part(p.substitute(
             {"u": Poly.variable("u", UV, f.field), "y": v * v}))
+    out = Poly.constant(1, UV, f.field)
+    for h in f.resultant_components:
+        out = out * h
+    return out.normalized()
+
+
+def resultant_components(f: Germ) -> list[Poly]:
+    """The irreducible factors of the resultant-route double curve that pass
+    through the origin, sorted by ``canonical_key``."""
     try:
         factors = factor_components(_resultant_curve(f.multipoint))
     except FactorizationIncomplete as exc:
         raise OverrideRequired(str(exc)) from exc
     # a unit of the local ring has no branch through the origin
-    kept = [h for h, _ in factors if not h.is_unit_local()]
+    kept = sorted((h for h, _ in factors if not h.is_unit_local()), key=canonical_key)
     if not kept:
         raise AnalysisError("no double-curve component passes through the origin")
-    out = Poly.constant(1, UV, f.field)
-    for h in kept:
-        out = out * h
-    return out.normalized()
+    return kept
 
 
 def triple_point_number(f: Germ) -> int:

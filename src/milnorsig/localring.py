@@ -43,29 +43,36 @@ class StandardBasis:
         self.leading_ideal = leading_ideal  # minimal generating exponents
 
 
-def _ecart(p: Poly) -> int:
-    e, _ = p.leading()
-    return p.total_degree() - sum(e)
-
-
 def _divides(e1, e2) -> bool:
     return all(a <= b for a, b in zip(e1, e2))
 
 
+def _lead_ecart(p: Poly):
+    """(leading exponent, leading coefficient, ecart) of a nonzero p."""
+    e, c = p.leading()
+    return e, c, p.total_degree() - sum(e)
+
+
 def mora_normal_form(f: Poly, basis, step_cap: int = DEFAULT_STEP_CAP) -> Poly:
-    """Weak normal form: u*f = sum a_i g_i + result for some local unit u."""
-    reducers = [g for g in basis if not g.is_zero()]
+    """Weak normal form: u*f = sum a_i g_i + result for some local unit u.
+
+    Each reducer carries its leading term and ecart, computed once when it
+    enters the list; the reducer used is the first of minimal ecart among
+    those whose leading monomial divides h's."""
+    reducers = [(*_lead_ecart(g), g) for g in basis if not g.is_zero()]
     h = f
     steps = 0
     while not h.is_zero():
-        lh, ch = h.leading()
-        usable = [g for g in reducers if _divides(g.leading()[0], lh)]
-        if not usable:
+        lh, ch, eh = _lead_ecart(h)
+        best = None
+        for r in reducers:
+            if (best is None or r[2] < best[2]) and _divides(r[0], lh):
+                best = r
+        if best is None:
             return h
-        g = min(usable, key=_ecart)
-        if _ecart(g) > _ecart(h):
-            reducers.append(h)
-        lg, cg = g.leading()
+        lg, cg, eg, g = best
+        if eg > eh:
+            reducers.append((lh, ch, eh, h))
         mono = tuple(a - b for a, b in zip(lh, lg))
         factor = Poly(h.vars, {mono: ch * cg.inverse()}, h.field)
         h = h - factor * g
@@ -97,13 +104,14 @@ def standard_basis(I: LocalIdeal, step_cap: int = DEFAULT_STEP_CAP) -> StandardB
         one = Poly.constant(1, I.vars, I.field)
         return StandardBasis([one], [(0,) * len(I.vars)])
     G = [g.normalized() for g in I.generators]
+    leads = [g.leading()[0] for g in G]     # kept in step with G
     pairs = [(i, j) for i in range(len(G)) for j in range(i)]
     steps = 0
     while pairs:
         pairs.sort(key=lambda p: sum(max(x, y) for x, y in zip(
-            G[p[0]].leading()[0], G[p[1]].leading()[0])), reverse=True)
+            leads[p[0]], leads[p[1]])), reverse=True)
         i, j = pairs.pop()
-        li, lj = G[i].leading()[0], G[j].leading()[0]
+        li, lj = leads[i], leads[j]
         lcm = tuple(max(x, y) for x, y in zip(li, lj))
         if lcm == tuple(x + y for x, y in zip(li, lj)):
             continue  # product criterion
@@ -113,9 +121,9 @@ def standard_basis(I: LocalIdeal, step_cap: int = DEFAULT_STEP_CAP) -> StandardB
             raise ResourceExceeded("standard basis exceeded the step budget")
         if not r.is_zero():
             G.append(r.normalized())
+            leads.append(G[-1].leading()[0])
             k = len(G) - 1
             pairs.extend((k, t) for t in range(k))
-    leads = [g.leading()[0] for g in G]
     minimal = [e for e in leads
                if not any(f != e and _divides(f, e) for f in leads)]
     # deduplicate

@@ -1,10 +1,11 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from milnorsig.fields import (FieldError, NumberField, QQ, parse_field,
+from milnorsig.fields import (FieldElem, FieldError, NumberField, QQ, parse_field,
                               quadratic_roots, rational_sqrt, sqrt_in_field)
 
 
@@ -126,3 +127,124 @@ def test_large_integer_root_rejected():
         parse_field("Q[a]/(a^4 - 10000019*a^3 + 2*a - 20000038)")
     with pytest.raises(FieldError):
         parse_field("Q[a]/(a^3 - 1/8)")                      # root 1/2
+
+
+# -- oracle: Fraction polynomials modulo the minimal polynomial ---------------
+#
+# The reference below shares no code with milnorsig.fields: an element is a
+# list of Fractions (index = exponent), products are reduced by long division
+# by the monic minimal polynomial, and inverses solve the linear system
+# (multiplication by x) * y = 1 by Gaussian elimination.
+
+ORACLE_FIELDS = {
+    "Q": [0, 1],
+    "Q(i)": [1, 0, 1],
+    "Q(zeta3)": [1, 1, 1],
+    "Q[a]/(a^2 - 1/2*a + 1/3)": [Fraction(1, 3), Fraction(-1, 2), 1],
+    "Q[a]/(a^3 - 2)": [-2, 0, 0, 1],
+    "Q[a]/(a^3 - 1/2*a^2 + 3/4*a - 2)": [-2, Fraction(3, 4), Fraction(-1, 2), 1],
+}
+
+
+def _ref_reduce(p, m):
+    d = len(m) - 1
+    p = [Fraction(c) for c in p]
+    for k in range(len(p) - 1, d - 1, -1):
+        c = p[k]
+        if c:
+            for i in range(d + 1):
+                p[k - d + i] -= c * m[i]
+    return (p + [Fraction(0)] * d)[:d]
+
+
+def _ref_mul(a, b, m):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, m)
+
+
+def _ref_inverse(a, m):
+    d = len(m) - 1
+    basis = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    # column j of the matrix is a * alpha^j
+    cols = [_ref_mul(a, e, m) for e in basis]
+    rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))]
+            for i in range(d)]
+    for c in range(d):
+        piv = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][d] for i in range(d)]
+
+
+def _check_canonical(x):
+    assert all(type(n) is int for n in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+
+
+def _run_oracle(desc, check):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    F = parse_field(desc)
+    m = [Fraction(c) for c in ORACLE_FIELDS[desc]]
+    assert list(F.minimal_poly) == m
+    coords = st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=12),
+                      min_size=F.degree, max_size=F.degree)
+    run = hyp.given(coords, coords, coords)(
+        lambda a, b, c: check(F, m, a, b, c))
+    hyp.settings(max_examples=40, deadline=None, database=None,
+                 derandomize=True)(run)()
+
+
+@pytest.mark.parametrize("desc", sorted(ORACLE_FIELDS))
+def test_arithmetic_matches_oracle(desc):
+    def check(F, m, a, b, c):
+        x, y = FieldElem(F, tuple(a)), FieldElem(F, tuple(b))
+        k = c[0]
+        results = {
+            "+": (x + y, [p + q for p, q in zip(a, b)]),
+            "-": (x - y, [p - q for p, q in zip(a, b)]),
+            "neg": (-x, [-p for p in a]),
+            "*": (x * y, _ref_mul(a, b, m)),
+            "* rational": (x * k, [p * k for p in a]),
+            "rational -": (k - x, [k - a[0]] + [-p for p in a[1:]]),
+        }
+        if any(b):
+            results["inverse"] = (y.inverse(), _ref_inverse(b, m))
+            results["/"] = (x / y, _ref_mul(a, _ref_inverse(b, m), m))
+            results["rational /"] = (k / y, [k * p for p in _ref_inverse(b, m)])
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+        for op, (got, want) in results.items():
+            assert list(got.coeffs) == want, op
+            _check_canonical(got)
+
+    _run_oracle(desc, check)
+
+
+@pytest.mark.parametrize("desc", sorted(ORACLE_FIELDS))
+def test_representation_is_canonical(desc):
+    def check(F, m, a, b, c):
+        x, y, z = (FieldElem(F, tuple(v)) for v in (a, b, c))
+        for e, v in zip((x, y, z), (a, b, c)):
+            _check_canonical(e)
+            assert e.coeffs == tuple(v)
+            assert FieldElem(F, e.coeffs) == e
+        # the same value reached two ways: equal, with equal hashes
+        for u, v in (((x * y) * z, x * (y * z)), (x + y - y, x),
+                     (x * (y + z), x * y + x * z), (x - x, F.zero())):
+            assert u == v and hash(u) == hash(v)
+            assert u.num == v.num and u.den == v.den
+        if x.is_rational():
+            assert x == x.as_rational()
+            assert x == F.from_rational(x.as_rational())
+
+    _run_oracle(desc, check)

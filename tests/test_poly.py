@@ -38,6 +38,15 @@ def test_poly_pow():
         P("u") ** -1
 
 
+def test_pow_matches_repeated_multiplication():
+    Qi = parse_field("Q(i)")
+    p = P("3*u - 1/2*i*v^2", Qi)
+    acc = Poly.constant(1, UV, Qi)
+    for n in range(41):
+        assert p ** n == acc, n
+        acc = acc * p
+
+
 def test_conjugate_product_over_Qi():
     Qi = parse_field("Q(i)")
     assert parse_poly("(u+i*v)*(u-i*v)", UV, Qi) == parse_poly("u^2+v^2", UV, Qi)
