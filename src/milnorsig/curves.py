@@ -6,7 +6,7 @@ from __future__ import annotations
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
 from .arith import poly_gcd, resultant, squarefree_part, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, canonical_key, factor_components
-from .germs import AnalysisError, Germ, OverrideRequired, UV
+from .germs import AnalysisError, Germ, OverrideRequired, UV, double_curve_factors
 from .localring import INFINITE, intersection_multiplicity, milnor_number
 from .poly import Poly
 
@@ -37,10 +37,7 @@ def associate(a: Poly, b: Poly) -> bool:
     return a.normalized() == b.normalized()
 
 
-def decompose(curve_eq: Poly, override=None, factors=None) -> list[Poly]:
-    """The components of the curve: the override's, checked against the
-    curve, else ``factors`` when the caller has factored the curve already
-    (sorted by ``canonical_key``), else the curve's own factorization."""
+def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     if override is not None:
         prod = Poly.constant(1, curve_eq.vars, curve_eq.field)
         for h in override:
@@ -54,8 +51,6 @@ def decompose(curve_eq: Poly, override=None, factors=None) -> list[Poly]:
         if not associate(prod, curve_eq):
             raise AnalysisError("override components do not multiply to the curve")
         return [h.normalized() for h in override]
-    if factors is not None:
-        return factors
     try:
         factors = factor_components(curve_eq)
     except FactorizationIncomplete as exc:
@@ -187,11 +182,10 @@ def curve_milnor(curve_eq: Poly) -> int:
 
 
 def component_set(f: Germ, curve_eq: Poly) -> ComponentSet:
+    """The component set of ``curve_eq = double_curve_equation(f)``."""
     ov = f.overrides
-    if ov.components is None and ov.double_curve is None and f.fold_data is None:
-        # the resultant route: double_curve_equation factored the curve
-        comps = decompose(curve_eq, factors=f.resultant_components)
-    else:
+    comps = None if ov.components is not None else double_curve_factors(f)
+    if comps is None:
         comps = decompose(curve_eq, ov.components)
     pairing = classify_twist(f, comps, ov.twist)
     table = intersection_table(comps)

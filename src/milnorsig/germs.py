@@ -176,7 +176,22 @@ def _resultant_curve(mp: MultiPointData) -> Poly:
     return squarefree_part(r).rename({"v1": "v"}, UV)
 
 
+def double_curve_factors(f: Germ) -> list[Poly] | None:
+    """The factors of the double curve when ``double_curve_equation`` finds it
+    by the resultant route (no ``double_curve`` override, not a fold germ),
+    else None: the one place that decides the route."""
+    if f.overrides.double_curve is not None or f.fold_data is not None:
+        return None
+    return f.resultant_components
+
+
 def double_curve_equation(f: Germ) -> Poly:
+    comps = double_curve_factors(f)
+    if comps is not None:
+        out = Poly.constant(1, UV, f.field)
+        for h in comps:
+            out = out * h
+        return out.normalized()
     ov = f.overrides
     if ov.double_curve is not None:
         d = ov.double_curve
@@ -188,15 +203,9 @@ def double_curve_equation(f: Germ) -> Poly:
                 raise AnalysisError("double_curve override has a factor outside "
                                     "the divided-difference resultant")
         return d.normalized()
-    p = f.fold_data
-    if p is not None:
-        v = Poly.variable("v", UV, f.field)
-        return squarefree_part(p.substitute(
-            {"u": Poly.variable("u", UV, f.field), "y": v * v}))
-    out = Poly.constant(1, UV, f.field)
-    for h in f.resultant_components:
-        out = out * h
-    return out.normalized()
+    v = Poly.variable("v", UV, f.field)
+    return squarefree_part(f.fold_data.substitute(
+        {"u": Poly.variable("u", UV, f.field), "y": v * v}))
 
 
 def resultant_components(f: Germ) -> list[Poly]:
