@@ -1,9 +1,10 @@
-"""Golden-output test: ``analyze(g).to_dict()`` for every germ of
-``corpus(10)`` must match the checked-in snapshot byte for byte.
+"""Golden-output tests: ``analyze(g).to_dict()`` must match the checked-in
+snapshots byte for byte, for every germ of ``corpus(10)`` and for the germ
+files in ``OVERRIDE_GERMS``, which take the override paths.
 
 A change that is meant to leave every report unchanged (a refactor or a
-speed-up) is checked against this file.  To re-record the snapshot after a
-deliberate change of output, run from the repository root:
+speed-up) is checked against these files.  To re-record the snapshots after
+a deliberate change of output, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -13,24 +14,77 @@ import os
 import sys
 
 from milnorsig.corpus import corpus
+from milnorsig.germfile import load_germ
 from milnorsig.signature import analyze
 
-SNAPSHOT = os.path.join(os.path.dirname(__file__), "golden_corpus10.json")
+HERE = os.path.dirname(__file__)
+SNAPSHOT = os.path.join(HERE, "golden_corpus10.json")
+OVERRIDE_SNAPSHOT = os.path.join(HERE, "golden_overrides.json")
+
+OVERRIDE_GERMS = [
+    # components and twist overrides; the pairs are listed out of index
+    # order, and the report keeps file order (2+3 before 0+1)
+    """\
+[germ]
+name = "fold-4-lines"
+map = ["u", "v^2", "v*(u^2 + v^2)*(u^2 + 4*v^2)"]
+field = "Q(i)"
+
+[overrides]
+components = ["u - i*v", "u + i*v", "u - 2*i*v", "u + 2*i*v"]
+twist = ["3:untwisted-with:2", "1:untwisted-with:0"]
+""",
+    # a vertical-index override on the resultant route
+    """\
+[germ]
+name = "H_2-vi"
+map = ["u", "u*v + v^5", "v^3"]
+field = "Q(zeta3)"
+
+[overrides]
+vertical_indices = ["0+1:-7"]
+""",
+    # a double_curve override, checked against the divided-difference resultant
+    """\
+[germ]
+name = "H_2-curve"
+map = ["u", "u*v + v^5", "v^3"]
+field = "Q(zeta3)"
+
+[overrides]
+double_curve = "2*u^2 + 2*u*v^4 + 2*v^8"
+""",
+]
+
+
+def _render(germs) -> str:
+    return json.dumps([analyze(g).to_dict() for g in germs], indent=2) + "\n"
 
 
 def render_corpus() -> str:
-    reports = [analyze(g).to_dict() for g in corpus(10)]
-    return json.dumps(reports, indent=2) + "\n"
+    return _render(corpus(10))
+
+
+def render_overrides() -> str:
+    return _render(load_germ(text)[0] for text in OVERRIDE_GERMS)
+
+
+def _read(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_corpus10_matches_snapshot():
-    with open(SNAPSHOT, encoding="utf-8") as fh:
-        expected = fh.read()
-    assert render_corpus() == expected
+    assert render_corpus() == _read(SNAPSHOT)
+
+
+def test_override_germs_match_snapshot():
+    assert render_overrides() == _read(OVERRIDE_SNAPSHOT)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    with open(SNAPSHOT, "w", encoding="utf-8") as fh:
-        fh.write(render_corpus())
+    for path, render in ((SNAPSHOT, render_corpus), (OVERRIDE_SNAPSHOT, render_overrides)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render())
