@@ -4,33 +4,28 @@ twisted/untwisted pairing, intersection tables, and the curve Milnor number."""
 from __future__ import annotations
 
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
-from .arith import poly_gcd, resultant, squarefree_part, try_divide  # noqa: F401
-from .factor import FactorizationIncomplete, canonical_key, factor_components
-from .germs import AnalysisError, Germ, OverrideRequired, UV, double_curve_factors
+from .arith import poly_gcd, resultant, try_divide  # noqa: F401
+from .factor import FactorizationIncomplete, factor_components
+from .germs import AnalysisError, Germ, OverrideRequired, UV
 from .localring import INFINITE, intersection_multiplicity, milnor_number
 from .poly import Poly
 
 
 class ComponentSet:
-    """components: ordered reduced equations h_1..h_n; pairing: list of
-    ("twisted", i) / ("untwisted", i, j) entries covering each index once;
+    """components: ordered reduced equations h_1..h_n; pairing: index pairs
+    (i, j) covering each index once, (i, i) for a twisted component and
+    i != j for an untwisted pair; partner[i]: the other index of i's pair;
     intersection[i][j]: D_i . D_j for i != j (diagonal kept 0);
     v_axis_mult: D_i . {v = 0}, present on the fold path only."""
 
-    def __init__(self, curve, components, pairing, intersection, v_axis_mult=None):
-        self.curve = curve
+    def __init__(self, components, pairing, intersection, v_axis_mult=None):
         self.components = components
         self.pairing = pairing
         self.intersection = intersection
         self.v_axis_mult = v_axis_mult
-
-    def partner(self, i: int) -> int:
-        for entry in self.pairing:
-            if entry[0] == "twisted" and entry[1] == i:
-                return i
-            if entry[0] == "untwisted" and i in entry[1:]:
-                return entry[1] if entry[2] == i else entry[2]
-        raise AnalysisError(f"component {i} missing from the pairing")
+        self.partner = [0] * len(components)
+        for i, j in pairing:
+            self.partner[i], self.partner[j] = j, i
 
 
 def associate(a: Poly, b: Poly) -> bool:
@@ -38,25 +33,28 @@ def associate(a: Poly, b: Poly) -> bool:
 
 
 def decompose(curve_eq: Poly, override=None) -> list[Poly]:
+    """The branches through the origin of the reduced curve ``curve_eq``:
+    the ``components`` override, checked against it, or else its irreducible
+    factors that pass through the origin, sorted by ``canonical_key``."""
     if override is not None:
+        # curve_eq is reduced, so components whose product divides it with a
+        # unit of the local ring as quotient are squarefree, pairwise coprime
+        # and hold every branch through the origin
         prod = Poly.constant(1, curve_eq.vars, curve_eq.field)
         for h in override:
-            if squarefree_part(h) != h.normalized():
-                raise AnalysisError(f"override component {h} is not squarefree")
             prod = prod * h
-        for i, a in enumerate(override):
-            for b in override[:i]:
-                if associate(a, b):
-                    raise AnalysisError("override components repeat a factor")
-        if not associate(prod, curve_eq):
+        rest = try_divide(curve_eq, prod)
+        if rest is None or not rest.is_unit_local():
             raise AnalysisError("override components do not multiply to the curve")
         return [h.normalized() for h in override]
     try:
         factors = factor_components(curve_eq)
     except FactorizationIncomplete as exc:
         raise OverrideRequired(str(exc)) from exc
-    comps = [h for h, m in factors]
-    comps.sort(key=canonical_key)
+    # a unit of the local ring has no branch through the origin
+    comps = [h for h in factors if not h.is_unit_local()]
+    if not comps:
+        raise AnalysisError("no double-curve component passes through the origin")
     return comps
 
 
@@ -71,14 +69,14 @@ def _fold_pairing(comps: list[Poly]):
         if i in seen:
             continue
         if associate(h, flipped[i]):
-            pairing.append(("twisted", i))
+            pairing.append((i, i))
             seen.add(i)
             continue
         partner = [j for j, g in enumerate(comps) if j != i and associate(g, flipped[i])]
         if len(partner) != 1:
             raise AnalysisError(f"component {i} has no unique v -> -v partner")
         j = partner[0]
-        pairing.append(("untwisted", i, j))
+        pairing.append((i, j))
         seen.update((i, j))
     return pairing
 
@@ -107,20 +105,9 @@ def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
 
 def classify_twist(f: Germ, comps: list[Poly], override=None):
     if override is not None:
-        seen = set()
-        for entry in override:
-            if entry[0] == "twisted":
-                idx = entry[1:]
-            else:
-                idx = entry[1:]
-                if entry[1] == entry[2]:
-                    raise AnalysisError("untwisted pair must join distinct components")
-            for i in idx:
-                if i in seen or not (0 <= i < len(comps)):
-                    raise AnalysisError("twist override is not a partition of components")
-                seen.add(i)
-        if len(seen) != len(comps):
-            raise AnalysisError("twist override misses a component")
+        covered = sorted(i for pair in override for i in set(pair))
+        if covered != list(range(len(comps))):
+            raise AnalysisError("twist override is not a partition of components")
         return list(override)
     if f.fold_data is not None:
         return _fold_pairing(comps)
@@ -138,15 +125,10 @@ def classify_twist(f: Germ, comps: list[Poly], override=None):
                 f"twist classification ambiguous for component {i}: "
                 f"candidates {partners}; supply the twist override")
         j = partners[0]
-        if j == i:
-            pairing.append(("twisted", i))
-            seen.add(i)
-        else:
-            back = _general_partner(comps[j], mp, comps_v2)
-            if back != [i]:
-                raise AnalysisError("twist pairing is not an involution")
-            pairing.append(("untwisted", i, j))
-            seen.update((i, j))
+        if j != i and _general_partner(comps[j], mp, comps_v2) != [i]:
+            raise AnalysisError("twist pairing is not an involution")
+        pairing.append((i, j))
+        seen.update((i, j))
     return pairing
 
 
@@ -184,10 +166,8 @@ def curve_milnor(curve_eq: Poly) -> int:
 def component_set(f: Germ, curve_eq: Poly) -> ComponentSet:
     """The component set of ``curve_eq = double_curve_equation(f)``."""
     ov = f.overrides
-    comps = None if ov.components is not None else double_curve_factors(f)
-    if comps is None:
-        comps = decompose(curve_eq, ov.components)
+    comps = decompose(curve_eq, ov.components)
     pairing = classify_twist(f, comps, ov.twist)
     table = intersection_table(comps)
     vax = v_axis_multiplicities(comps) if f.fold_data is not None else None
-    return ComponentSet(curve_eq, comps, pairing, table, vax)
+    return ComponentSet(comps, pairing, table, vax)

@@ -1,6 +1,6 @@
 """Factorization of plane-curve equations into component equations.
 
-Not a general bivariate factorizer: the strategy is squarefree splitting,
+Not a general bivariate factorizer: on a squarefree input the strategy is
 variable/content extraction, Newton-polygon edge roots x = c*y^m for factors
 of degree <= 2 in some variable, and a single-edge Newton-polygon
 irreducibility certificate.  Anything it cannot certify raises
@@ -9,7 +9,7 @@ FactorizationIncomplete so the caller can supply components explicitly.
 
 from __future__ import annotations
 
-from .arith import _content, _univ_coeffs, exact_divide, squarefree_part, try_divide
+from .arith import _content, _univ_coeffs, exact_divide, try_divide
 from .fields import quadratic_roots
 from .poly import Poly, PolyError, local_key
 
@@ -18,29 +18,22 @@ class FactorizationIncomplete(ValueError):
     pass
 
 
-def factor_components(a: Poly) -> list[tuple[Poly, int]]:
-    """Pairwise non-associate certified factors with multiplicities; the
-    product over all (f, m) of f^m equals a up to a coefficient-field unit."""
-    if a.is_zero() or a.is_constant():
+def factor_components(s: Poly) -> list[Poly]:
+    """Certified irreducible factors of a squarefree s, pairwise
+    non-associate and sorted by ``canonical_key``.  Their product must equal s
+    up to a coefficient-field unit, so an s that is not squarefree raises
+    PolyError (or FactorizationIncomplete, if a repeated factor defeats the
+    certificate first)."""
+    if s.is_zero() or s.is_constant():
         raise PolyError("cannot factor a constant")
-    s = squarefree_part(a)
-    irr = _factor_squarefree(s)
-    out = []
-    rem = a
-    for f in irr:
-        m = 0
-        while True:
-            q = try_divide(rem, f)
-            if q is None:
-                break
-            rem = q
-            m += 1
-        if m == 0:
-            raise PolyError("internal error: lost a factor")
-        out.append((f, m))
-    if not rem.is_constant():
-        raise PolyError("internal error: factorization does not multiply back")
-    return out
+    factors = _factor_squarefree(s)
+    prod = Poly.constant(1, s.vars, s.field)
+    for f in factors:
+        prod = prod * f
+    if prod.normalized() != s.normalized():
+        raise PolyError("factors do not multiply back to the input; "
+                        "is it squarefree?")
+    return factors
 
 
 def _factor_squarefree(s: Poly) -> list[Poly]:
@@ -95,7 +88,8 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
         raise FactorizationIncomplete(
             f"cannot certify a factorization of {h}; supply components explicitly"
         )
-    # canonical order, deduplicate associates defensively
+    # canonical order; a repeated factor of a non-squarefree input is kept
+    # once, so that the product check in factor_components rejects it
     uniq: list[Poly] = []
     for f in factors:
         f = f.normalized()

@@ -51,9 +51,12 @@ def _parse_twist(entries):
     for s in entries:
         parts = s.split(":")
         if len(parts) == 2 and parts[1] == "twisted":
-            out.append(("twisted", int(parts[0])))
+            out.append((int(parts[0]), int(parts[0])))
         elif len(parts) == 3 and parts[1] == "untwisted-with":
-            out.append(("untwisted", int(parts[0]), int(parts[2])))
+            i, j = int(parts[0]), int(parts[2])
+            if i == j:
+                raise GermFileError(f"untwisted pair needs two components: {s!r}")
+            out.append((i, j))
         else:
             raise GermFileError(f"bad twist entry {s!r}")
     return out

@@ -7,7 +7,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arith import poly_gcd, resultant, squarefree_part
-from .factor import FactorizationIncomplete, canonical_key, factor_components
 from .localring import INFINITE, LocalIdeal, quotient_dim
 from .poly import Poly, PolyError, divided_difference
 
@@ -27,17 +26,16 @@ class OverrideSet:
                  vertical_indices=None, T=None):
         self.double_curve = double_curve
         self.components = components
-        self.twist = twist                      # list of ("twisted", i) / ("untwisted", i, j)
+        self.twist = twist                      # index pairs (i, j); i == j is twisted
         self.vertical_indices = vertical_indices or {}
         self.T = T
 
 
 class Germ:
     """A map germ (f1, f2, f3) in (u, v) over a number field, and its own
-    analysis context: the corank, the fold data, the multiple-point data and
-    the factors of the resultant-route double curve depend only on the
-    components and the field, which never change, so each is computed on
-    first use and kept.  Overrides are read afresh."""
+    analysis context: the corank, the fold data and the multiple-point data
+    depend only on the components and the field, which never change, so each
+    is computed on first use and kept.  Overrides are read afresh."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -65,10 +63,6 @@ class Germ:
     @cached_property
     def multipoint(self) -> MultiPointData:
         return multipoint_data(self)
-
-    @cached_property
-    def resultant_components(self) -> list[Poly]:
-        return resultant_components(self)
 
 
 class MultiPointData:
@@ -176,22 +170,10 @@ def _resultant_curve(mp: MultiPointData) -> Poly:
     return squarefree_part(r).rename({"v1": "v"}, UV)
 
 
-def double_curve_factors(f: Germ) -> list[Poly] | None:
-    """The factors of the double curve when ``double_curve_equation`` finds it
-    by the resultant route (no ``double_curve`` override, not a fold germ),
-    else None: the one place that decides the route."""
-    if f.overrides.double_curve is not None or f.fold_data is not None:
-        return None
-    return f.resultant_components
-
-
 def double_curve_equation(f: Germ) -> Poly:
-    comps = double_curve_factors(f)
-    if comps is not None:
-        out = Poly.constant(1, UV, f.field)
-        for h in comps:
-            out = out * h
-        return out.normalized()
+    """The reduced double curve D, normalized; the one place that decides
+    the route: the ``double_curve`` override, the fold normal form, or the
+    divided-difference resultant."""
     ov = f.overrides
     if ov.double_curve is not None:
         d = ov.double_curve
@@ -203,23 +185,11 @@ def double_curve_equation(f: Germ) -> Poly:
                 raise AnalysisError("double_curve override has a factor outside "
                                     "the divided-difference resultant")
         return d.normalized()
-    v = Poly.variable("v", UV, f.field)
-    return squarefree_part(f.fold_data.substitute(
-        {"u": Poly.variable("u", UV, f.field), "y": v * v}))
-
-
-def resultant_components(f: Germ) -> list[Poly]:
-    """The irreducible factors of the resultant-route double curve that pass
-    through the origin, sorted by ``canonical_key``."""
-    try:
-        factors = factor_components(_resultant_curve(f.multipoint))
-    except FactorizationIncomplete as exc:
-        raise OverrideRequired(str(exc)) from exc
-    # a unit of the local ring has no branch through the origin
-    kept = sorted((h for h, _ in factors if not h.is_unit_local()), key=canonical_key)
-    if not kept:
-        raise AnalysisError("no double-curve component passes through the origin")
-    return kept
+    if f.fold_data is not None:
+        v = Poly.variable("v", UV, f.field)
+        return squarefree_part(f.fold_data.substitute(
+            {"u": Poly.variable("u", UV, f.field), "y": v * v}))
+    return _resultant_curve(f.multipoint)
 
 
 def triple_point_number(f: Germ) -> int:

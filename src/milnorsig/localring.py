@@ -8,7 +8,6 @@ normal form follows from the ecart bound.
 
 from __future__ import annotations
 
-from .arith import squarefree_part
 from .poly import Poly, PolyError
 
 INFINITE = float("inf")
@@ -168,9 +167,10 @@ def intersection_multiplicity(h1: Poly, h2: Poly):
 
 
 def milnor_number(h: Poly):
-    """Milnor number of the reduced curve defined by h at the origin."""
-    s = squarefree_part(h)
-    jac = [s.derivative(v) for v in s.vars]
+    """Milnor number at the origin of the curve h = 0, for h reduced there.
+    A factor repeated at the origin divides the whole Jacobian ideal, which
+    is then not m-primary, so a non-reduced h gives INFINITE."""
+    jac = [h.derivative(v) for v in h.vars]
     jac = [p for p in jac if not p.is_zero()]
     if not jac:
         raise PolyError("constant polynomial has no Milnor number")

@@ -11,12 +11,10 @@ from .germs import (AnalysisError, Germ, OverrideRequired, _resultant_curve,
 from .poly import format_poly
 
 
-def _pair_key(entry) -> str:
+def _pair_key(pair) -> str:
     """Stable string key for an image component, e.g. '0' or '1+2'."""
-    if entry[0] == "twisted":
-        return str(entry[1])
-    i, j = sorted(entry[1:])
-    return f"{i}+{j}"
+    i, j = sorted(pair)
+    return str(i) if i == j else f"{i}+{j}"
 
 
 class VerticalIndexAssignment:
@@ -24,13 +22,13 @@ class VerticalIndexAssignment:
         self.values = {}       # pair key -> int
         self.provenance = {}   # pair key -> "fold-formula" | "sum-rule" | "override"
 
-    def set(self, entry, value, provenance):
-        key = _pair_key(entry)
+    def set(self, pair, value, provenance):
+        key = _pair_key(pair)
         self.values[key] = value
         self.provenance[key] = provenance
 
-    def get(self, entry):
-        return self.values.get(_pair_key(entry))
+    def get(self, pair):
+        return self.values.get(_pair_key(pair))
 
 
 def fold_vertical_indices(cs: ComponentSet) -> VerticalIndexAssignment:
@@ -42,11 +40,8 @@ def fold_vertical_indices(cs: ComponentSet) -> VerticalIndexAssignment:
         lam.append(-sum(cs.intersection[i][k] for k in range(n) if k != i)
                    - cs.v_axis_mult[i])
     vi = VerticalIndexAssignment()
-    for entry in cs.pairing:
-        if entry[0] == "twisted":
-            vi.set(entry, lam[entry[1]], "fold-formula")
-        else:
-            vi.set(entry, lam[entry[1]] + lam[entry[2]], "fold-formula")
+    for i, j in cs.pairing:
+        vi.set((i, j), lam[i] if i == j else lam[i] + lam[j], "fold-formula")
     return vi
 
 
@@ -82,23 +77,23 @@ def complete_vertical_indices(vi: VerticalIndexAssignment, cs: ComponentSet,
 
 class IntersectionForm:
     def __init__(self, labels, matrix):
-        self.labels = labels   # list of untwisted ("untwisted", i, j) entries
+        self.labels = labels   # the untwisted pairs (i, j), i != j
         self.matrix = matrix
 
 
 def build_intersection_form(cs: ComponentSet, vi: VerticalIndexAssignment) -> IntersectionForm:
-    untwisted = [e for e in cs.pairing if e[0] == "untwisted"]
-    for e in untwisted:
-        if vi.get(e) is None:
+    untwisted = [(i, j) for i, j in cs.pairing if i != j]
+    for pair in untwisted:
+        if vi.get(pair) is None:
             raise OverrideRequired(
-                f"vertical index of untwisted pair {_pair_key(e)} unknown")
+                f"vertical index of untwisted pair {_pair_key(pair)} unknown")
     n = len(untwisted)
     M = [[0] * n for _ in range(n)]
     inter = cs.intersection
-    for a, (_, i, ip) in enumerate(untwisted):
+    for a, (i, ip) in enumerate(untwisted):
         M[a][a] = 2 * inter[i][ip] + vi.get(untwisted[a])
         for b in range(a + 1, n):
-            _, j, jp = untwisted[b]
+            j, jp = untwisted[b]
             val = inter[i][j] + inter[i][jp] + inter[ip][j] + inter[ip][jp]
             M[a][b] = M[b][a] = val
     return IntersectionForm(untwisted, M)
@@ -187,17 +182,14 @@ class SignatureReport:
         cs = self.component_set
         comps = []
         for i, h in enumerate(cs.components):
-            entry = next(e for e in cs.pairing
-                         if (e[0] == "twisted" and e[1] == i) or
-                            (e[0] == "untwisted" and i in e[1:]))
             comps.append({
                 "equation": format_poly(h),
-                "twist": entry[0],
-                "partner": cs.partner(i),
+                "twist": "twisted" if cs.partner[i] == i else "untwisted",
+                "partner": cs.partner[i],
             })
         vis = []
-        for e in cs.pairing:
-            key = _pair_key(e)
+        for pair in cs.pairing:
+            key = _pair_key(pair)
             if key in self.vertical_indices.values:
                 vis.append({
                     "pair": key,
@@ -239,17 +231,22 @@ def analyze(germ: Germ) -> SignatureReport:
         vi = fold_vertical_indices(cs)
     else:
         vi = VerticalIndexAssignment()
-    for entry in cs.pairing:
-        key = _pair_key(entry)
-        if key in germ.overrides.vertical_indices:
-            vi.set(entry, germ.overrides.vertical_indices[key], "override")
+    vi_override = germ.overrides.vertical_indices
+    unknown = sorted(set(vi_override) - {_pair_key(p) for p in cs.pairing})
+    if unknown:
+        raise AnalysisError(
+            f"vertical_indices override names no image component: {unknown}")
+    for pair in cs.pairing:
+        key = _pair_key(pair)
+        if key in vi_override:
+            vi.set(pair, vi_override[key], "override")
 
-    missing = [e for e in cs.pairing if vi.get(e) is None]
+    missing = [p for p in cs.pairing if vi.get(p) is None]
     if len(missing) <= 1:
         vi, sum_check = complete_vertical_indices(vi, cs, C, T)
         checks.append(("sum-rule", sum_check[0], sum_check[1]))
     else:
-        if any(e[0] == "untwisted" for e in missing):
+        if any(i != j for i, j in missing):
             raise OverrideRequired(
                 "vertical indices of untwisted pairs unknown and more than one "
                 "entry missing; supply vertical_indices overrides")

@@ -129,7 +129,7 @@ def test_criterion_2_C_and_T():
 def _untwisted_vi(f):
     cs = component_set(f, double_curve_equation(f))
     vi = fold_vertical_indices(cs)
-    entries = [vi.get(e) for e in cs.pairing if e[0] == "untwisted"]
+    entries = [vi.get(p) for p in cs.pairing if p[0] != p[1]]
     assert len(entries) == 1
     return entries[0]
 
@@ -153,7 +153,7 @@ def test_criterion_3_vertical_indices():
             failures.append(f"H_{k}: expected {-3 * k - 1}, computed {got}")
     cc = cross_cap()
     cs = component_set(cc, double_curve_equation(cc))
-    got = fold_vertical_indices(cs).get(("twisted", 0))
+    got = fold_vertical_indices(cs).get((0, 0))
     if got != -1:
         failures.append(f"cross-cap: expected -1, computed {got}")
     report("3 (vertical indices)", failures)

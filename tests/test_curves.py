@@ -40,6 +40,15 @@ def test_decompose_examples():
     assert len(comps) == 1
 
 
+def test_decompose_drops_local_units():
+    # 1 + u has no branch through the origin; a curve of units only is refused
+    field = S(1).field
+    comps = decompose(parse_poly("(1 + u)*(u^2 + v^2)", UV, field))
+    assert {str(c) for c in comps} == {"u - i*v", "u + i*v"}
+    with pytest.raises(AnalysisError, match="passes through the origin"):
+        decompose(parse_poly("(1 + u)*(1 - v)", UV, field))
+
+
 def test_decompose_override_validation():
     f = S(1)
     curve = double_curve_equation(f)
@@ -49,24 +58,30 @@ def test_decompose_override_validation():
         decompose(curve, [parse_poly("u - i*v", UV, f.field)])
     with pytest.raises(AnalysisError):
         decompose(curve, [good[0], parse_poly("2*u - 2*i*v", UV, f.field)])
+    with pytest.raises(AnalysisError):
+        decompose(curve, [parse_poly("(u - i*v)^2", UV, f.field), good[1]])
+    # a factor that misses the origin may be left out, a branch may not
+    with_unit = curve * parse_poly("1 + u", UV, f.field)
+    assert decompose(with_unit, good) == good
+    with pytest.raises(AnalysisError):
+        decompose(with_unit, good[:1])
 
 
 def test_twist_fold_path():
     f = S(1)
     comps = decompose(double_curve_equation(f))
     pairing = classify_twist(f, comps)
-    assert pairing == [("untwisted", 0, 1)]
+    assert pairing == [(0, 1)]
     f = B(4)
     comps = decompose(double_curve_equation(f))
-    assert classify_twist(f, comps) == [("twisted", 0), ("twisted", 1)]
+    assert classify_twist(f, comps) == [(0, 0), (1, 1)]
     f = C_(5)
     comps = decompose(double_curve_equation(f))
     pairing = classify_twist(f, comps)
-    kinds = sorted(p[0] for p in pairing)
-    assert kinds == ["twisted", "untwisted"]
+    assert sorted(i == j for i, j in pairing) == [False, True]
     # the twisted one is the u-axis component
-    twisted = next(p for p in pairing if p[0] == "twisted")
-    assert str(comps[twisted[1]]) == "u"
+    twisted = next(i for i, j in pairing if i == j)
+    assert str(comps[twisted]) == "u"
 
 
 def test_twist_general_path_matches_fold_path():
@@ -76,21 +91,16 @@ def test_twist_general_path_matches_fold_path():
         # exercise the divided-difference partner route directly
         mp = multipoint_data(f)
         comps_v2 = in_v2(comps)
-        for entry in fold_pairing:
-            if entry[0] == "twisted":
-                i = entry[1]
-                assert _general_partner(comps[i], mp, comps_v2) == [i], f.name
-            else:
-                i, j = entry[1], entry[2]
-                assert _general_partner(comps[i], mp, comps_v2) == [j], f.name
-                assert _general_partner(comps[j], mp, comps_v2) == [i], f.name
+        for i, j in fold_pairing:
+            assert _general_partner(comps[i], mp, comps_v2) == [j], f.name
+            assert _general_partner(comps[j], mp, comps_v2) == [i], f.name
 
 
 def test_twist_general_path_Hk():
     f = H(2)
     comps = decompose(double_curve_equation(f))
     pairing = classify_twist(f, comps)
-    assert pairing == [("untwisted", 0, 1)]
+    assert pairing == [(0, 1)]
 
 
 def test_general_partner_matches_gcd_route_Hk():
@@ -140,12 +150,13 @@ def test_twist_override_validation():
     f = corank2()
     comps = decompose(double_curve_equation(f), f.overrides.components)
     pairing = classify_twist(f, comps, f.overrides.twist)
-    assert all(p[0] == "twisted" for p in pairing) and len(pairing) == 5
+    assert pairing == [(i, i) for i in range(5)]
     with pytest.raises(AnalysisError):
-        classify_twist(f, comps, [("twisted", 0)])
+        classify_twist(f, comps, [(0, 0)])
     with pytest.raises(AnalysisError):
-        classify_twist(f, comps, [("twisted", i) for i in (0, 1, 2, 3)]
-                       + [("untwisted", 4, 4)])
+        classify_twist(f, comps, [(0, 1), (1, 2), (3, 3), (4, 4)])
+    with pytest.raises(AnalysisError):
+        classify_twist(f, comps, [(i, i) for i in range(4)] + [(4, 5)])
 
 
 def test_pairing_is_involution():
@@ -153,7 +164,7 @@ def test_pairing_is_involution():
         curve = double_curve_equation(f)
         cs = component_set(f, curve)
         for i in range(len(cs.components)):
-            assert cs.partner(cs.partner(i)) == i
+            assert cs.partner[cs.partner[i]] == i
 
 
 def test_intersection_tables():
@@ -192,6 +203,11 @@ def test_curve_milnor():
     assert curve_milnor(double_curve_equation(f)) == 7
     f = S(2)
     assert curve_milnor(double_curve_equation(f)) == 2
+    # mu needs the reduced curve: a repeated branch is refused, while a
+    # repeated factor that misses the origin changes nothing
+    with pytest.raises(AnalysisError):
+        curve_milnor(parse_poly("(u - i*v)^2*(u + i*v)", UV, f.field))
+    assert curve_milnor(parse_poly("(1 + u)^2*(u^2 + v^2)", UV, f.field)) == 1
 
 
 def test_associate():

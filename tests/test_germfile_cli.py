@@ -53,7 +53,7 @@ def test_load_germ_with_overrides():
     germ, expected = load_germ(CORANK2_TEXT)
     assert germ.overrides.T == 1
     assert len(germ.overrides.components) == 5
-    assert germ.overrides.twist == [("twisted", i) for i in range(5)]
+    assert germ.overrides.twist == [(i, i) for i in range(5)]
     assert expected == {"signature": -2}
     report = analyze(germ)
     assert report.sigma_F == -2
@@ -72,6 +72,8 @@ def test_load_germ_errors():
         load_germ(S1_TEXT.replace("T = 0", "bogus = 1"))
     with pytest.raises(GermFileError):
         load_germ(S1_TEXT.replace('"v^2"', "v^2"))  # unquoted value
+    with pytest.raises(GermFileError):  # (4, 4) is a twisted component
+        load_germ(CORANK2_TEXT.replace('"4:twisted"', '"4:untwisted-with:4"'))
 
 
 def test_vertical_index_override_parsing():
@@ -121,6 +123,12 @@ def test_run_analyze_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.germ"
     bad.write_text("[germ]\nmap = [\"u\", \"v\"]\nfield = \"Q\"\n")
     assert run_analyze(str(bad)) == EXIT_ERROR
+
+    self_paired = tmp_path / "self_paired.germ"
+    self_paired.write_text(
+        CORANK2_TEXT.replace('"4:twisted"', '"4:untwisted-with:4"'))
+    assert run_analyze(str(self_paired)) == EXIT_ERROR
+    assert "untwisted pair needs two components" in capsys.readouterr().err
 
     assert run_analyze(str(tmp_path / "missing.germ")) == EXIT_ERROR
 

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from milnorsig import curves, germs, signature
+from milnorsig import arith, curves, factor, germs, localring, signature
 from milnorsig.corpus import (B, C_, F4, H, S, TRIPLE_POINT_MATRIX, corank2,
                               corpus, cross_cap, expected_invariants)
 from milnorsig.curves import component_set
+from milnorsig.germfile import load_germ
 from milnorsig.germs import AnalysisError, OverrideRequired, corank, crosscap_number, \
     double_curve_equation, triple_point_number
 from milnorsig.signature import (VerticalIndexAssignment, analyze,
@@ -173,16 +174,16 @@ def test_fold_vertical_indices():
     f = S(1)
     cs = component_set(f, double_curve_equation(f))
     vi = fold_vertical_indices(cs)
-    assert vi.get(("untwisted", 0, 1)) == -4
+    assert vi.get((0, 1)) == -4
     f = C_(5)
     cs = component_set(f, double_curve_equation(f))
     vi = fold_vertical_indices(cs)
-    pair = next(e for e in cs.pairing if e[0] == "untwisted")
+    pair = next(p for p in cs.pairing if p[0] != p[1])
     assert vi.get(pair) == -10  # -2k
     cc = cross_cap()
     cs = component_set(cc, double_curve_equation(cc))
     vi = fold_vertical_indices(cs)
-    assert vi.get(("twisted", 0)) == -1
+    assert vi.get((0, 0)) == -1
 
 
 def test_sum_rule_on_folds():
@@ -278,18 +279,75 @@ def test_corank0_is_an_error():
 
 
 def test_germ_data_computed_once_per_analyze(monkeypatch):
-    # every module's name for the function is counted, not only germs'
+    # every module's name for the function is counted, not only its own
     calls = Counter()
-    for name in ("corank", "fold_normal_data", "multipoint_data"):
-        original = getattr(germs, name)
+    counted_functions = [(germs, "corank"), (germs, "fold_normal_data"),
+                         (germs, "multipoint_data"), (arith, "squarefree_part"),
+                         (factor, "factor_components")]
+    for home, name in counted_functions:
+        original = getattr(home, name)
 
-        def counted(f, _original=original, _name=name):
+        def counted(*args, _original=original, _name=name):
             calls[_name] += 1
-            return _original(f)
-        for module in (germs, curves, signature):
+            return _original(*args)
+        for module in (arith, factor, localring, germs, curves, signature):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    # squarefree_part: the fold reduction and the fold-vs-resultant check on
+    # a fold germ, the resultant curve on H_3, the double_curve override
+    # check on the corank-2 germ
+    reductions = {"cross-cap": 2, "S_2": 2, "H_3": 1, "corank-2": 1}
     for germ in (cross_cap(), S(2), H(3), corank2()):
         calls.clear()
         analyze(germ)
-        assert calls and max(calls.values()) == 1, (germ.name, calls)
+        germ_data = [calls[n] for n in ("corank", "fold_normal_data", "multipoint_data")]
+        assert max(germ_data) == 1, (germ.name, calls)
+        assert calls["factor_components"] <= 1, (germ.name, calls)
+        assert calls["squarefree_part"] == reductions[germ.name], (germ.name, calls)
+
+
+def _without_check_details(report):
+    d = report.to_dict()
+    d["checks"] = [(c["name"], c["status"]) for c in d["checks"]]
+    del d["name"]
+    return d
+
+
+def _germ_text(maps, field, overrides=""):
+    return (f"[germ]\nmap = {list(maps)!r}\nfield = {field!r}\n"
+            f"[overrides]\n{overrides}")
+
+
+def test_fold_components_pass_through_the_origin():
+    # Z -> (1 + Y)*Z and Z -> (1 + X)*Z multiply the double curve by a unit
+    # of the local ring; the branches that miss the origin must not be
+    # reported, and every invariant is the plain germ's.  Check details may
+    # differ: the resultant route keeps the unit factor.
+    cases = [(S(1), "(1 + v^2)*(v^3 + u^2*v)", "Q(i)"),
+             (F4(), "(1 + u)*(u^3*v + v^5)", "Q")]
+    for plain, f3, field in cases:
+        twin = load_germ(_germ_text(("u", "v^2", f3), field))[0]
+        assert _without_check_details(analyze(twin)) == \
+            _without_check_details(analyze(plain)), plain.name
+
+
+def test_components_override_may_leave_out_units():
+    # Z -> (1 + X)*Z on H_2: the resultant curve gains the factor 1 + u,
+    # which a components override need not list
+    comps = 'components = ["u - zeta3*v^4", "u + (1 + zeta3)*v^4"]\n'
+    twin = load_germ(_germ_text(("u", "u*v + v^5", "(1 + u)*v^3"), "Q(zeta3)",
+                                comps))[0]
+    assert _without_check_details(analyze(twin)) == \
+        _without_check_details(analyze(H(2)))
+
+
+def test_unknown_vertical_index_keys_are_errors():
+    h2 = ("u", "u*v + v^5", "v^3")
+    s1 = ("u", "v^2", "v^3 + u^2*v")
+    cases = [(h2, "Q(zeta3)", '["0+2:-7", "5:3"]', ["'0+2'", "'5'"]),
+             (s1, "Q(i)", '["0:-2"]', ["'0'"])]
+    for maps, field, entries, keys in cases:
+        germ = load_germ(_germ_text(maps, field, f"vertical_indices = {entries}\n"))[0]
+        with pytest.raises(AnalysisError, match="names no image component") as exc:
+            analyze(germ)
+        assert all(key in str(exc.value) for key in keys), str(exc.value)
