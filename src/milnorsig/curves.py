@@ -15,14 +15,12 @@ class ComponentSet:
     """components: ordered reduced equations h_1..h_n; pairing: index pairs
     (i, j) covering each index once, (i, i) for a twisted component and
     i != j for an untwisted pair; partner[i]: the other index of i's pair;
-    intersection[i][j]: D_i . D_j for i != j (diagonal kept 0);
-    v_axis_mult: D_i . {v = 0}, present on the fold path only."""
+    intersection[i][j]: D_i . D_j for i != j (diagonal kept 0)."""
 
-    def __init__(self, components, pairing, intersection, v_axis_mult=None):
+    def __init__(self, components, pairing, intersection):
         self.components = components
         self.pairing = pairing
         self.intersection = intersection
-        self.v_axis_mult = v_axis_mult
         self.partner = [0] * len(components)
         for i, j in pairing:
             self.partner[i], self.partner[j] = j, i
@@ -58,29 +56,6 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     return comps
 
 
-def _fold_pairing(comps: list[Poly]):
-    flipped = []
-    v = Poly.variable("v", UV, comps[0].field)
-    for h in comps:
-        flipped.append(h.substitute({"v": -v}).normalized())
-    pairing = []
-    seen = set()
-    for i, h in enumerate(comps):
-        if i in seen:
-            continue
-        if associate(h, flipped[i]):
-            pairing.append((i, i))
-            seen.add(i)
-            continue
-        partner = [j for j, g in enumerate(comps) if j != i and associate(g, flipped[i])]
-        if len(partner) != 1:
-            raise AnalysisError(f"component {i} has no unique v -> -v partner")
-        j = partner[0]
-        pairing.append((i, j))
-        seen.update((i, j))
-    return pairing
-
-
 def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
     """Indices of components dividing the elimination of v1 from
     (h(u, v1), P, Q), that is, dividing both resultants r0 = Res(h, P) and
@@ -104,28 +79,43 @@ def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
 
 
 def classify_twist(f: Germ, comps: list[Poly], override=None):
+    """The twist pairing of ``comps`` as index pairs (i, j), i == j for a
+    twisted component: the ``twist`` override, checked, or else each
+    component paired with its partners.  On a fold germ the partner of
+    h(u, v) is h(u, -v), since v -> -v permutes the branches of the reduced
+    fold curve; elsewhere it comes from ``_general_partner``."""
+    if f.fold_data is not None:
+        v = Poly.variable("v", UV, comps[0].field)
+        flipped = [h.substitute({"v": -v}) for h in comps]
+
+        def partners(i):
+            return [j for j, g in enumerate(comps) if associate(g, flipped[i])]
+    else:
+        comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized()
+                    for h in comps]
+
+        def partners(i):
+            return _general_partner(comps[i], f.multipoint, comps_v2)
     if override is not None:
         covered = sorted(i for pair in override for i in set(pair))
         if covered != list(range(len(comps))):
             raise AnalysisError("twist override is not a partition of components")
+        # v -> -v is an involution, so partners(i) == [j] gives partners(j) == [i]
+        if f.fold_data is not None and any(partners(i) != [j] for i, j in override):
+            raise AnalysisError("twist override disagrees with v -> -v")
         return list(override)
-    if f.fold_data is not None:
-        return _fold_pairing(comps)
-    mp = f.multipoint
-    comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized()
-                for h in comps]
     pairing = []
     seen = set()
-    for i, h in enumerate(comps):
+    for i in range(len(comps)):
         if i in seen:
             continue
-        partners = _general_partner(h, mp, comps_v2)
-        if len(partners) != 1:
+        found = partners(i)
+        if len(found) != 1:
             raise OverrideRequired(
                 f"twist classification ambiguous for component {i}: "
-                f"candidates {partners}; supply the twist override")
-        j = partners[0]
-        if j != i and _general_partner(comps[j], mp, comps_v2) != [i]:
+                f"candidates {found}; supply the twist override")
+        j = found[0]
+        if j != i and partners(j) != [i]:
             raise AnalysisError("twist pairing is not an involution")
         pairing.append((i, j))
         seen.update((i, j))
@@ -168,6 +158,4 @@ def component_set(f: Germ, curve_eq: Poly) -> ComponentSet:
     ov = f.overrides
     comps = decompose(curve_eq, ov.components)
     pairing = classify_twist(f, comps, ov.twist)
-    table = intersection_table(comps)
-    vax = v_axis_multiplicities(comps) if f.fold_data is not None else None
-    return ComponentSet(comps, pairing, table, vax)
+    return ComponentSet(comps, pairing, intersection_table(comps))

@@ -124,7 +124,7 @@ def _factor_univariate(h: Poly, var: str) -> list[Poly]:
         roots = quadratic_roots(field, coeffs[1] * lead_inv, coeffs[0] * lead_inv)
         if roots:
             for r in roots:
-                lin = Poly.variable(var, h.vars, h.field) - Poly.constant(1, h.vars, field).scale_elem(r)
+                lin = Poly.variable(var, h.vars, h.field) - Poly.constant(r, h.vars, field)
                 factors.append(lin.normalized())
             if len(roots) == 1:  # double root contradicts squarefree input
                 raise PolyError("internal error: squarefree input with double root")
@@ -193,7 +193,7 @@ def _split_by_edge_root(h: Poly, x: str, y: str):
                 continue
             cand = Poly.variable(x, h.vars, field) - (
                 Poly.variable(y, h.vars, field) ** m
-            ).scale_elem(c)
+            ).scale(c)
             q = try_divide(h, cand)
             if q is not None:
                 return cand.normalized(), q

@@ -93,6 +93,9 @@ def load_germ(text: str) -> tuple[Germ, dict]:
     unknown = set(ov) - known
     if unknown:
         raise GermFileError(f"unknown override keys: {sorted(unknown)}")
+    T = ov.get("T")
+    if T is not None and (not isinstance(T, int) or T < 0):
+        raise GermFileError("T override must be a non-negative integer")
     overrides = OverrideSet(
         double_curve=parse_poly(ov["double_curve"], UV, field)
         if "double_curve" in ov else None,
@@ -101,7 +104,7 @@ def load_germ(text: str) -> tuple[Germ, dict]:
         twist=_parse_twist(ov["twist"]) if "twist" in ov else None,
         vertical_indices=_parse_vertical_indices(ov["vertical_indices"])
         if "vertical_indices" in ov else None,
-        T=int(ov["T"]) if "T" in ov else None,
+        T=T,
     )
 
     expected = sections.get("expected", {})

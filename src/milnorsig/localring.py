@@ -12,7 +12,9 @@ from .poly import Poly, PolyError
 
 INFINITE = float("inf")
 
-DEFAULT_STEP_CAP = 10 ** 6
+# Reduction steps per normal form, and S-pairs per standard basis, before
+# ResourceExceeded.
+STEP_CAP = 10 ** 6
 
 
 class ResourceExceeded(RuntimeError):
@@ -52,7 +54,7 @@ def _lead_ecart(p: Poly):
     return e, c, p.total_degree() - sum(e)
 
 
-def mora_normal_form(f: Poly, basis, step_cap: int = DEFAULT_STEP_CAP) -> Poly:
+def mora_normal_form(f: Poly, basis) -> Poly:
     """Weak normal form: u*f = sum a_i g_i + result for some local unit u.
 
     Each reducer carries its leading term and ecart, computed once when it
@@ -76,7 +78,7 @@ def mora_normal_form(f: Poly, basis, step_cap: int = DEFAULT_STEP_CAP) -> Poly:
         factor = Poly(h.vars, {mono: ch * cg.inverse()}, h.field)
         h = h - factor * g
         steps += 1
-        if steps > step_cap:
+        if steps > STEP_CAP:
             raise ResourceExceeded("normal form exceeded the reduction budget")
     return h
 
@@ -90,7 +92,7 @@ def _spoly(a: Poly, b: Poly) -> Poly:
     return ma * a - mb * b
 
 
-def standard_basis(I: LocalIdeal, step_cap: int = DEFAULT_STEP_CAP) -> StandardBasis:
+def standard_basis(I: LocalIdeal) -> StandardBasis:
     """Standard basis of I by Mora's tangent-cone algorithm.
 
     If a generator has a nonzero constant term it is a unit of the local
@@ -114,9 +116,9 @@ def standard_basis(I: LocalIdeal, step_cap: int = DEFAULT_STEP_CAP) -> StandardB
         lcm = tuple(max(x, y) for x, y in zip(li, lj))
         if lcm == tuple(x + y for x, y in zip(li, lj)):
             continue  # product criterion
-        r = mora_normal_form(_spoly(G[i], G[j]), G, step_cap)
+        r = mora_normal_form(_spoly(G[i], G[j]), G)
         steps += 1
-        if steps > step_cap:
+        if steps > STEP_CAP:
             raise ResourceExceeded("standard basis exceeded the step budget")
         if not r.is_zero():
             G.append(r.normalized())
@@ -156,9 +158,8 @@ def _staircase_count(leading, nvars):
     return count
 
 
-def quotient_dim(I: LocalIdeal, step_cap: int = DEFAULT_STEP_CAP):
-    sb = standard_basis(I, step_cap)
-    return _staircase_count(sb.leading_ideal, len(I.vars))
+def quotient_dim(I: LocalIdeal):
+    return _staircase_count(standard_basis(I).leading_ideal, len(I.vars))
 
 
 def intersection_multiplicity(h1: Poly, h2: Poly):

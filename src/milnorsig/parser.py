@@ -139,9 +139,7 @@ class _Parser:
             if t.text in self.vars:
                 return Poly.variable(t.text, self.vars, self.field)
             if self.field.degree > 1 and t.text == self.field.generator_name:
-                return Poly.constant(1, self.vars, self.field).scale_elem(
-                    self.field.generator()
-                )
+                return Poly.constant(self.field.generator(), self.vars, self.field)
             raise ParseError(f"unknown identifier {t.text!r}", t.pos)
         if t.kind == "(":
             p = self.expr()

@@ -201,15 +201,12 @@ class Poly:
             return powers[(name, n)]
 
         for e, c in self.terms.items():
-            term = Poly.constant(1, tvars, field).scale_elem(c)
+            term = Poly.constant(c, tvars, field)
             for i, n in enumerate(e):
                 if n:
                     term = term * power(self.vars[i], n)
             result = result + term
         return result
-
-    def scale_elem(self, c: FieldElem) -> "Poly":
-        return Poly(self.vars, {e: k * c for e, k in self.terms.items()}, self.field)
 
     def rename(self, mapping: dict, new_vars: tuple[str, ...]) -> "Poly":
         """Rename/reorder variables; every variable with a nonzero exponent

@@ -1,11 +1,15 @@
-"""Vertical indices, the intersection form of X, exact signatures, and the
-final report: sigma(F_f) = sigma(X) + T - C with all intermediate invariants."""
+"""The report stages after the twist pairing, one function each: the vertical
+indices (fold formula, then overrides, then the sum rule), the intersection
+form of X on the untwisted pairs as a plain integer matrix, its exact
+signature, and the report sigma(F_f) = sigma(X) + T - C with every
+intermediate invariant."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .curves import ComponentSet, associate, component_set, curve_milnor
+from .curves import (ComponentSet, associate, component_set, curve_milnor,
+                     v_axis_multiplicities)
 from .germs import (AnalysisError, Germ, OverrideRequired, _resultant_curve,
                     crosscap_number, double_curve_equation, triple_point_number)
 from .poly import format_poly
@@ -17,86 +21,64 @@ def _pair_key(pair) -> str:
     return str(i) if i == j else f"{i}+{j}"
 
 
-class VerticalIndexAssignment:
-    def __init__(self):
-        self.values = {}       # pair key -> int
-        self.provenance = {}   # pair key -> "fold-formula" | "sum-rule" | "override"
+def vertical_indices(germ: Germ, cs: ComponentSet, C: int, T: int):
+    """The vertical index of each image component, as {pair: (value,
+    provenance)} keyed by the pairs of ``cs.pairing``, and the sum-rule check.
 
-    def set(self, pair, value, provenance):
-        key = _pair_key(pair)
-        self.values[key] = value
-        self.provenance[key] = provenance
+    On a fold germ the fold formula gives every index; a ``vertical_indices``
+    override replaces any of them; the sum rule (Thm 2.12: the indices add up
+    to -sum D_i.D_j - C + 3T) then fills the one index still missing, or
+    checks the sum when none is.  More than one missing index is allowed only
+    for twisted components, which the intersection form does not read."""
+    inter = cs.intersection   # zero diagonal
+    vi = {}
+    if germ.fold_data is not None:
+        vax = v_axis_multiplicities(cs.components)
+        lam = [-sum(row) - m for row, m in zip(inter, vax)]
+        for i, j in cs.pairing:
+            vi[(i, j)] = (lam[i] if i == j else lam[i] + lam[j], "fold-formula")
+    pairs = {_pair_key(p): p for p in cs.pairing}
+    override = germ.overrides.vertical_indices
+    unknown = sorted(set(override) - set(pairs))
+    if unknown:
+        raise AnalysisError(
+            f"vertical_indices override names no image component: {unknown}")
+    for key, value in override.items():
+        vi[pairs[key]] = (value, "override")
 
-    def get(self, pair):
-        return self.values.get(_pair_key(pair))
-
-
-def fold_vertical_indices(cs: ComponentSet) -> VerticalIndexAssignment:
-    if cs.v_axis_mult is None:
-        raise AnalysisError("fold vertical indices need the fold-path data")
-    n = len(cs.components)
-    lam = []
-    for i in range(n):
-        lam.append(-sum(cs.intersection[i][k] for k in range(n) if k != i)
-                   - cs.v_axis_mult[i])
-    vi = VerticalIndexAssignment()
-    for i, j in cs.pairing:
-        vi.set((i, j), lam[i] if i == j else lam[i] + lam[j], "fold-formula")
-    return vi
-
-
-def vertical_index_sum_target(cs: ComponentSet, C: int, T: int) -> int:
-    n = len(cs.components)
-    total = sum(cs.intersection[i][k] for i in range(n) for k in range(n) if i != k)
-    return -total - C + 3 * T
-
-
-def complete_vertical_indices(vi: VerticalIndexAssignment, cs: ComponentSet,
-                              C: int, T: int):
-    """Fill at most one missing vertical index from the sum rule; when all are
-    present, verify the sum rule.  Returns (vi, check) where check is
-    ("pass"|"fail"|"skipped", detail)."""
-    target = vertical_index_sum_target(cs, C, T)
-    missing = [e for e in cs.pairing if vi.get(e) is None]
+    missing = [p for p in cs.pairing if p not in vi]
     if len(missing) > 1:
-        raise OverrideRequired(
-            f"{len(missing)} vertical indices unknown; supply vertical_indices "
-            "overrides (the sum rule can recover at most one)")
-    if len(missing) == 1:
-        known = sum(vi.get(e) for e in cs.pairing if vi.get(e) is not None)
-        vi.set(missing[0], target - known, "sum-rule")
-        return vi, ("pass", f"sum rule fixed vi[{_pair_key(missing[0])}] = {target - known}")
-    total = sum(vi.get(e) for e in cs.pairing)
-    if total == target:
-        return vi, ("pass", f"sum of vertical indices {total} matches {target}")
-    detail = f"sum of vertical indices {total} != {target}"
-    if all(vi.provenance[_pair_key(e)] == "fold-formula" for e in cs.pairing):
-        raise AnalysisError(detail)
-    return vi, ("fail", detail)
-
-
-class IntersectionForm:
-    def __init__(self, labels, matrix):
-        self.labels = labels   # the untwisted pairs (i, j), i != j
-        self.matrix = matrix
-
-
-def build_intersection_form(cs: ComponentSet, vi: VerticalIndexAssignment) -> IntersectionForm:
-    untwisted = [(i, j) for i, j in cs.pairing if i != j]
-    for pair in untwisted:
-        if vi.get(pair) is None:
+        if any(i != j for i, j in missing):
             raise OverrideRequired(
-                f"vertical index of untwisted pair {_pair_key(pair)} unknown")
-    n = len(untwisted)
-    M = [[0] * n for _ in range(n)]
+                "vertical indices of untwisted pairs unknown and more than one "
+                "entry missing; supply vertical_indices overrides")
+        return vi, ("sum-rule", "skipped",
+                    f"{len(missing)} twisted vertical indices unknown")
+    target = -sum(map(sum, inter)) - C + 3 * T
+    total = sum(value for value, _ in vi.values())
+    if missing:
+        vi[missing[0]] = (target - total, "sum-rule")
+        return vi, ("sum-rule", "pass",
+                    f"sum rule fixed vi[{_pair_key(missing[0])}] = {target - total}")
+    if total == target:
+        return vi, ("sum-rule", "pass",
+                    f"sum of vertical indices {total} matches {target}")
+    detail = f"sum of vertical indices {total} != {target}"
+    if all(provenance == "fold-formula" for _, provenance in vi.values()):
+        raise AnalysisError(detail)
+    return vi, ("sum-rule", "fail", detail)
+
+
+def intersection_form(cs: ComponentSet, vi) -> list[list[int]]:
+    """The intersection form of X on its untwisted pairs, in pairing order:
+    entry (a, b) is D_a . D_b summed over the branches of pairs a and b,
+    which on the diagonal is 2 D_i.D_j (the table's diagonal is zero), plus
+    the pair's vertical index."""
     inter = cs.intersection
-    for a, (i, ip) in enumerate(untwisted):
-        M[a][a] = 2 * inter[i][ip] + vi.get(untwisted[a])
-        for b in range(a + 1, n):
-            j, jp = untwisted[b]
-            val = inter[i][j] + inter[i][jp] + inter[ip][j] + inter[ip][jp]
-            M[a][b] = M[b][a] = val
-    return IntersectionForm(untwisted, M)
+    untwisted = [(i, j) for i, j in cs.pairing if i != j]
+    return [[inter[i][k] + inter[i][l] + inter[j][k] + inter[j][l]
+             + (vi[(i, j)][0] if (i, j) == (k, l) else 0)
+             for k, l in untwisted] for i, j in untwisted]
 
 
 def signature_of_form(matrix) -> int:
@@ -143,10 +125,6 @@ def signature_of_form(matrix) -> int:
     return pos - neg
 
 
-def milnor_fiber_signature(C: int, T: int, sigma_X: int) -> int:
-    return sigma_X + T - C
-
-
 def derived_invariants(mu_D: int, C: int, T: int):
     """(mu_I, b2) from mu(D), C and T."""
     s = mu_D + C - 4 * T - 1
@@ -187,15 +165,9 @@ class SignatureReport:
                 "twist": "twisted" if cs.partner[i] == i else "untwisted",
                 "partner": cs.partner[i],
             })
-        vis = []
-        for pair in cs.pairing:
-            key = _pair_key(pair)
-            if key in self.vertical_indices.values:
-                vis.append({
-                    "pair": key,
-                    "value": self.vertical_indices.values[key],
-                    "provenance": self.vertical_indices.provenance[key],
-                })
+        vis = [{"pair": _pair_key(pair), "value": self.vertical_indices[pair][0],
+                "provenance": self.vertical_indices[pair][1]}
+               for pair in cs.pairing if pair in self.vertical_indices]
         return {
             "name": self.name,
             "corank": self.corank,
@@ -207,7 +179,7 @@ class SignatureReport:
             "components": comps,
             "intersection_table": cs.intersection,
             "vertical_indices": vis,
-            "intersection_form": self.form.matrix,
+            "intersection_form": self.form,
             "sigma_X": self.sigma_X,
             "sigma_F": self.sigma_F,
             "checks": [{"name": n, "status": s, "detail": d}
@@ -224,44 +196,15 @@ def analyze(germ: Germ) -> SignatureReport:
     T = triple_point_number(germ)
     curve_eq = double_curve_equation(germ)
     cs = component_set(germ, curve_eq)
-    checks = []
-
-    is_fold = germ.fold_data is not None
-    if is_fold:
-        vi = fold_vertical_indices(cs)
-    else:
-        vi = VerticalIndexAssignment()
-    vi_override = germ.overrides.vertical_indices
-    unknown = sorted(set(vi_override) - {_pair_key(p) for p in cs.pairing})
-    if unknown:
-        raise AnalysisError(
-            f"vertical_indices override names no image component: {unknown}")
-    for pair in cs.pairing:
-        key = _pair_key(pair)
-        if key in vi_override:
-            vi.set(pair, vi_override[key], "override")
-
-    missing = [p for p in cs.pairing if vi.get(p) is None]
-    if len(missing) <= 1:
-        vi, sum_check = complete_vertical_indices(vi, cs, C, T)
-        checks.append(("sum-rule", sum_check[0], sum_check[1]))
-    else:
-        if any(i != j for i, j in missing):
-            raise OverrideRequired(
-                "vertical indices of untwisted pairs unknown and more than one "
-                "entry missing; supply vertical_indices overrides")
-        checks.append(("sum-rule", "skipped",
-                       f"{len(missing)} twisted vertical indices unknown"))
-
-    form = build_intersection_form(cs, vi)
-    sigma_X = signature_of_form(form.matrix)
-    sigma_F = milnor_fiber_signature(C, T, sigma_X)
+    vi, sum_check = vertical_indices(germ, cs, C, T)
+    form = intersection_form(cs, vi)
+    sigma_X = signature_of_form(form)
     mu_D = curve_milnor(curve_eq)
     mu_I, b2 = derived_invariants(mu_D, C, T)
-    checks.append(("parity", "pass",
-                   f"mu(D)+C-4T-1 = {mu_D + C - 4 * T - 1} is even"))
+    checks = [sum_check, ("parity", "pass",
+                          f"mu(D)+C-4T-1 = {mu_D + C - 4 * T - 1} is even")]
 
-    if is_fold:
+    if germ.fold_data is not None:
         try:
             alt = _resultant_curve(germ.multipoint)
             status = "pass" if associate(alt, curve_eq) else "fail"
@@ -271,4 +214,4 @@ def analyze(germ: Germ) -> SignatureReport:
             checks.append(("fold-vs-resultant", "skipped", str(exc)))
 
     return SignatureReport(germ.name, germ.corank, C, T, mu_D, mu_I, b2, cs,
-                           vi, form, sigma_X, sigma_F, checks)
+                           vi, form, sigma_X, sigma_X + T - C, checks)

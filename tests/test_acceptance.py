@@ -10,19 +10,18 @@ from test_signature import sturm_signature
 
 from milnorsig.corpus import (B, C_, F4, H, S, TRIPLE_POINT_MATRIX, corank2,
                               corpus, cross_cap, expected_invariants)
-from milnorsig.curves import associate, component_set
+from milnorsig.curves import (associate, component_set, decompose,
+                              intersection_table)
 from milnorsig.fields import QQ
-from milnorsig.germs import (corank, crosscap_number, double_curve_equation,
-                             fold_normal_data, multipoint_data,
+from milnorsig.germs import (AnalysisError, corank, crosscap_number,
+                             double_curve_equation, fold_normal_data,
+                             multipoint_data,
                              triple_point_number, _resultant_curve)
 from milnorsig.localring import (INFINITE, LocalIdeal, intersection_multiplicity,
                                  milnor_number, quotient_dim)
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
-from milnorsig.signature import (VerticalIndexAssignment, analyze,
-                                 complete_vertical_indices,
-                                 fold_vertical_indices, signature_of_form,
-                                 vertical_index_sum_target)
+from milnorsig.signature import analyze, signature_of_form, vertical_indices
 
 UV = ("u", "v")
 
@@ -126,10 +125,16 @@ def test_criterion_2_C_and_T():
     report("2 (cross-cap and triple point numbers)", failures)
 
 
-def _untwisted_vi(f):
+def _vertical_indices(f):
+    """(pairing, {pair: (value, provenance)}) of a germ."""
     cs = component_set(f, double_curve_equation(f))
-    vi = fold_vertical_indices(cs)
-    entries = [vi.get(p) for p in cs.pairing if p[0] != p[1]]
+    vi, _ = vertical_indices(f, cs, crosscap_number(f), triple_point_number(f))
+    return cs.pairing, vi
+
+
+def _untwisted_vi(f):
+    pairing, vi = _vertical_indices(f)
+    entries = [vi[p][0] for p in pairing if p[0] != p[1]]
     assert len(entries) == 1
     return entries[0]
 
@@ -145,15 +150,10 @@ def test_criterion_3_vertical_indices():
         if got != -2 * k:
             failures.append(f"C_{k}: expected {-2 * k}, computed {got}")
     for k in range(2, 6):
-        f = H(k)
-        cs = component_set(f, double_curve_equation(f))
-        vi, _ = complete_vertical_indices(VerticalIndexAssignment(), cs, 2, k - 1)
-        got = vi.get(cs.pairing[0])
+        got = _untwisted_vi(H(k))
         if got != -3 * k - 1:
             failures.append(f"H_{k}: expected {-3 * k - 1}, computed {got}")
-    cc = cross_cap()
-    cs = component_set(cc, double_curve_equation(cc))
-    got = fold_vertical_indices(cs).get((0, 0))
+    got = _vertical_indices(cross_cap())[1][(0, 0)][0]
     if got != -1:
         failures.append(f"cross-cap: expected -1, computed {got}")
     report("3 (vertical indices)", failures)
@@ -164,11 +164,18 @@ def test_criterion_4_sum_rule_on_folds():
     for f in corpus(5):
         if fold_normal_data(f) is None:
             continue
-        cs = component_set(f, double_curve_equation(f))
-        vi = fold_vertical_indices(cs)
-        total = sum(vi.get(e) for e in cs.pairing)
-        target = vertical_index_sum_target(
-            cs, crosscap_number(f), triple_point_number(f))
+        try:  # vertical_indices refuses a fold formula that misses the sum
+            pairing, vi = _vertical_indices(f)
+        except AnalysisError as exc:
+            failures.append(f"{f.name}: {exc}")
+            continue
+        if any(vi[p][1] != "fold-formula" for p in pairing):
+            failures.append(f"{f.name}: not every index from the fold formula")
+            continue
+        total = sum(vi[p][0] for p in pairing)
+        table = intersection_table(decompose(double_curve_equation(f)))
+        target = (-sum(map(sum, table)) - crosscap_number(f)
+                  + 3 * triple_point_number(f))
         if total != target:
             failures.append(f"{f.name}: sum {total} != target {target}")
     report("4 (Thm 2.12 sum rule on folds)", failures)

@@ -6,6 +6,7 @@ from milnorsig.curves import (_general_partner, associate, classify_twist,
                               component_set, curve_milnor, decompose,
                               intersection_table, v_axis_multiplicities)
 from milnorsig.fields import QQ
+from milnorsig.germfile import load_germ
 from milnorsig.germs import (AnalysisError, MultiPointData, UV, double_curve_equation,
                              multipoint_data)
 from milnorsig.parser import parse_poly
@@ -157,6 +158,24 @@ def test_twist_override_validation():
         classify_twist(f, comps, [(0, 1), (1, 2), (3, 3), (4, 4)])
     with pytest.raises(AnalysisError):
         classify_twist(f, comps, [(i, i) for i in range(4)] + [(4, 5)])
+
+
+def test_fold_twist_override_must_agree_with_v_flip():
+    # v -> -v swaps u - i*v with u + i*v and u - 2i*v with u + 2i*v; calling
+    # all four twisted gave sigma_F = -4 with every check passing, not -6
+    f = load_germ("""[germ]
+map = ["u", "v^2", "v*(u^2 + v^2)*(u^2 + 4*v^2)"]
+field = "Q(i)"
+""")[0]
+    comps = decompose(double_curve_equation(f), [
+        parse_poly(s, UV, f.field)
+        for s in ("u - i*v", "u + i*v", "u - 2*i*v", "u + 2*i*v")])
+    assert classify_twist(f, comps) == [(0, 1), (2, 3)]
+    assert classify_twist(f, comps, [(3, 2), (1, 0)]) == [(3, 2), (1, 0)]
+    for wrong in ([(i, i) for i in range(4)], [(0, 2), (1, 3)],
+                  [(0, 1), (2, 2), (3, 3)]):
+        with pytest.raises(AnalysisError, match="disagrees with v -> -v"):
+            classify_twist(f, comps, wrong)
 
 
 def test_pairing_is_involution():

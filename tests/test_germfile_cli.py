@@ -76,6 +76,16 @@ def test_load_germ_errors():
         load_germ(CORANK2_TEXT.replace('"4:twisted"', '"4:untwisted-with:4"'))
 
 
+def test_T_override_must_be_a_non_negative_integer():
+    # T = -1 on H_2 gave sigma_F = -4 with every check passing
+    h2 = ('[germ]\nmap = ["u", "u*v + v^5", "v^3"]\nfield = "Q(zeta3)"\n'
+          "[overrides]\nT = {}\n")
+    assert load_germ(h2.format(0))[0].overrides.T == 0
+    for bad in ("-1", '"1"', "1.5"):
+        with pytest.raises(GermFileError, match="non-negative integer"):
+            load_germ(h2.format(bad))
+
+
 def test_vertical_index_override_parsing():
     germ, _ = load_germ(CORANK2_TEXT)
     assert not germ.overrides.vertical_indices
@@ -131,6 +141,21 @@ def test_run_analyze_exit_codes(tmp_path, capsys):
     assert "untwisted pair needs two components" in capsys.readouterr().err
 
     assert run_analyze(str(tmp_path / "missing.germ")) == EXIT_ERROR
+
+    negative_T = tmp_path / "negative_T.germ"
+    negative_T.write_text('[germ]\nmap = ["u", "u*v + v^5", "v^3"]\n'
+                          'field = "Q(zeta3)"\n[overrides]\nT = -1\n')
+    assert run_analyze(str(negative_T)) == EXIT_ERROR
+    assert "non-negative integer" in capsys.readouterr().err
+
+    wrong_twist = tmp_path / "wrong_twist.germ"
+    wrong_twist.write_text(
+        '[germ]\nmap = ["u", "v^2", "v*(u^2 + v^2)*(u^2 + 4*v^2)"]\n'
+        'field = "Q(i)"\n[overrides]\n'
+        'components = ["u - i*v", "u + i*v", "u - 2*i*v", "u + 2*i*v"]\n'
+        'twist = ["0:twisted", "1:twisted", "2:twisted", "3:twisted"]\n')
+    assert run_analyze(str(wrong_twist)) == EXIT_ERROR
+    assert "disagrees with v -> -v" in capsys.readouterr().err
 
 
 def test_run_analyze_out_file(tmp_path):

@@ -94,7 +94,7 @@ def rand_branch(rng, field):
     m = rng.randint(1, 3)
     a, b = ("u", "v") if rng.random() < 0.5 else ("v", "u")
     lead = Poly.variable(a, UV, field)
-    tail = (Poly.variable(b, UV, field) ** m).scale_elem(c)
+    tail = (Poly.variable(b, UV, field) ** m).scale(c)
     return lead - tail
 
 

@@ -11,11 +11,8 @@ from milnorsig.curves import component_set
 from milnorsig.germfile import load_germ
 from milnorsig.germs import AnalysisError, OverrideRequired, corank, crosscap_number, \
     double_curve_equation, triple_point_number
-from milnorsig.signature import (VerticalIndexAssignment, analyze,
-                                 build_intersection_form,
-                                 complete_vertical_indices, derived_invariants,
-                                 fold_vertical_indices, milnor_fiber_signature,
-                                 signature_of_form, vertical_index_sum_target)
+from milnorsig.signature import (analyze, derived_invariants, intersection_form,
+                                 signature_of_form, vertical_indices)
 
 
 # --- Sturm-sequence oracle for the signature of a symmetric matrix ----------
@@ -170,73 +167,69 @@ def test_signature_invariant_under_permutation():
         assert signature_of_form(P) == signature_of_form(M)
 
 
+def _vertical_indices(f):
+    cs = component_set(f, double_curve_equation(f))
+    vi, check = vertical_indices(f, cs, crosscap_number(f), triple_point_number(f))
+    return cs, vi, check
+
+
 def test_fold_vertical_indices():
-    f = S(1)
-    cs = component_set(f, double_curve_equation(f))
-    vi = fold_vertical_indices(cs)
-    assert vi.get((0, 1)) == -4
-    f = C_(5)
-    cs = component_set(f, double_curve_equation(f))
-    vi = fold_vertical_indices(cs)
+    _, vi, _ = _vertical_indices(S(1))
+    assert vi == {(0, 1): (-4, "fold-formula")}
+    cs, vi, _ = _vertical_indices(C_(5))
     pair = next(p for p in cs.pairing if p[0] != p[1])
-    assert vi.get(pair) == -10  # -2k
-    cc = cross_cap()
-    cs = component_set(cc, double_curve_equation(cc))
-    vi = fold_vertical_indices(cs)
-    assert vi.get((0, 0)) == -1
+    assert vi[pair] == (-10, "fold-formula")  # -2k
+    _, vi, _ = _vertical_indices(cross_cap())
+    assert vi == {(0, 0): (-1, "fold-formula")}
 
 
 def test_sum_rule_on_folds():
     for f in (cross_cap(), S(1), S(2), S(3), B(2), B(3), C_(3), C_(4), C_(5), F4()):
-        cs = component_set(f, double_curve_equation(f))
-        vi = fold_vertical_indices(cs)
-        C = crosscap_number(f)
-        T = triple_point_number(f)
-        total = sum(vi.get(e) for e in cs.pairing)
-        assert total == vertical_index_sum_target(cs, C, T), f.name
-        _, check = complete_vertical_indices(vi, cs, C, T)
-        assert check[0] == "pass"
+        cs, vi, check = _vertical_indices(f)
+        assert all(provenance == "fold-formula" for _, provenance in vi.values())
+        assert len(vi) == len(cs.pairing), f.name
+        assert check[:2] == ("sum-rule", "pass"), f.name
 
 
 def test_sum_rule_completion_Hk():
     for k in (2, 3):
-        f = H(k)
-        cs = component_set(f, double_curve_equation(f))
-        vi = VerticalIndexAssignment()
-        vi, check = complete_vertical_indices(vi, cs, 2, k - 1)
-        assert check[0] == "pass"
-        assert vi.get(cs.pairing[0]) == -3 * k - 1
-        assert vi.provenance["0+1"] == "sum-rule"
+        cs, vi, check = _vertical_indices(H(k))
+        assert check[:2] == ("sum-rule", "pass")
+        assert vi == {cs.pairing[0]: (-3 * k - 1, "sum-rule")}
 
 
-def test_complete_requires_overrides_when_two_missing():
-    f = corank2()
-    cs = component_set(f, double_curve_equation(f))
-    with pytest.raises(OverrideRequired):
-        complete_vertical_indices(VerticalIndexAssignment(), cs, 3, 1)
-
-
-def test_build_intersection_form():
+def test_sum_rule_mismatch_of_fold_formula_is_an_error():
+    # the fold formula and the sum rule are two routes to the same total
     f = S(1)
     cs = component_set(f, double_curve_equation(f))
-    vi = fold_vertical_indices(cs)
-    form = build_intersection_form(cs, vi)
-    assert form.matrix == [[-2]]
-    f = F4()
-    cs = component_set(f, double_curve_equation(f))
-    form = build_intersection_form(cs, fold_vertical_indices(cs))
-    assert form.matrix == []
-    f = H(2)
-    cs = component_set(f, double_curve_equation(f))
-    vi = VerticalIndexAssignment()
-    vi, _ = complete_vertical_indices(vi, cs, 2, 1)
-    form = build_intersection_form(cs, vi)
-    assert form.matrix == [[1]]
+    with pytest.raises(AnalysisError, match="sum of vertical indices"):
+        vertical_indices(f, cs, crosscap_number(f) + 1, triple_point_number(f))
 
 
-def test_milnor_fiber_signature():
-    assert milnor_fiber_signature(1, 0, 0) == -1
-    assert milnor_fiber_signature(3, 1, 0) == -2
+def test_two_missing_untwisted_indices_require_overrides():
+    twist = '["0:untwisted-with:1", "2:twisted", "3:twisted", "4:twisted"]'
+    text = _germ_text(("u^2", "v^2", "u^3 + v^3 + u*v"), "Q(zeta3)", (
+        'double_curve = "(u + v^2)*(u^2 + v)*(u + v)*(u + zeta3*v)*(u + zeta3^2*v)"\n'
+        'components = ["u + v^2", "u^2 + v", "u + v", "u + zeta3*v", "u + zeta3^2*v"]\n'
+        f"twist = {twist}\nT = 1\n"))
+    with pytest.raises(OverrideRequired, match="untwisted pairs unknown"):
+        analyze(load_germ(text)[0])
+
+
+def test_missing_twisted_indices_skip_the_sum_rule():
+    r = analyze(corank2())
+    assert not r.vertical_indices
+    assert r.checks[0][:2] == ("sum-rule", "skipped")
+    assert r.form == []
+
+
+def test_intersection_form():
+    cs, vi, _ = _vertical_indices(S(1))
+    assert intersection_form(cs, vi) == [[-2]]
+    cs, vi, _ = _vertical_indices(F4())
+    assert intersection_form(cs, vi) == []
+    cs, vi, _ = _vertical_indices(H(2))
+    assert intersection_form(cs, vi) == [[1]]
 
 
 def test_derived_invariants():
@@ -258,7 +251,7 @@ def test_analyze_corpus_intermediates():
         assert 2 * r.mu_I == r.mu_D + r.C - 4 * r.T - 1
         assert r.b2 == r.mu_D + 2 * r.C - 3 * r.T - 1
         assert r.mu_I >= 0 and r.b2 >= 0
-        assert abs(r.sigma_X) <= len(r.form.matrix)
+        assert abs(r.sigma_X) <= len(r.form)
 
 
 def test_analyze_determinism():
