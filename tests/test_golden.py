@@ -54,6 +54,17 @@ field = "Q(zeta3)"
 [overrides]
 double_curve = "2*u^2 + 2*u*v^4 + 2*v^8"
 """,
+    # components and twist overrides on the resultant route
+    """\
+[germ]
+name = "H_2-twist"
+map = ["u", "u*v + v^5", "v^3"]
+field = "Q(zeta3)"
+
+[overrides]
+components = ["u - zeta3*v^4", "u + (1 + zeta3)*v^4"]
+twist = ["0:untwisted-with:1"]
+""",
 ]
 
 
