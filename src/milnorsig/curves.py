@@ -32,27 +32,28 @@ def associate(a: Poly, b: Poly) -> bool:
 
 def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     """The branches through the origin of the reduced curve ``curve_eq``:
-    the ``components`` override, checked against it, or else its irreducible
-    factors that pass through the origin, sorted by ``canonical_key``."""
+    the ``components`` override, or else its irreducible factors that pass
+    through the origin, sorted by ``canonical_key``.  Either list must
+    multiply to ``curve_eq`` up to a unit of the local ring."""
     if override is not None:
-        # curve_eq is reduced, so components whose product divides it with a
-        # unit of the local ring as quotient are squarefree, pairwise coprime
-        # and hold every branch through the origin
-        prod = Poly.constant(1, curve_eq.vars, curve_eq.field)
-        for h in override:
-            prod = prod * h
-        rest = try_divide(curve_eq, prod)
-        if rest is None or not rest.is_unit_local():
-            raise AnalysisError("override components do not multiply to the curve")
-        return [h.normalized() for h in override]
-    try:
-        factors = factor_components(curve_eq)
-    except FactorizationIncomplete as exc:
-        raise OverrideRequired(str(exc)) from exc
-    # a unit of the local ring has no branch through the origin
-    comps = [h for h in factors if not h.is_unit_local()]
-    if not comps:
-        raise AnalysisError("no double-curve component passes through the origin")
+        comps = [h.normalized() for h in override]
+    else:
+        try:
+            comps = factor_components(curve_eq)
+        except FactorizationIncomplete as exc:
+            raise OverrideRequired(str(exc)) from exc
+        if not comps:
+            raise AnalysisError("no double-curve component passes through the origin")
+    # curve_eq is reduced, so components whose product divides it with a
+    # unit of the local ring as quotient are squarefree, pairwise coprime
+    # and hold every branch through the origin
+    prod = Poly.constant(1, curve_eq.vars, curve_eq.field)
+    for h in comps:
+        prod = prod * h
+    rest = try_divide(curve_eq, prod)
+    if rest is None or not rest.is_unit_local():
+        source = "override components" if override is not None else "factors"
+        raise AnalysisError(f"{source} do not multiply to the curve")
     return comps
 
 
@@ -83,14 +84,18 @@ def classify_twist(f: Germ, comps: list[Poly], override=None):
     twisted component: the ``twist`` override, checked, or else each
     component paired with its partners.  On a fold germ the partner of
     h(u, v) is h(u, -v), since v -> -v permutes the branches of the reduced
-    fold curve; elsewhere it comes from ``_general_partner``."""
+    fold curve; elsewhere it comes from ``_general_partner``.  An override
+    pair (i, j) needs j among the partners of i; a germ without
+    multiple-point data has no partners, and its override is trusted."""
     if f.fold_data is not None:
+        route = "v -> -v"
         v = Poly.variable("v", UV, comps[0].field)
         flipped = [h.substitute({"v": -v}) for h in comps]
 
         def partners(i):
             return [j for j, g in enumerate(comps) if associate(g, flipped[i])]
     else:
+        route = "the divided-difference partners"
         comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized()
                     for h in comps]
 
@@ -100,9 +105,12 @@ def classify_twist(f: Germ, comps: list[Poly], override=None):
         covered = sorted(i for pair in override for i in set(pair))
         if covered != list(range(len(comps))):
             raise AnalysisError("twist override is not a partition of components")
-        # v -> -v is an involution, so partners(i) == [j] gives partners(j) == [i]
-        if f.fold_data is not None and any(partners(i) != [j] for i, j in override):
-            raise AnalysisError("twist override disagrees with v -> -v")
+        try:
+            wrong = any(j not in partners(i) for i, j in override)
+        except OverrideRequired:  # f.multipoint: no multiple-point data
+            wrong = False
+        if wrong:
+            raise AnalysisError(f"twist override disagrees with {route}")
         return list(override)
     pairing = []
     seen = set()

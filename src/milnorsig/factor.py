@@ -1,10 +1,13 @@
-"""Factorization of plane-curve equations into component equations.
+"""Factorization of plane-curve equations into their branches through the
+origin.
 
-Not a general bivariate factorizer: on a squarefree input the strategy is
-variable/content extraction, Newton-polygon edge roots x = c*y^m for factors
-of degree <= 2 in some variable, and a single-edge Newton-polygon
-irreducibility certificate.  Anything it cannot certify raises
-FactorizationIncomplete so the caller can supply components explicitly.
+Not a general bivariate factorizer: the strategy is variable/content
+extraction, Newton-polygon edge roots x = c*y^m for factors of degree <= 2 in
+some variable, and a single-edge Newton-polygon irreducibility certificate.
+A piece that is a unit of the local ring has no branch through the origin and
+is dropped unsplit.  Anything it cannot certify raises FactorizationIncomplete
+so the caller can supply components explicitly.  The factors are not
+multiplied back here: ``curves.decompose`` checks them against the curve.
 """
 
 from __future__ import annotations
@@ -19,21 +22,11 @@ class FactorizationIncomplete(ValueError):
 
 
 def factor_components(s: Poly) -> list[Poly]:
-    """Certified irreducible factors of a squarefree s, pairwise
-    non-associate and sorted by ``canonical_key``.  Their product must equal s
-    up to a coefficient-field unit, so an s that is not squarefree raises
-    PolyError (or FactorizationIncomplete, if a repeated factor defeats the
-    certificate first)."""
+    """Certified irreducible factors of s that vanish at the origin, pairwise
+    non-associate and sorted by ``canonical_key``."""
     if s.is_zero() or s.is_constant():
         raise PolyError("cannot factor a constant")
-    factors = _factor_squarefree(s)
-    prod = Poly.constant(1, s.vars, s.field)
-    for f in factors:
-        prod = prod * f
-    if prod.normalized() != s.normalized():
-        raise PolyError("factors do not multiply back to the input; "
-                        "is it squarefree?")
-    return factors
+    return _factor_squarefree(s)
 
 
 def _factor_squarefree(s: Poly) -> list[Poly]:
@@ -41,32 +34,23 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
     work = [s.normalized()]
     while work:
         h = work.pop()
-        if h.is_constant():
+        if h.is_unit_local():
             continue
         active = [v for v in h.vars if h.degree_in(v) > 0]
-        if len(active) == 1:
-            factors.extend(_factor_univariate(h, active[0]))
-            continue
-        # monomial variable factors
-        split = False
-        for v in active:
-            i = h.vars.index(v)
-            if all(e[i] > 0 for e in h.terms):
-                factors.append(Poly.variable(v, h.vars, h.field))
-                work.append(exact_divide(h, Poly.variable(v, h.vars, h.field)))
-                split = True
-                break
-        if split:
+        # monomial variable factors; once they are split off, a piece left
+        # in one variable has a constant term and is dropped above
+        mono = next((v for v in active
+                     if all(e[h.vars.index(v)] > 0 for e in h.terms)), None)
+        if mono is not None:
+            var = Poly.variable(mono, h.vars, h.field)
+            factors.append(var)
+            work.append(exact_divide(h, var))
             continue
         # content with respect to a variable
-        for v in active:
-            cont = _content(_univ_coeffs(h, v))
-            if not cont.is_constant():
-                work.append(cont)
-                work.append(exact_divide(h, cont))
-                split = True
-                break
-        if split:
+        cont = next((c for c in (_content(_univ_coeffs(h, v)) for v in active)
+                     if not c.is_constant()), None)
+        if cont is not None:
+            work.extend((cont, exact_divide(h, cont)))
             continue
         if len(active) > 2:
             raise FactorizationIncomplete(f"more than two variables in {h}")
@@ -88,50 +72,14 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
         raise FactorizationIncomplete(
             f"cannot certify a factorization of {h}; supply components explicitly"
         )
-    # canonical order; a repeated factor of a non-squarefree input is kept
-    # once, so that the product check in factor_components rejects it
-    uniq: list[Poly] = []
-    for f in factors:
-        f = f.normalized()
-        if f not in uniq:
-            uniq.append(f)
-    uniq.sort(key=canonical_key)
-    return uniq
+    # every factor is normalized, so a repeated factor of a non-squarefree
+    # input is kept once, and the product check in curves.decompose rejects it
+    return sorted(set(factors), key=canonical_key)
 
 
 def canonical_key(p: Poly):
     items = sorted(p.terms.items(), key=lambda t: local_key(t[0]), reverse=True)
     return tuple((e, c.coeffs) for e, c in items)
-
-
-def _factor_univariate(h: Poly, var: str) -> list[Poly]:
-    field = h.field
-    factors = []
-    # x = 0 roots
-    i = h.vars.index(var)
-    while all(e[i] > 0 for e in h.terms):
-        factors.append(Poly.variable(var, h.vars, h.field))
-        h = exact_divide(h, Poly.variable(var, h.vars, h.field))
-    d = h.degree_in(var)
-    if d <= 0:
-        return factors
-    if d == 1:
-        factors.append(h.normalized())
-        return factors
-    if d == 2:
-        coeffs = [c.constant_term() for c in _univ_coeffs(h, var)]
-        lead_inv = coeffs[2].inverse()
-        roots = quadratic_roots(field, coeffs[1] * lead_inv, coeffs[0] * lead_inv)
-        if roots:
-            for r in roots:
-                lin = Poly.variable(var, h.vars, h.field) - Poly.constant(r, h.vars, field)
-                factors.append(lin.normalized())
-            if len(roots) == 1:  # double root contradicts squarefree input
-                raise PolyError("internal error: squarefree input with double root")
-            return factors
-        factors.append(h.normalized())
-        return factors
-    raise FactorizationIncomplete(f"univariate factor of degree {d}: {h}")
 
 
 def _support(h: Poly, x: str, y: str):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import poly_gcd, resultant, squarefree_part
+from .arith import poly_gcd, resultant, squarefree_part, try_divide
 from .localring import INFINITE, LocalIdeal, quotient_dim
 from .poly import Poly, PolyError, divided_difference
 
@@ -180,10 +180,12 @@ def double_curve_equation(f: Germ) -> Poly:
         if squarefree_part(d) != d.normalized():
             raise AnalysisError("double_curve override is not squarefree")
         if f.corank == 1 and f.components[0] == Poly.variable("u", UV, f.field):
-            r = _resultant_curve(f.multipoint)
-            if squarefree_part(r * d) != r:
-                raise AnalysisError("double_curve override has a factor outside "
-                                    "the divided-difference resultant")
+            # the same rule as for components: d holds every branch of the
+            # computed curve, and what it leaves out misses the origin
+            rest = try_divide(_resultant_curve(f.multipoint), d)
+            if rest is None or not rest.is_unit_local():
+                raise AnalysisError("double_curve override is not the divided-difference "
+                                    "curve up to factors that miss the origin")
         return d.normalized()
     if f.fold_data is not None:
         v = Poly.variable("v", UV, f.field)

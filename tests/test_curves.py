@@ -48,6 +48,15 @@ def test_decompose_drops_local_units():
     assert {str(c) for c in comps} == {"u - i*v", "u + i*v"}
     with pytest.raises(AnalysisError, match="passes through the origin"):
         decompose(parse_poly("(1 + u)*(1 - v)", UV, field))
+    # the quotient (1 + u)^2 of the curve by its one branch is a unit
+    assert [str(c) for c in decompose(parse_poly("(1 + u)^2*(u + v)", UV, QQ))] == ["u + v"]
+
+
+def test_decompose_refuses_repeated_factors():
+    # a curve with a repeated factor is not reduced: it fails the product check
+    for src in ("v^2*(u + v)", "(u + v)^2", "(u - v^2)^2", "u*(u + v)^2"):
+        with pytest.raises(AnalysisError, match="do not multiply to the curve"):
+            decompose(parse_poly(src, UV, QQ))
 
 
 def test_decompose_override_validation():

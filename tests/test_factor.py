@@ -4,7 +4,7 @@ from milnorsig.arith import try_divide
 from milnorsig.factor import FactorizationIncomplete, factor_components
 from milnorsig.fields import QQ, parse_field
 from milnorsig.parser import parse_poly
-from milnorsig.poly import Poly, PolyError
+from milnorsig.poly import Poly
 
 UV = ("u", "v")
 Qi = parse_field("Q(i)")
@@ -49,11 +49,12 @@ def test_Hk_curve_over_zeta3():
         assert f.degree_in("u") == 1 and f.degree_in("v") == 4
 
 
-def test_multiplicities():
-    # an input with a repeated factor is not reduced: it fails the product check
-    for src in ("v^2*(u + v)", "(u + v)^2", "(u - v^2)^2", "u*(u + v)^2"):
-        with pytest.raises(PolyError):
-            factor_components(parse_poly(src, UV, QQ))
+def test_unit_pieces_dropped_unsplit():
+    # a factor with a constant term has no branch through the origin
+    a = parse_poly("(1 + u)*(u^2 + v^2)", UV, Qi)
+    assert [str(f) for f in factor_components(a)] == ["u - i*v", "u + i*v"]
+    a = parse_poly("u*(1 + u + v^2)", UV, QQ)
+    assert factor_components(a) == [parse_poly("u", UV, QQ)]
 
 
 def test_even_case_certificate():

@@ -158,6 +158,34 @@ def test_run_analyze_exit_codes(tmp_path, capsys):
     assert "disagrees with v -> -v" in capsys.readouterr().err
 
 
+H2_HEAD = '[germ]\nmap = ["u", "u*v + v^5", "v^3"]\nfield = "Q(zeta3)"\n[overrides]\n'
+
+
+def test_resultant_route_overrides_checked_by_the_route(tmp_path, capsys):
+    # each override is refused by its own check, not by a later one
+    comps = 'components = ["u - zeta3*v^4", "u + (1 + zeta3)*v^4"]\n'
+    path = tmp_path / "g.germ"
+    path.write_text(H2_HEAD + comps + 'twist = ["0:untwisted-with:1"]\n')
+    assert run_analyze(str(path), "json") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["sigma_F"] == 0
+    cases = [
+        # both twisted gave sigma_F = -1 with exit 0
+        (H2_HEAD + comps + 'twist = ["0:twisted", "1:twisted"]\n',
+         "twist override disagrees with the divided-difference partners"),
+        # one of two branches; was refused as a parity violation
+        (H2_HEAD + 'double_curve = "u - zeta3*v^4"\ntwist = ["0:twisted"]\n',
+         "double_curve override is not the divided-difference curve"),
+        # C_3 without its two u^2 -+ i*v branches; was refused by the sum rule
+        ('[germ]\nmap = ["u", "v^2", "u*v^3 + u^3*v"]\nfield = "Q(i)"\n'
+         '[overrides]\ndouble_curve = "u"\n',
+         "double_curve override is not the divided-difference curve"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        assert run_analyze(str(path)) == EXIT_ERROR, text
+        assert message in capsys.readouterr().err, text
+
+
 def test_run_analyze_out_file(tmp_path):
     src = tmp_path / "s1.germ"
     src.write_text(S1_TEXT)
