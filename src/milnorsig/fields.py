@@ -4,11 +4,13 @@ A number field is described by the monic minimal polynomial of its
 generator; degree 1 represents Q itself.  An element holds its coordinates
 in the power basis 1, alpha, ..., alpha^(d-1) as integer numerators over one
 positive denominator, in lowest terms (Cohen, *A Course in Computational
-Algebraic Number Theory*, 4.2), so arithmetic runs on Python ints: degree 2
-has a closed-form product and a norm inverse, higher degrees a schoolbook
-product reduced by an integer table.  ``fractions.Fraction`` appears only at
-the boundary: ``FieldElem(field, coeffs)``, ``from_rational``, ``.coeffs``
-and ``as_rational``.
+Algebraic Number Theory*, 4.2), so products run on Python ints.  Degree 2
+has a closed-form product and a norm inverse.  Higher degrees reduce the
+schoolbook product from the top by q alpha^d = -(p_0 + ... + p_(d-1)
+alpha^(d-1)), with q * minimal_poly = p_0 + ... + q x^d integral, and invert
+x by solving x * y = 1 over Q on the columns x * alpha^k.  ``Fraction``
+appears only in that solve and at the boundary: ``FieldElem(field, coeffs)``,
+``from_rational``, ``.coeffs`` and ``as_rational``.
 """
 
 from __future__ import annotations
@@ -158,11 +160,6 @@ class NumberField:
         # q * minimal_poly = p_0 + p_1 x + ... + q x^d with integers p_i, q > 0
         self._q = _lcm_denominators(self.minimal_poly)
         self._p = tuple(int(c * self._q) for c in self.minimal_poly)
-        # power-basis expansions of alpha^d .. alpha^(2d-2), as integer rows
-        # over the one denominator _red_den
-        table = self._reduction_table()
-        self._red_den = _lcm_denominators([c for row in table for c in row])
-        self._red = [tuple(int(c * self._red_den) for c in row) for row in table]
 
     def _check_irreducible(self) -> None:
         d = self.degree
@@ -180,22 +177,6 @@ class NumberField:
         if d == 4 and _quartic_is_reducible(list(self.minimal_poly)):
             raise FieldError("minimal polynomial splits into two quadratics")
         # d > 4: asserted by the user
-
-    def _reduction_table(self) -> list[tuple[Fraction, ...]]:
-        d = self.degree
-        table = []
-        # alpha^d = -(c_0 + c_1 alpha + ...)
-        cur = [-c for c in self.minimal_poly[:d]]
-        table.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [Fraction(0)] + cur[: d - 1]
-            top = cur[d - 1]
-            if top:
-                for i in range(d):
-                    nxt[i] -= top * self.minimal_poly[i]
-            cur = nxt
-            table.append(tuple(cur))
-        return table
 
     def __eq__(self, other) -> bool:
         return (
@@ -343,15 +324,15 @@ class FieldElem:
                 if a:
                     for j, b in enumerate(o.num):
                         prod[i + j] += a * b
-            L = F._red_den
-            out = [c * L for c in prod[:d]]
-            for k, row in enumerate(F._red, d):
-                c = prod[k]
-                if c:
-                    for i in range(d):
-                        out[i] += c * row[i]
-            num = tuple(out)
-            den *= L
+            # reduce from the top by q alpha^d = -(p_0 + ... + p_(d-1) alpha^(d-1))
+            q, p = F._q, F._p
+            for k in range(2 * d - 2, d - 1, -1):
+                c = prod.pop()
+                prod = [x * q for x in prod]
+                for i in range(d):
+                    prod[k - d + i] -= c * p[i]
+                den *= q
+            num = tuple(prod)
         return _reduced(F, num, den)
 
     __rmul__ = __mul__
@@ -372,27 +353,23 @@ class FieldElem:
             norm = q * n0 * n0 - p1 * n0 * n1 + p0 * n1 * n1
             s = self.den if norm > 0 else -self.den
             return _reduced(F, (s * (q * n0 - p1 * n1), -s * q * n1), abs(norm))
-        # extended Euclid in Q[x]: s*self + t*minpoly = gcd = const
-        r0 = list(F.minimal_poly)
-        r1 = list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while deg(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if deg(r1) != 0:
-            raise FieldError("minimal polynomial is not irreducible")
-        c = r1[deg(r1)]
-        inv = [x / c for x in s1]
-        inv += [Fraction(0)] * (d - len(inv))
-        return FieldElem(F, tuple(inv[:d]))
+        # solve x * y = 1 by Gauss-Jordan; column k of the matrix is x * alpha^k
+        cols = [self]
+        for _ in range(d - 1):
+            cols.append(cols[-1] * F.generator())
+        rows = [list(r) + [Fraction(int(i == 0))]
+                for i, r in enumerate(zip(*(c.coeffs for c in cols)))]
+        for c in range(d):
+            piv = next((r for r in range(c, d) if rows[r][c]), None)
+            if piv is None:
+                raise FieldError("minimal polynomial is not irreducible")
+            rows[c], rows[piv] = rows[piv], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(d):
+                f = rows[r][c]
+                if r != c and f:
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+        return FieldElem(F, tuple(row[d] for row in rows))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -418,36 +395,6 @@ class FieldElem:
 
     def __repr__(self):
         return format_field_elem(self)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / b[db]
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return a
 
 
 def format_field_elem(x: FieldElem) -> str:

@@ -73,6 +73,16 @@ def _parse_vertical_indices(entries):
     return out
 
 
+def _check_value_types(section: dict) -> None:
+    for key, value in section.items():
+        if key in ("field", "name", "double_curve") and not isinstance(value, str):
+            raise GermFileError(f"{key} must be a string")
+        if key in ("map", "components", "twist", "vertical_indices") and not (
+                isinstance(value, (list, tuple))
+                and all(isinstance(s, str) for s in value)):
+            raise GermFileError(f"{key} must be a list of strings")
+
+
 def load_germ(text: str) -> tuple[Germ, dict]:
     """Parse a germ file; returns the germ and the [expected] mapping."""
     sections = _parse_sections(text)
@@ -82,7 +92,8 @@ def load_germ(text: str) -> tuple[Germ, dict]:
     for key in ("map", "field"):
         if key not in g:
             raise GermFileError(f"[germ] section is missing {key!r}")
-    if not isinstance(g["map"], (list, tuple)) or len(g["map"]) != 3:
+    _check_value_types(g)
+    if len(g["map"]) != 3:
         raise GermFileError("map must be a list of exactly 3 polynomial strings")
     field = parse_field(g["field"])
     comps = tuple(parse_poly(src, UV, field) for src in g["map"])
@@ -93,8 +104,9 @@ def load_germ(text: str) -> tuple[Germ, dict]:
     unknown = set(ov) - known
     if unknown:
         raise GermFileError(f"unknown override keys: {sorted(unknown)}")
+    _check_value_types(ov)
     T = ov.get("T")
-    if T is not None and (not isinstance(T, int) or T < 0):
+    if T is not None and (type(T) is not int or T < 0):
         raise GermFileError("T override must be a non-negative integer")
     overrides = OverrideSet(
         double_curve=parse_poly(ov["double_curve"], UV, field)
@@ -111,7 +123,7 @@ def load_germ(text: str) -> tuple[Germ, dict]:
     for key, value in expected.items():
         if key not in ("signature", "C", "T"):
             raise GermFileError(f"unknown expected key {key!r}")
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise GermFileError(f"expected {key} must be an integer")
     return Germ(comps, field, name=name, overrides=overrides), expected
 

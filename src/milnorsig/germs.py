@@ -74,20 +74,10 @@ class MultiPointData:
         self.D3_ideal = D3_ideal
 
 
-def _linear_part_matrix(f: Germ):
-    rows = []
-    for comp in f.components:
-        row = []
-        for i in range(2):
-            e = (1, 0) if i == 0 else (0, 1)
-            row.append(comp.terms.get(e, f.field.zero()))
-        rows.append(row)
-    return rows
-
-
 def corank(f: Germ) -> int:
-    m = _linear_part_matrix(f)
-    cols = list(zip(*m))
+    zero = f.field.zero()
+    # the columns d/du and d/dv of the linear part
+    cols = [[c.terms.get(e, zero) for c in f.components] for e in ((1, 0), (0, 1))]
     nonzero = [c for c in cols if any(not x.is_zero() for x in c)]
     if not nonzero:
         return 2

@@ -150,7 +150,10 @@ class _Parser:
 
 def parse_poly(src: str, vars, field: NumberField) -> Poly:
     """Parse an expression into a canonical Poly over the given field."""
-    return _Parser(src, tuple(vars), field).parse()
+    try:
+        return _Parser(src, tuple(vars), field).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 def parse_univariate_rational(src: str, gen: str) -> list[Fraction]:

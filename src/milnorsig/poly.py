@@ -63,10 +63,6 @@ class Poly:
         zero = (0,) * len(self.vars)
         return zero in self.terms
 
-    def constant_term(self) -> FieldElem:
-        zero = (0,) * len(self.vars)
-        return self.terms.get(zero, self.field.zero())
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1

@@ -129,6 +129,16 @@ def test_large_integer_root_rejected():
         parse_field("Q[a]/(a^3 - 1/8)")                      # root 1/2
 
 
+def test_zero_divisors_of_an_unchecked_degree_are_refused():
+    # a^5 - 1 = (a - 1)(a^4 + a^3 + a^2 + a + 1) is taken on the user's word
+    F = parse_field("Q[a]/(a^5 - 1)")
+    a = F.generator()
+    for x in (a - 1, 1 + a + a * a + a * a * a + a * a * a * a):
+        with pytest.raises(FieldError, match="not irreducible"):
+            x.inverse()
+    assert (a + 2) * (a + 2).inverse() == 1
+
+
 # -- oracle: Fraction polynomials modulo the minimal polynomial ---------------
 #
 # The reference below shares no code with milnorsig.fields: an element is a
@@ -217,6 +227,8 @@ def test_arithmetic_matches_oracle(desc):
             "rational -": (k - x, [k - a[0]] + [-p for p in a[1:]]),
         }
         if any(b):
+            # a check that shares no method with the oracle's linear solve
+            assert y * y.inverse() == F.one()
             results["inverse"] = (y.inverse(), _ref_inverse(b, m))
             results["/"] = (x / y, _ref_mul(a, _ref_inverse(b, m), m))
             results["rational /"] = (k / y, [k * p for p in _ref_inverse(b, m)])

@@ -10,6 +10,7 @@ from milnorsig import cli
 from milnorsig.cli import (EXIT_ERROR, EXIT_OK, EXIT_OVERRIDES, main,
                            render_report, run_analyze, run_batch, run_selftest)
 from milnorsig.germfile import GermFileError, load_germ
+from milnorsig.parser import ParseError
 from milnorsig.signature import analyze
 
 S1_TEXT = """\
@@ -158,6 +159,42 @@ def test_run_analyze_exit_codes(tmp_path, capsys):
     assert "disagrees with v -> -v" in capsys.readouterr().err
 
 
+CROSS_CAP_TEXT = '[germ]\nmap = ["u", "v^2", "u*v"]\nfield = "Q"\n'
+DEEP = "(" * 3000 + "u" + ")" * 3000
+
+
+@pytest.mark.parametrize("old, new, error, message", [
+    pytest.param(*case, id=case[3].split()[0]) for case in [
+        ('"u*v"]', '5]', GermFileError, "map must be a list of strings"),
+        ('"Q"', '3', GermFileError, "field must be a string"),
+        ('"Q"\n', '"Q"\nname = [1]\n', GermFileError, "name must be a string"),
+        ('"Q"\n', '"Q"\n[overrides]\ndouble_curve = 3\n', GermFileError,
+         "double_curve must be a string"),
+        ('"Q"\n', '"Q"\n[overrides]\ncomponents = "u"\n', GermFileError,
+         "components must be a list of strings"),
+        ('"Q"\n', '"Q"\n[overrides]\ntwist = [1]\n', GermFileError,
+         "twist must be a list of strings"),
+        ('"Q"\n', '"Q"\n[overrides]\nvertical_indices = [3]\n', GermFileError,
+         "vertical_indices must be a list of strings"),
+        ('"Q"\n', '"Q"\n[overrides]\nT = True\n', GermFileError,
+         "T override must be a non-negative integer"),
+        ('"Q"\n', '"Q"\n[expected]\nC = True\n', GermFileError,
+         "expected C must be an integer"),
+        ('"u*v"', f'"{DEEP}"', ParseError, "nested too deeply"),
+    ]])
+def test_bad_values_exit_1(tmp_path, capsys, old, new, error, message):
+    # each of these escaped run_analyze as a traceback or was accepted
+    assert CROSS_CAP_TEXT.count(old) == 1
+    text = CROSS_CAP_TEXT.replace(old, new)
+    with pytest.raises(error, match=message):
+        load_germ(text)
+    path = tmp_path / "bad.germ"
+    path.write_text(text)
+    assert run_analyze(str(path)) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error:" in err[0] and message in err[0]
+
+
 H2_HEAD = '[germ]\nmap = ["u", "u*v + v^5", "v^3"]\nfield = "Q(zeta3)"\n[overrides]\n'
 
 
@@ -207,6 +244,16 @@ def test_run_batch(tmp_path, capsys):
     (tmp_path / "c.germ").write_text(
         S1_TEXT.replace("signature = -3", "signature = 0"))
     assert run_batch(str(tmp_path)) == EXIT_ERROR
+    capsys.readouterr()
+
+    # a file that cannot be read is reported, and the others still are
+    (tmp_path / "b2.germ").write_text(CROSS_CAP_TEXT.replace('"Q"', "3"))
+    assert run_batch(str(tmp_path)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line.startswith("===")] == [
+        f"=== {tmp_path / name} ===" for name in ("a.germ", "b.germ", "b2.germ", "c.germ")]
+    assert "sigma(F) = sigma(X) + T - C: -3" in captured.out
+    assert captured.err.count("error:") == 1 and "b2.germ" in captured.err
 
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -260,9 +307,16 @@ def test_main_selftest_kmax(capsys, monkeypatch):
 def test_cli_import_stays_light():
     # dataclasses pulls in inspect, which adds several ms to every start-up
     src = os.path.dirname(os.path.dirname(milnorsig.__file__))
+    # the runtime is stdlib-only: analyzing a germ imports nothing else
     code = ("import sys, milnorsig.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+            "from milnorsig.corpus import cross_cap; "
+            "from milnorsig.signature import analyze; "
+            "assert analyze(cross_cap()).ok(); "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} "
+            "- set(sys.stdlib_module_names) - {'milnorsig', '__main__'}))")
+    # -S: no site hooks, so every module imported is one the run needed
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]

@@ -72,3 +72,8 @@ def test_unknown_identifier():
 def test_zero_denominator():
     with pytest.raises(ParseError):
         parse_poly("1/0", UV, QQ)
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly("(" * 3000 + "u" + ")" * 3000, UV, QQ)
