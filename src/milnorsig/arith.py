@@ -1,8 +1,10 @@
 """Exact division, gcd, squarefree parts, and resultants for sparse Poly.
 
-gcds use the primitive polynomial-remainder-sequence recursion; resultants
-use the subresultant PRS with the sign convention of the Sylvester
-determinant (rows of the first argument on top).
+One subresultant polynomial remainder sequence (PRS) serves both gcds and
+resultants.  A gcd is the gcd of the contents times the primitive part of
+the last nonzero remainder; a resultant follows from the last two remainders
+with the sign convention of the Sylvester determinant (rows of the first
+argument on top).
 """
 
 from __future__ import annotations
@@ -100,6 +102,43 @@ def _content(coeffs: list[Poly]) -> Poly:
     return g
 
 
+def _primitive(coeffs: list[Poly]) -> tuple[Poly, list[Poly]]:
+    """(content, primitive part) of a univariate view.  Contents are
+    normalized, so a constant content is 1 and leaves the view as it is."""
+    g = _content(coeffs)
+    return g, coeffs if g.is_constant() else [exact_divide(c, g) for c in coeffs]
+
+
+def _subresultants(A: list[Poly], B: list[Poly]):
+    """Subresultant PRS of univariate views of positive degree.
+
+    Returns (S, R, h, sign): S is the last remainder of positive degree, R the
+    remainder after it (a constant, zero when S divides the previous one), h
+    the scale of the step that made R, and sign the sign that turns the
+    subresultant into the Sylvester determinant of A and B (rows of A on top)."""
+    one = Poly.constant(1, A[0].vars, A[0].field)
+    g, h, sign = one, one, 1
+    if _udeg(A) < _udeg(B):
+        A, B = B, A
+        if _udeg(A) & _udeg(B) & 1:
+            sign = -1
+    while True:
+        dA, dB = _udeg(A), _udeg(B)
+        delta = dA - dB
+        if dA & dB & 1:
+            sign = -sign
+        denom = g * (h ** delta)
+        A, B = B, [exact_divide(c, denom) for c in _pseudo_rem(A, B)]
+        g = A[dB]
+        if delta > 1:
+            h = exact_divide(g ** delta, h ** (delta - 1))
+        elif delta == 1:
+            h = g
+        # delta == 0: h unchanged
+        if _udeg(B) <= 0:
+            return A, B, h, sign
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """gcd normalized to leading coefficient 1 under the local order."""
     if a.is_zero() and b.is_zero():
@@ -113,30 +152,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not candidates:
         return Poly.constant(1, a.vars, a.field)
     var = min(candidates, key=lambda v: max(a.degree_in(v), b.degree_in(v)))
-    if a.degree_in(var) == 0:
-        ub = _univ_coeffs(b, var)
-        return poly_gcd(a, _content(ub)).normalized()
-    if b.degree_in(var) == 0:
-        ua = _univ_coeffs(a, var)
-        return poly_gcd(_content(ua), b).normalized()
-    ua, ub = _univ_coeffs(a, var), _univ_coeffs(b, var)
-    ca, cb = _content(ua), _content(ub)
+    ca, pa = _primitive(_univ_coeffs(a, var))
+    cb, pb = _primitive(_univ_coeffs(b, var))
     cont = poly_gcd(ca, cb)
-    g = [exact_divide(c, ca) for c in ua]
-    h = [exact_divide(c, cb) for c in ub]
-    if _udeg(g) < _udeg(h):
-        g, h = h, g
-    while _udeg(h) >= 0:
-        r = _pseudo_rem(g, h)
-        if _udeg(r) < 0:
-            g = h
-            break
-        cr = _content(r)
-        g, h = h, [exact_divide(c, cr) for c in r]
-    if _udeg(g) == 0:
-        return cont.normalized()
-    gp = _from_univ(g, var, a.vars, a.field)
-    return (gp * cont).normalized()
+    if _udeg(pa) > 0 and _udeg(pb) > 0:
+        S, R, _, _ = _subresultants(pa, pb)
+        if _udeg(R) < 0:
+            g = _from_univ(_primitive(S)[1], var, a.vars, a.field)
+            return (g * cont).normalized()
+    return cont
 
 
 def squarefree_part(a: Poly) -> Poly:
@@ -166,36 +190,9 @@ def resultant(a: Poly, b: Poly, var: str) -> Poly:
         return a ** db
     if db <= 0:
         return b ** da
-    sign = 1
-    A, B = _univ_coeffs(a, var), _univ_coeffs(b, var)
-    if da < db:
-        A, B = B, A
-        if (da & 1) and (db & 1):
-            sign = -sign
-    vars, field = a.vars, a.field
-    one = Poly.constant(1, vars, field)
-    g, h = one, one
-    while True:
-        dA, dB = _udeg(A), _udeg(B)
-        delta = dA - dB
-        if (dA & 1) and (dB & 1):
-            sign = -sign
-        R = _pseudo_rem(A, B)
-        A = B
-        denom = g * (h ** delta)
-        B = [exact_divide(c, denom) for c in R]
-        g = A[_udeg(A)]
-        if delta > 1:
-            h = exact_divide(g ** delta, h ** (delta - 1))
-        elif delta == 1:
-            h = g
-        # delta == 0: h unchanged
-        dB = _udeg(B)
-        if dB < 0:
-            return Poly.zero(vars, field)
-        if dB == 0:
-            dA = _udeg(A)
-            res = exact_divide(B[0] ** dA, h ** (dA - 1)) if dA > 1 else (
-                B[0] if dA == 1 else h
-            )
-            return res if sign == 1 else -res
+    S, R, h, sign = _subresultants(_univ_coeffs(a, var), _univ_coeffs(b, var))
+    if _udeg(R) < 0:
+        return Poly.zero(a.vars, a.field)
+    dS = _udeg(S)
+    res = R[0] if dS == 1 else exact_divide(R[0] ** dS, h ** (dS - 1))
+    return res if sign == 1 else -res

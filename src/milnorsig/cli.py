@@ -70,17 +70,24 @@ def run_analyze(path: str, fmt: str = "text", out=None) -> int:
     _expected_checks(report, expected)
     text = render_report(report, fmt)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"{out}: error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     else:
         sys.stdout.write(text)
     return EXIT_OK if report.ok() else EXIT_ERROR
 
 
 def run_batch(directory: str, fmt: str = "text") -> int:
-    paths = sorted(
-        os.path.join(directory, f) for f in os.listdir(directory)
-        if f.endswith(".germ"))
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        print(f"{directory}: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    paths = sorted(os.path.join(directory, f) for f in names if f.endswith(".germ"))
     if not paths:
         print(f"{directory}: no .germ files found", file=sys.stderr)
         return EXIT_ERROR

@@ -86,9 +86,15 @@ def _check_value_types(section: dict) -> None:
 def load_germ(text: str) -> tuple[Germ, dict]:
     """Parse a germ file; returns the germ and the [expected] mapping."""
     sections = _parse_sections(text)
+    for name in sections:
+        if name not in ("germ", "overrides", "expected"):
+            raise GermFileError(f"unknown section {name!r}")
     if "germ" not in sections:
         raise GermFileError("missing [germ] section")
     g = sections["germ"]
+    for key in g:
+        if key not in ("map", "field", "name"):
+            raise GermFileError(f"unknown germ key {key!r}")
     for key in ("map", "field"):
         if key not in g:
             raise GermFileError(f"[germ] section is missing {key!r}")

@@ -82,8 +82,9 @@ def test_gcd_divides_both_random():
     for _ in range(25):
         a, b, c = rand_poly(rng, 2), rand_poly(rng, 2), rand_poly(rng, 2)
         g = poly_gcd(a * c, b * c)
-        assert try_divide(g, c.normalized()) is not None or \
-            try_divide(c.normalized(), g) is not None
+        # c divides a*c and b*c, so it divides their gcd
+        assert try_divide(g, c) is not None
+        assert g == (poly_gcd(a, b) * c).normalized()
         assert try_divide(a * c, g) is not None
         assert try_divide(b * c, g) is not None
 
@@ -152,3 +153,116 @@ def test_h2_resultant_reproduces_double_curve():
     expect = parse_poly("(u - zeta3*v1^4)*(u - zeta3^2*v1^4)",
                         ("u", "v1", "v2"), Qz).normalized()
     assert r == expect
+
+
+# -- sympy oracle ---------------------------------------------------------------
+# sympy shares no code with arith; it is a test-only dependency, and these
+# tests skip without it.  Over an algebraic field, sympy Polys are compared
+# after monic(): comparing expressions gives false mismatches over Q(zeta3).
+
+ORACLE_FIELDS = ("Q", "Q(i)", "Q(zeta3)")
+UVW = ("u", "v", "w")
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+_SYMPY_GENERATORS = {"i": "I", "zeta3": "(-1 + sqrt(-3))/2"}
+_sympy_domains = {}
+
+
+def sympy_poly(sympy, p, gens):
+    """p as a sympy Poly in the variables gens (a subset of p.vars that
+    holds every variable p involves), over the same number field."""
+    F = p.field
+    if F not in _sympy_domains:
+        K = sympy.QQ
+        if F != QQ:
+            K = K.algebraic_field(sympy.sympify(_SYMPY_GENERATORS[F.generator_name]))
+            # sympy's generator is a root of our minimal polynomial
+            assert K.mod.to_list() == list(reversed(F.minimal_poly))
+        _sympy_domains[F] = K
+    K = _sympy_domains[F]
+    idx = [p.vars.index(x) for x in gens]
+    terms = {}
+    for e, c in p.terms.items():
+        assert sum(e) == sum(e[i] for i in idx)
+        # sympy lists an element's coordinates from the highest power down
+        terms[tuple(e[i] for i in idx)] = K(list(reversed(c.coeffs))) \
+            if K != sympy.QQ else K(c.coeffs[0])
+    return sympy.Poly.from_dict(terms, *(sympy.Symbol(x) for x in gens), domain=K)
+
+
+def field_parser(field):
+    """Parses polynomials in u, v, w over field, with z for its generator
+    (z = 1 over Q)."""
+    F = parse_field(field)
+    z = {"Q": "1", "Q(i)": "i", "Q(zeta3)": "zeta3"}[field]
+    return lambda src: parse_poly(src.replace("z", z), UVW, F)
+
+
+def oracle_gcd_cases(field):
+    """(a, b) pairs over field, fixed ones first, then a few random ones."""
+    Q3 = field_parser(field)
+    cases = [
+        # contents (u^3 + 2)*(u - z) and (u^3 + 2)*(u + 1) in the main
+        # variable v: the gcd needs the gcd of both contents
+        (Q3("(u^3 + 2)*(u - z)*(v + z*u)*(v^2 + u)"),
+         Q3("(u^3 + 2)*(u + 1)*(v + z*u)*(v + u^2 + 1)")),
+        # the first input is constant in the main variable v
+        (Q3("(u^2 + z)*(u - 1)"), Q3("(u^2 + z)*(v^2 + u*v + 1)")),
+        # the remainders drop from degree 5 to degree 3 in v, a gap of 2
+        (Q3("(v - z*u)*(v^5 + u^6*v^2 + 1)"), Q3("(v - z*u)*(v^4 + u^6)")),
+        # three variables, a common factor in all of them
+        (Q3("(v + z*w + u)*(v^2 + u*w)"), Q3("(v + z*w + u)*(v + w^2 + 1)*w")),
+    ]
+    rng = random.Random(field)
+    for _ in range(3):
+        a, b, c = (Q3(" + ".join(
+            f"({rng.randint(-3, 3)} + {rng.randint(-2, 2)}*z)*u^{rng.randint(0, 2)}"
+            f"*v^{rng.randint(0, 2)}" for _ in range(rng.randint(2, 3))))
+            for _ in range(3))
+        if not (a * c).is_zero() and not (b * c).is_zero():
+            cases.append((a * c, b * c))
+    return cases
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_gcd_matches_sympy(sympy, field):
+    for a, b in oracle_gcd_cases(field):
+        want = sympy.gcd(sympy_poly(sympy, a, UVW), sympy_poly(sympy, b, UVW))
+        assert sympy_poly(sympy, poly_gcd(a, b), UVW).monic() == want.monic(), (a, b)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_squarefree_part_matches_sympy(sympy, field):
+    # small inputs: sympy's sqf_part over Q(i) took 56 s on a*a*b of the
+    # first gcd case above
+    Q3 = field_parser(field)
+    for p in (Q3("(v + z*u)^2*(v^2 + u)"), Q3("(u - z)^2*(v^2 - u)^3*v"),
+              Q3("(u^2 + z)^2*(u + 1)"), Q3("(v + z*w)^2*(u + w)*(u - v)^3")):
+        want = sympy_poly(sympy, p, UVW).sqf_part()
+        assert sympy_poly(sympy, squarefree_part(p), UVW).monic() == want.monic(), p
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_resultant_matches_sympy(sympy, field):
+    Q3 = field_parser(field)
+    cases = [(a, b, "v") for a, b in oracle_gcd_cases(field)] + [
+        # deg a < deg b, both odd: the swap changes the sign
+        (Q3("v^3 + u*v + z"), Q3("v^5 + (u - z)*v^2 + u^2"), "v"),
+        (Q3("w^2 + z*u*v + 1"), Q3("w^3 - v*w + u"), "w"),
+    ]
+    for a, b, var in cases:
+        rest = [x for x in UVW if x != var]
+        # sympy takes the resultant in the first generator
+        A, B = (sympy_poly(sympy, p, [var] + rest) for p in (a, b))
+        # sympy 1.14 gives -1 for resultant(v, v^3 + 1), whose Sylvester
+        # determinant is 1, so it is asked with the larger degree first
+        if A.degree() < B.degree():
+            want = B.resultant(A) * (-1) ** (A.degree() * B.degree())
+        else:
+            want = A.resultant(B)
+        assert sympy_poly(sympy, resultant(a, b, var), rest) == want, (a, b, var)

@@ -184,6 +184,10 @@ DEEP = "(" * 3000 + "u" + ")" * 3000
     ]])
 def test_bad_values_exit_1(tmp_path, capsys, old, new, error, message):
     # each of these escaped run_analyze as a traceback or was accepted
+    _assert_refused(tmp_path, capsys, old, new, error, message)
+
+
+def _assert_refused(tmp_path, capsys, old, new, error, message):
     assert CROSS_CAP_TEXT.count(old) == 1
     text = CROSS_CAP_TEXT.replace(old, new)
     with pytest.raises(error, match=message):
@@ -193,6 +197,29 @@ def test_bad_values_exit_1(tmp_path, capsys, old, new, error, message):
     assert run_analyze(str(path)) == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "error:" in err[0] and message in err[0]
+
+
+@pytest.mark.parametrize("new, message", [
+    pytest.param('"Q"\nfeild = "Q(i)"\n', "unknown germ key 'feild'", id="feild"),
+    pytest.param('"Q"\n[expect]\nC = 9\n', "unknown section 'expect'", id="expect"),
+    pytest.param('"Q"\n[override]\nT = 5\n', "unknown section 'override'", id="override"),
+])
+def test_misspelled_sections_and_keys_exit_1(tmp_path, capsys, new, message):
+    # each of these was dropped silently and the file analyzed with exit 0
+    _assert_refused(tmp_path, capsys, '"Q"\n', new, GermFileError, message)
+
+
+def test_filesystem_errors_exit_1(tmp_path, capsys):
+    germ = tmp_path / "cc.germ"
+    germ.write_text(CROSS_CAP_TEXT)
+    missing = tmp_path / "missing"
+    for argv in (["batch", str(missing)], ["batch", str(germ)],
+                 ["analyze", str(germ), "--out", str(missing / "out.json")]):
+        assert main(argv) == EXIT_ERROR, argv
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "error:" in err[0], argv
+        assert captured.out == "", argv
 
 
 H2_HEAD = '[germ]\nmap = ["u", "u*v + v^5", "v^3"]\nfield = "Q(zeta3)"\n[overrides]\n'
