@@ -5,9 +5,23 @@ resultants.  A gcd is the gcd of the contents times the primitive part of
 the last nonzero remainder; a resultant follows from the last two remainders
 with the sign convention of the Sylvester determinant (rows of the first
 argument on top).
+
+The PRS runs on integral inputs: at its entry each view is multiplied by the
+least common denominator L of the coordinates of its coefficients.  Over
+fields whose minimal polynomial has integer coefficients (Q, Q(i), Q(zeta3))
+the products of such coordinates stay integers, and so do the remainders,
+being subresultants, determinants of the scaled coefficients.  So no product
+in the loop makes a denominator that must be cancelled; only an exact
+division's quotient terms do, one each.  Other fields get the same values,
+with denominators.  A gcd is normalized, so the scaling drops out of it; a
+resultant undoes it exactly with
+Res(La*a, Lb*b) = La^deg(b) * Lb^deg(a) * Res(a, b).
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .poly import Poly, PolyError
 
@@ -84,10 +98,12 @@ def _pseudo_rem(a: list[Poly], b: list[Poly]) -> list[Poly]:
     """Pseudo-remainder of univariate-view polynomials: lc(b)^(da-db+1)*a mod b."""
     da, db = _udeg(a), _udeg(b)
     lb = b[db]
+    monic = lb == Poly.constant(1, lb.vars, lb.field)
     r = list(a[: da + 1])
     for k in range(da, db - 1, -1):
         lead = r[k]
-        r = [c * lb for c in r]
+        if not monic:
+            r = [c * lb for c in r]
         if not lead.is_zero():
             for j in range(db + 1):
                 r[k - db + j] = r[k - db + j] - lead * b[j]
@@ -109,14 +125,26 @@ def _primitive(coeffs: list[Poly]) -> tuple[Poly, list[Poly]]:
     return g, coeffs if g.is_constant() else [exact_divide(c, g) for c in coeffs]
 
 
-def _subresultants(A: list[Poly], B: list[Poly]):
-    """Subresultant PRS of univariate views of positive degree.
+def _cleared(coeffs: list[Poly]) -> tuple[int, list[Poly]]:
+    """(L, L * coeffs) with L the least common denominator of the coordinates
+    of every coefficient of a univariate view."""
+    L = math.lcm(*(x.den for c in coeffs for x in c.terms.values()))
+    return L, coeffs if L == 1 else [c.scale(L) for c in coeffs]
 
-    Returns (S, R, h, sign): S is the last remainder of positive degree, R the
-    remainder after it (a constant, zero when S divides the previous one), h
-    the scale of the step that made R, and sign the sign that turns the
-    subresultant into the Sylvester determinant of A and B (rows of A on top)."""
+
+def _subresultants(A: list[Poly], B: list[Poly]):
+    """Subresultant PRS of univariate views of positive degree, run on
+    La * A and Lb * B with integral coordinates (see the module docstring).
+
+    Returns (S, R, h, factor): S is the last remainder of positive degree, R
+    the remainder after it (a constant, zero when S divides the previous
+    one), h the scale of the step that made R, and factor the rational that
+    turns the subresultant into the Sylvester determinant of A and B (rows of
+    A on top): the sign of the degree swaps over La^deg(B) * Lb^deg(A)."""
     one = Poly.constant(1, A[0].vars, A[0].field)
+    La, A = _cleared(A)
+    Lb, B = _cleared(B)
+    unscale = La ** _udeg(B) * Lb ** _udeg(A)
     g, h, sign = one, one, 1
     if _udeg(A) < _udeg(B):
         A, B = B, A
@@ -127,16 +155,19 @@ def _subresultants(A: list[Poly], B: list[Poly]):
         delta = dA - dB
         if dA & dB & 1:
             sign = -sign
+        R = _pseudo_rem(A, B)
         denom = g * (h ** delta)
-        A, B = B, [exact_divide(c, denom) for c in _pseudo_rem(A, B)]
+        if denom != one:
+            R = [exact_divide(c, denom) for c in R]
+        A, B = B, R
         g = A[dB]
         if delta > 1:
-            h = exact_divide(g ** delta, h ** (delta - 1))
+            h = g ** delta if h == one else exact_divide(g ** delta, h ** (delta - 1))
         elif delta == 1:
             h = g
         # delta == 0: h unchanged
         if _udeg(B) <= 0:
-            return A, B, h, sign
+            return A, B, h, Fraction(sign, unscale)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -190,9 +221,9 @@ def resultant(a: Poly, b: Poly, var: str) -> Poly:
         return a ** db
     if db <= 0:
         return b ** da
-    S, R, h, sign = _subresultants(_univ_coeffs(a, var), _univ_coeffs(b, var))
+    S, R, h, factor = _subresultants(_univ_coeffs(a, var), _univ_coeffs(b, var))
     if _udeg(R) < 0:
         return Poly.zero(a.vars, a.field)
     dS = _udeg(S)
     res = R[0] if dS == 1 else exact_divide(R[0] ** dS, h ** (dS - 1))
-    return res if sign == 1 else -res
+    return res.scale(factor)

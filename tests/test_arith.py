@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from milnorsig.arith import (_udeg, _univ_coeffs, exact_divide, poly_gcd,
-                             resultant, squarefree_part, try_divide)
+from milnorsig import arith
+from milnorsig.arith import (_subresultants, _udeg, _univ_coeffs, exact_divide,
+                             poly_gcd, resultant, squarefree_part, try_divide)
+from milnorsig.curves import decompose
 from milnorsig.fields import QQ, parse_field
+from milnorsig.germfile import load_germ
+from milnorsig.germs import double_curve_equation
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly, PolyError, divided_difference
 
@@ -155,6 +159,74 @@ def test_h2_resultant_reproduces_double_curve():
     assert r == expect
 
 
+# -- rational coefficients ---------------------------------------------------
+# The PRS clears denominators at its entry and resultant undoes the scaling
+# with Res(La*a, Lb*b) = La^deg(b) * Lb^deg(a) * Res(a, b).  In the first pair
+# La = 323 != Lb = 21 and the degrees differ, so swapped exponents give a
+# wrong value; in the second only one input is non-integral.  z is the
+# field's generator (1 over Q).
+
+RATIONAL_PAIRS = [
+    ("11/19*v^3 + z*u*v + 13/17", "2/3*v^2 - 5/7*u^2"),
+    ("v^3 + z*u*v + 2", "1/6*v^2 + 5/4*z*u"),
+]
+RATIONAL_FACTOR = "3/4*v - 11/19*z*u + 1/2"
+
+# Q[a]/(a^2 - 1/2) has q = 2: integer coordinates do not stay integral
+# under multiplication, since a^2 = 1/2
+HALF_SQRT_FIELD = "Q[a]/(a^2 - 1/2)"
+
+
+@pytest.mark.parametrize("field", ("Q", "Q(i)", "Q(zeta3)", HALF_SQRT_FIELD))
+def test_rational_resultant_and_gcd_both_orders(field):
+    Q3 = field_parser(field)
+    c = Q3(RATIONAL_FACTOR)
+    for a_src, b_src in RATIONAL_PAIRS:
+        a, b = Q3(a_src), Q3(b_src)
+        for x, y in ((a, b), (b, a)):
+            assert resultant(x, y, "v") == sylvester_resultant(x, y, "v"), (x, y)
+            assert resultant(x * c, y * c, "v").is_zero()
+            assert poly_gcd(x, y).is_constant()
+            assert poly_gcd(x * c, y * c) == c.normalized(), (x, y)
+
+
+def scaled_h3():
+    """H_3 after u -> 11/19*u, v -> 13/17*v, with f2 divided by its
+    coefficient of u*v, as in the benchmark's twist-resultant workload."""
+    c = Fraction(19, 11) * Fraction(13, 17) ** 7
+    text = ('[germ]\nname = "H_3"\n'
+            f'map = ["u", "u*v + {c}*v^8", "v^3"]\nfield = "Q(zeta3)"\n')
+    return load_germ(text)[0]
+
+
+def test_subresultant_prs_stays_integral(monkeypatch):
+    """Structural guard for the cleared PRS over Q(zeta3), on the two
+    resultants of twist classification, Res_v1(h, P) and Res_v1(h, Q), with
+    h and P non-integral: every coefficient of S and R has denominator 1, and
+    no exact division inside the loop is by the constant 1 (the first step
+    of Res_v1(h, Q) drops 5 degrees while h = 1)."""
+    f = scaled_h3()
+    P, Q = f.multipoint.P, f.multipoint.Q
+    h = decompose(double_curve_equation(f))[0]
+    A = _univ_coeffs(h.rename({"v": "v1"}, P.vars), "v1")
+    for view in (A, _univ_coeffs(P, "v1")):
+        assert any(x.den > 1 for c in view for x in c.terms.values())
+    divisors = []
+
+    def recording_try_divide(a, b):
+        divisors.append(b)
+        return try_divide(a, b)
+
+    monkeypatch.setattr(arith, "try_divide", recording_try_divide)
+    one = Poly.constant(1, P.vars, P.field)
+    for g in (P, Q):
+        S, R, _, _ = _subresultants(A, _univ_coeffs(g, "v1"))
+        assert all(x.den == 1 for c in S + R for x in c.terms.values())
+    # Q is monic in v1, so only Res_v1(h, P) divides
+    assert divisors
+    assert all(b != one for b in divisors)
+
+
 # -- sympy oracle ---------------------------------------------------------------
 # sympy shares no code with arith; it is a test-only dependency, and these
 # tests skip without it.  Over an algebraic field, sympy Polys are compared
@@ -199,7 +271,7 @@ def field_parser(field):
     """Parses polynomials in u, v, w over field, with z for its generator
     (z = 1 over Q)."""
     F = parse_field(field)
-    z = {"Q": "1", "Q(i)": "i", "Q(zeta3)": "zeta3"}[field]
+    z = {"Q": "1", "Q(i)": "i", "Q(zeta3)": "zeta3", HALF_SQRT_FIELD: "a"}[field]
     return lambda src: parse_poly(src.replace("z", z), UVW, F)
 
 
@@ -217,7 +289,8 @@ def oracle_gcd_cases(field):
         (Q3("(v - z*u)*(v^5 + u^6*v^2 + 1)"), Q3("(v - z*u)*(v^4 + u^6)")),
         # three variables, a common factor in all of them
         (Q3("(v + z*w + u)*(v^2 + u*w)"), Q3("(v + z*w + u)*(v + w^2 + 1)*w")),
-    ]
+    ] + [(Q3(f"({a})*({RATIONAL_FACTOR})"), Q3(f"({b})*({RATIONAL_FACTOR})"))
+         for a, b in RATIONAL_PAIRS]
     rng = random.Random(field)
     for _ in range(3):
         a, b, c = (Q3(" + ".join(
@@ -232,8 +305,9 @@ def oracle_gcd_cases(field):
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
 def test_gcd_matches_sympy(sympy, field):
     for a, b in oracle_gcd_cases(field):
-        want = sympy.gcd(sympy_poly(sympy, a, UVW), sympy_poly(sympy, b, UVW))
-        assert sympy_poly(sympy, poly_gcd(a, b), UVW).monic() == want.monic(), (a, b)
+        want = sympy.gcd(sympy_poly(sympy, a, UVW), sympy_poly(sympy, b, UVW)).monic()
+        for x, y in ((a, b), (b, a)):
+            assert sympy_poly(sympy, poly_gcd(x, y), UVW).monic() == want, (x, y)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
@@ -254,7 +328,7 @@ def test_resultant_matches_sympy(sympy, field):
         # deg a < deg b, both odd: the swap changes the sign
         (Q3("v^3 + u*v + z"), Q3("v^5 + (u - z)*v^2 + u^2"), "v"),
         (Q3("w^2 + z*u*v + 1"), Q3("w^3 - v*w + u"), "w"),
-    ]
+    ] + [(Q3(x), Q3(y), "v") for a, b in RATIONAL_PAIRS for x, y in ((a, b), (b, a))]
     for a, b, var in cases:
         rest = [x for x in UVW if x != var]
         # sympy takes the resultant in the first generator
