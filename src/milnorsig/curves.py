@@ -6,7 +6,7 @@ from __future__ import annotations
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
 from .arith import poly_gcd, resultant, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, factor_components
-from .germs import AnalysisError, Germ, OverrideRequired, UV
+from .germs import AnalysisError, Germ, OverrideRequired, UV, is_local_unit_multiple
 from .localring import INFINITE, intersection_multiplicity, milnor_number
 from .poly import Poly
 
@@ -50,8 +50,7 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     prod = Poly.constant(1, curve_eq.vars, curve_eq.field)
     for h in comps:
         prod = prod * h
-    rest = try_divide(curve_eq, prod)
-    if rest is None or not rest.is_unit_local():
+    if not is_local_unit_multiple(curve_eq, prod):
         source = "override components" if override is not None else "factors"
         raise AnalysisError(f"{source} do not multiply to the curve")
     return comps
@@ -144,13 +143,14 @@ def intersection_table(comps: list[Poly]):
 
 
 def v_axis_multiplicities(comps: list[Poly]):
-    v = Poly.variable("v", UV, comps[0].field)
+    """D_i . {v = 0} = dim C{u}/(h_i(u, 0)) for each branch h_i: the least
+    u-exponent among the terms of h_i free of v."""
     out = []
     for h in comps:
-        m = intersection_multiplicity(h, v)
-        if m == INFINITE:
+        orders = [a for a, b in h.terms if b == 0]
+        if not orders:
             raise AnalysisError("a double-curve component contains {v = 0}")
-        out.append(m)
+        out.append(min(orders))
     return out
 
 

@@ -72,13 +72,6 @@ def _root_floors(ints: list[int], bound: int) -> set[int]:
     return floors
 
 
-def _lcm_denominators(values) -> int:
-    lcm = 1
-    for c in values:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return lcm
-
-
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots of the polynomial with the given coefficients
     (index = exponent, any degree, not all zero).
@@ -91,7 +84,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         coeffs = coeffs[:-1]
     if not coeffs:
         raise FieldError("zero polynomial has every root")
-    lcm = _lcm_denominators(coeffs)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
     n, lead = len(ints) - 1, ints[-1]
     monic = [c * lead ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
@@ -158,25 +151,16 @@ class NumberField:
         self._check_irreducible()
         self._zeros = (0,) * (d - 1)
         # q * minimal_poly = p_0 + p_1 x + ... + q x^d with integers p_i, q > 0
-        self._q = _lcm_denominators(self.minimal_poly)
+        self._q = math.lcm(*(c.denominator for c in self.minimal_poly))
         self._p = tuple(int(c * self._q) for c in self.minimal_poly)
 
     def _check_irreducible(self) -> None:
         d = self.degree
-        if d == 1:
-            return
-        if d == 2:
-            # a monic quadratic has a rational root iff its discriminant is a
-            # rational square; trial division would factor the constant term
-            c0, c1 = self.minimal_poly[0], self.minimal_poly[1]
-            if rational_sqrt(c1 * c1 - 4 * c0) is not None:
-                raise FieldError("minimal polynomial has a rational root")
-            return
-        if d <= 4 and _rational_roots(list(self.minimal_poly)):
+        if 2 <= d <= 4 and _rational_roots(list(self.minimal_poly)):
             raise FieldError("minimal polynomial has a rational root")
         if d == 4 and _quartic_is_reducible(list(self.minimal_poly)):
             raise FieldError("minimal polynomial splits into two quadratics")
-        # d > 4: asserted by the user
+        # d == 1 is Q itself; d > 4: asserted by the user
 
     def __eq__(self, other) -> bool:
         return (
@@ -244,7 +228,7 @@ class FieldElem:
         if len(coeffs) != field.degree:
             raise FieldError("coordinate vector has wrong length")
         coeffs = [Fraction(c) for c in coeffs]
-        den = _lcm_denominators(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
         self.field = field
         self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         self.den = den
@@ -478,11 +462,9 @@ def quadratic_roots(field: NumberField, p: FieldElem, q: FieldElem) -> list[Fiel
 QQ = NumberField("a", (Fraction(0), Fraction(1)))  # x, degree 1: Q itself
 
 _BUILTIN = {
-    "Q": lambda: QQ,
-    "Q(i)": lambda: NumberField("i", (Fraction(1), Fraction(0), Fraction(1))),
-    "Q(zeta3)": lambda: NumberField(
-        "zeta3", (Fraction(1), Fraction(1), Fraction(1))
-    ),
+    "Q": QQ,
+    "Q(i)": NumberField("i", (Fraction(1), Fraction(0), Fraction(1))),
+    "Q(zeta3)": NumberField("zeta3", (Fraction(1), Fraction(1), Fraction(1))),
 }
 
 
@@ -490,7 +472,7 @@ def parse_field(descriptor: str) -> NumberField:
     """Parse 'Q', 'Q(i)', 'Q(zeta3)' or 'Q[a]/(<monic poly in a>)'."""
     descriptor = descriptor.strip()
     if descriptor in _BUILTIN:
-        return _BUILTIN[descriptor]()
+        return _BUILTIN[descriptor]
     if descriptor.startswith("Q[") and "]/(" in descriptor and descriptor.endswith(")"):
         gen = descriptor[2 : descriptor.index("]")].strip()
         body = descriptor[descriptor.index("]/(") + 3 : -1]

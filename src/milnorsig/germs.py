@@ -109,21 +109,21 @@ def crosscap_number(f: Germ) -> int:
 
 
 def fold_normal_data(f: Germ) -> Poly | None:
-    """p(u, y) with f = (u, v^2, v*p(u, v^2)), or None if f is not literally
-    in the fold normal form."""
+    """p(u, v^2) = f3 / v in (u, v) with f = (u, v^2, v*p(u, v^2)), or None
+    if f is not literally in the fold normal form."""
     f1, f2, f3 = f.components
     u = Poly.variable("u", UV, f.field)
     v = Poly.variable("v", UV, f.field)
     if f1 != u or f2 != v * v:
         return None
     terms = {}
-    for e, c in f3.terms.items():
-        if e[1] % 2 == 0:
+    for (a, b), c in f3.terms.items():
+        if b % 2 == 0:
             return None
-        terms[(e[0], (e[1] - 1) // 2)] = c
+        terms[(a, b - 1)] = c
     if not terms:
         return None
-    return Poly(("u", "y"), terms, f.field)
+    return Poly(UV, terms, f.field)
 
 
 def multipoint_data(f: Germ) -> MultiPointData:
@@ -143,6 +143,13 @@ def multipoint_data(f: Germ) -> MultiPointData:
     ddQ = divided_difference(Q, "v2", ("v2x", "v3")).rename({"v2x": "v2"}, vars4)
     gens = [g for g in (P3, Q3, ddP, ddQ) if not g.is_zero()]
     return MultiPointData(P, Q, LocalIdeal(gens))
+
+
+def is_local_unit_multiple(a: Poly, b: Poly) -> bool:
+    """Whether b divides a and the quotient is a unit of the local ring, so
+    that a and b have the same branches through the origin."""
+    rest = try_divide(a, b)
+    return rest is not None and rest.is_unit_local()
 
 
 def _resultant_curve(mp: MultiPointData) -> Poly:
@@ -172,15 +179,12 @@ def double_curve_equation(f: Germ) -> Poly:
         if f.corank == 1 and f.components[0] == Poly.variable("u", UV, f.field):
             # the same rule as for components: d holds every branch of the
             # computed curve, and what it leaves out misses the origin
-            rest = try_divide(_resultant_curve(f.multipoint), d)
-            if rest is None or not rest.is_unit_local():
+            if not is_local_unit_multiple(_resultant_curve(f.multipoint), d):
                 raise AnalysisError("double_curve override is not the divided-difference "
                                     "curve up to factors that miss the origin")
         return d.normalized()
     if f.fold_data is not None:
-        v = Poly.variable("v", UV, f.field)
-        return squarefree_part(f.fold_data.substitute(
-            {"u": Poly.variable("u", UV, f.field), "y": v * v}))
+        return squarefree_part(f.fold_data)
     return _resultant_curve(f.multipoint)
 
 

@@ -125,14 +125,9 @@ def standard_basis(I: LocalIdeal) -> StandardBasis:
             leads.append(G[-1].leading()[0])
             k = len(G) - 1
             pairs.extend((k, t) for t in range(k))
-    minimal = [e for e in leads
-               if not any(f != e and _divides(f, e) for f in leads)]
-    # deduplicate
-    lead_set = []
-    for e in minimal:
-        if e not in lead_set:
-            lead_set.append(e)
-    return StandardBasis(G, lead_set)
+    minimal = dict.fromkeys(e for e in leads
+                            if not any(f != e and _divides(f, e) for f in leads))
+    return StandardBasis(G, list(minimal))
 
 
 def _staircase_count(leading, nvars):

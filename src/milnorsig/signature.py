@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .arith import squarefree_part
 from .curves import (ComponentSet, associate, component_set, curve_milnor,
                      v_axis_multiplicities)
 from .germs import (AnalysisError, Germ, OverrideRequired, _resultant_curve,
@@ -205,13 +206,13 @@ def analyze(germ: Germ) -> SignatureReport:
                           f"mu(D)+C-4T-1 = {mu_D + C - 4 * T - 1} is even")]
 
     if germ.fold_data is not None:
-        try:
-            alt = _resultant_curve(germ.multipoint)
-            status = "pass" if associate(alt, curve_eq) else "fail"
-            checks.append(("fold-vs-resultant", status,
-                           f"resultant route gives {format_poly(alt)}"))
-        except (AnalysisError, OverrideRequired) as exc:
-            checks.append(("fold-vs-resultant", "skipped", str(exc)))
+        # fold germ: Res_v2(P, Q) = +-p(u, v1^2) != 0, so _resultant_curve cannot raise
+        fold = curve_eq if germ.overrides.double_curve is None \
+            else squarefree_part(germ.fold_data)
+        alt = _resultant_curve(germ.multipoint)
+        status = "pass" if associate(alt, fold) else "fail"
+        checks.append(("fold-vs-resultant", status,
+                       f"resultant route gives {format_poly(alt)}"))
 
     return SignatureReport(germ.name, germ.corank, C, T, mu_D, mu_I, b2, cs,
                            vi, form, sigma_X, sigma_X + T - C, checks)

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
+from milnorsig import localring
 from milnorsig.arith import poly_gcd, resultant, squarefree_part, try_divide
-from milnorsig.corpus import B, C_, F4, H, S, corank2, cross_cap
+from milnorsig.corpus import B, C_, F4, H, S, corank2, corpus, cross_cap
 from milnorsig.curves import (_general_partner, associate, classify_twist,
                               component_set, curve_milnor, decompose,
                               intersection_table, v_axis_multiplicities)
@@ -10,6 +13,7 @@ from milnorsig.germfile import load_germ
 from milnorsig.germs import (AnalysisError, MultiPointData, UV, double_curve_equation,
                              multipoint_data)
 from milnorsig.parser import parse_poly
+from milnorsig.poly import Poly
 
 UVV = ("u", "v1", "v2")
 
@@ -222,6 +226,33 @@ def test_v_axis_multiplicities():
     vax = v_axis_multiplicities(comps)
     # u-axis component meets {v=0} once; u^2 +- i*v components meet it twice
     assert sorted(vax) == [1, 2, 2]
+
+
+def test_v_axis_multiplicities_match_intersection_numbers():
+    # oracle: D_i . {v = 0} as dim O/(h, v) by a Mora standard basis
+    for f in corpus(10):
+        if f.fold_data is None:
+            continue
+        v = Poly.variable("v", UV, f.field)
+        for h in decompose(double_curve_equation(f)):
+            want = localring.intersection_multiplicity(h, v)
+            assert v_axis_multiplicities([h]) == [want], (f.name, h)
+
+
+def test_v_axis_multiplicities_refuse_a_branch_along_the_v_axis():
+    for text in ("v", "v*(u^2 + v)", "u*v + v^3"):
+        h = parse_poly(text, UV, QQ)
+        with pytest.raises(AnalysisError, match=re.escape("contains {v = 0}")):
+            v_axis_multiplicities([parse_poly("u", UV, QQ), h])
+
+
+def test_v_axis_multiplicities_run_no_standard_basis(monkeypatch):
+    comps = decompose(double_curve_equation(C_(5)))
+
+    def refuse(*args):
+        raise AssertionError("standard_basis called")
+    monkeypatch.setattr(localring, "standard_basis", refuse)
+    assert sorted(v_axis_multiplicities(comps)) == [1, 2, 2]
 
 
 def test_curve_milnor():

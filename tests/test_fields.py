@@ -95,7 +95,7 @@ def test_bad_descriptor():
 
 
 def test_quadratic_with_large_constant_is_fast():
-    # the discriminant test needs no factoring of 10^23 + 3
+    # bisection for rational roots needs no factoring of 10^23 + 3
     F = parse_field("Q[a]/(a^2 - 100000000000000000000003)")
     assert F.degree == 2
     a = F.generator()

@@ -3,7 +3,7 @@ import pytest
 from milnorsig.arith import resultant, squarefree_part
 from milnorsig.corpus import B, C_, F4, H, S, corank2, cross_cap
 from milnorsig.curves import associate
-from milnorsig.fields import QQ, parse_field
+from milnorsig.fields import QQ, FieldElem, parse_field
 from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, UV,
                              _resultant_curve, corank, crosscap_number,
                              double_curve_equation, fold_normal_data,
@@ -50,11 +50,12 @@ def test_crosscap_detects_non_finite():
 
 
 def test_fold_normal_data():
+    # p(u, v^2) = f3 / v, in the germ's own variables
     p = fold_normal_data(S(2))
-    assert p == parse_poly("y + u^3", ("u", "y"), S(2).field)
+    assert p == parse_poly("v^2 + u^3", UV, S(2).field)
     assert fold_normal_data(H(2)) is None
     p = fold_normal_data(cross_cap())
-    assert p == parse_poly("u", ("u", "y"), QQ)
+    assert p == parse_poly("u", UV, QQ)
 
 
 def test_multipoint_data():
@@ -120,6 +121,28 @@ def test_double_curve_routes_agree_on_folds():
         fold = double_curve_equation(f)
         res = _resultant_curve(multipoint_data(f))
         assert associate(fold, res), f.name
+
+    # the identity behind the check, on generated p over Q(i) with
+    # p(0, 0) = 0: P = v1 + v2, so Res_v2(P, Q) = +-Q(u, v1, -v1) = +-p(u, v1^2)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    field = parse_field("Q(i)")
+    V3 = ("u", "v1", "v2")
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 2)).filter(any)
+    coords = st.tuples(*[st.fractions(-5, 5, max_denominator=4)] * 2).filter(any)
+
+    def check(p):
+        coeffs = {e: FieldElem(field, c) for e, c in p.items()}
+        f3 = Poly(UV, {(a, 2 * b + 1): c for (a, b), c in coeffs.items()}, field)
+        u, v = (Poly.variable(x, UV, field) for x in UV)
+        f = Germ((u, v * v, f3), field)
+        mp = multipoint_data(f)
+        p_v1 = Poly(V3, {(a, 2 * b, 0): c for (a, b), c in coeffs.items()}, field)
+        assert resultant(mp.P, mp.Q, "v2") in (p_v1, -p_v1)
+        assert _resultant_curve(mp) == squarefree_part(fold_normal_data(f))
+
+    run = hyp.given(st.dictionaries(exps, coords, min_size=1, max_size=4))(check)
+    hyp.settings(max_examples=30, deadline=None, database=None, derandomize=True)(run)()
 
 
 def test_eliminating_v1_or_v2_gives_one_curve():

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from milnorsig import arith, curves, factor, germs, localring, signature
+from milnorsig.cli import run_analyze
 from milnorsig.corpus import (B, C_, F4, H, S, TRIPLE_POINT_MATRIX, corank2,
                               corpus, cross_cap, expected_invariants)
 from milnorsig.curves import component_set
@@ -322,6 +324,18 @@ def test_fold_components_pass_through_the_origin():
         twin = load_germ(_germ_text(("u", "v^2", f3), field))[0]
         assert _without_check_details(analyze(twin)) == \
             _without_check_details(analyze(plain)), plain.name
+
+
+def test_fold_vs_resultant_ignores_a_valid_double_curve_override(tmp_path):
+    # the override drops the factor 1 + v^2 that misses the origin, so it is
+    # valid; the check compares the fold route with the resultant route
+    path, out = tmp_path / "twin.germ", tmp_path / "twin.json"
+    maps = ("u", "v^2", "(1 + v^2)*(v^3 + u^2*v)")
+    for overrides in ("", 'double_curve = "v^2 + u^2"\n'):
+        path.write_text(_germ_text(maps, "Q(i)", overrides))
+        assert run_analyze(str(path), "json", out=str(out)) == 0, overrides
+        checks = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert checks["fold-vs-resultant"] == "pass", overrides
 
 
 def test_components_override_may_leave_out_units():
