@@ -23,12 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Poly, PolyError
-
-
-def _global_key(exp):
-    # graded lex: a well-order suitable for exact polynomial division
-    return (sum(exp), exp)
+from .poly import Poly, PolyError, local_key
 
 
 def try_divide(a: Poly, b: Poly) -> Poly | None:
@@ -37,11 +32,10 @@ def try_divide(a: Poly, b: Poly) -> Poly | None:
         raise PolyError("division by zero polynomial")
     q = Poly.zero(a.vars, a.field)
     r = a
-    lb = max(b.terms, key=_global_key) if b.terms else None
-    cb = b.terms[lb]
-    cb_inv = cb.inverse()
+    lb = max(b.terms, key=local_key)
+    cb_inv = b.terms[lb].inverse()
     while not r.is_zero():
-        lr = max(r.terms, key=_global_key)
+        lr = max(r.terms, key=local_key)
         if any(x < y for x, y in zip(lr, lb)):
             return None
         mono = tuple(x - y for x, y in zip(lr, lb))

@@ -78,7 +78,7 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
 
 
 def canonical_key(p: Poly):
-    items = sorted(p.terms.items(), key=lambda t: local_key(t[0]), reverse=True)
+    items = sorted(p.terms.items(), key=lambda t: local_key(t[0]))
     return tuple((e, c.coeffs) for e, c in items)
 
 

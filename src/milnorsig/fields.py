@@ -8,9 +8,9 @@ Algebraic Number Theory*, 4.2), so products run on Python ints.  Degree 2
 has a closed-form product and a norm inverse.  Higher degrees reduce the
 schoolbook product from the top by q alpha^d = -(p_0 + ... + p_(d-1)
 alpha^(d-1)), with q * minimal_poly = p_0 + ... + q x^d integral, and invert
-x by solving x * y = 1 over Q on the columns x * alpha^k.  ``Fraction``
-appears only in that solve and at the boundary: ``FieldElem(field, coeffs)``,
-``from_rational``, ``.coeffs`` and ``as_rational``.
+by Cayley-Hamilton on the ``charpoly`` of multiplication by x.  ``Fraction``
+appears only in ``charpoly``'s result and at the boundary:
+``FieldElem(field, coeffs)``, ``from_rational``, ``.coeffs`` and ``as_rational``.
 """
 
 from __future__ import annotations
@@ -102,6 +102,23 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     if pn * pn == x.numerator and pd * pd == x.denominator:
         return Fraction(pn, pd)
     return None
+
+
+def charpoly(matrix) -> list[Fraction]:
+    """c_0..c_n of det(t*I - A) = sum c_k t^k, A a square matrix of ints or
+    Fractions: Faddeev-LeVerrier (Cohen, section 2.2), M_k = A M_(k-1) +
+    c_(n-k+1) I and c_(n-k) = -tr(A M_k) / k, run on L*A with L the lcm of the
+    denominators, so each division by k is exact; c_k(A) = c_k(L*A) / L^(n-k)."""
+    n = len(matrix)
+    L = math.lcm(*(x.denominator for row in matrix for x in row))
+    B = [[int(x * L) for x in row] for row in matrix]
+    c = [0] * n + [1]
+    M = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(a * m[j] for a, m in zip(row, M)) + (c[n - k + 1] if i == j else 0)
+              for j in range(n)] for i, row in enumerate(B)]
+        c[n - k] = -sum(B[i][j] * M[j][i] for i in range(n) for j in range(n)) // k
+    return [Fraction(ck, L ** (n - k)) for k, ck in enumerate(c)]
 
 
 def _quartic_is_reducible(c: list[Fraction]) -> bool:
@@ -337,23 +354,18 @@ class FieldElem:
             norm = q * n0 * n0 - p1 * n0 * n1 + p0 * n1 * n1
             s = self.den if norm > 0 else -self.den
             return _reduced(F, (s * (q * n0 - p1 * n1), -s * q * n1), abs(norm))
-        # solve x * y = 1 by Gauss-Jordan; column k of the matrix is x * alpha^k
+        # Cayley-Hamilton on multiplication by x (its columns x * alpha^k go in
+        # as rows, the transpose): 1/x = -(x^(d-1) + ... + c_1) / c_0
         cols = [self]
         for _ in range(d - 1):
             cols.append(cols[-1] * F.generator())
-        rows = [list(r) + [Fraction(int(i == 0))]
-                for i, r in enumerate(zip(*(c.coeffs for c in cols)))]
-        for c in range(d):
-            piv = next((r for r in range(c, d) if rows[r][c]), None)
-            if piv is None:
-                raise FieldError("minimal polynomial is not irreducible")
-            rows[c], rows[piv] = rows[piv], rows[c]
-            rows[c] = [x / rows[c][c] for x in rows[c]]
-            for r in range(d):
-                f = rows[r][c]
-                if r != c and f:
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-        return FieldElem(F, tuple(row[d] for row in rows))
+        c = charpoly([col.coeffs for col in cols])
+        if c[0] == 0:
+            raise FieldError("minimal polynomial is not irreducible")
+        acc = F.one()
+        for ck in reversed(c[1:d]):
+            acc = acc * self + ck
+        return acc * (-1 / c[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -418,31 +430,26 @@ def sqrt_in_field(field: NumberField, x: FieldElem) -> FieldElem | None:
         return None if r is None else field.from_rational(r)
     if field.degree != 2:
         return None  # unsupported; caller falls back to overrides
-    # alpha^2 = -c1*alpha - c0
-    c0, c1 = field.minimal_poly[0], field.minimal_poly[1]
+    # y^2 = x gives N(y)^2 = N(x) and Tr(y)^2 = Tr(x) + 2 N(y); conversely,
+    # n^2 = N(x) and t^2 = Tr(x) + 2n != 0 give ((x + n) / t)^2 = x, since
+    # x^2 = Tr(x) x - N(x).  Tr(d0 + d1 alpha) = 2 d0 - c1 d1.
+    c0, c1 = field.minimal_poly[:2]
     d0, d1 = x.coeffs
-    # (a + b*alpha)^2 = (a^2 - c0 b^2) + (2ab - c1 b^2) alpha
-    r = rational_sqrt(d0)
-    if d1 == 0 and r is not None:
-        return field.from_rational(r)
-    # b != 0: (c1^2 - 4 c0) B^2 + (2 c1 d1 - 4 d0) B + d1^2 = 0 with B = b^2
-    A = c1 * c1 - 4 * c0
-    Bc = 2 * c1 * d1 - 4 * d0
-    C = d1 * d1
-    disc = rational_sqrt(Bc * Bc - 4 * A * C)
-    if disc is None:
+    r = rational_sqrt(d0 * d0 - c1 * d0 * d1 + c0 * d1 * d1)
+    if r is None:
         return None
-    for B in ((-Bc + disc) / (2 * A), (-Bc - disc) / (2 * A)):
-        if B <= 0:
-            continue
-        b = rational_sqrt(B)
+    for n in (r, -r):
+        t = rational_sqrt(2 * d0 - c1 * d1 + 2 * n)
+        if t:
+            y = (x + n) * (1 / t)
+            break
+    else:
+        # Tr(y) = 0: y = b * (alpha + c1/2) squares to b^2 (c1^2 - 4 c0) / 4
+        b = rational_sqrt(4 * d0 / (c1 * c1 - 4 * c0)) if d1 == 0 else None
         if b is None:
-            continue
-        a = (d1 + c1 * B) / (2 * b)
-        cand = FieldElem(field, (a, b))
-        if cand * cand == x:
-            return cand
-    return None
+            return None
+        y = b * (field.generator() + c1 / 2)
+    return y if y * y == x else None
 
 
 def quadratic_roots(field: NumberField, p: FieldElem, q: FieldElem) -> list[FieldElem]:

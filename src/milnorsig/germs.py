@@ -33,9 +33,10 @@ class OverrideSet:
 
 class Germ:
     """A map germ (f1, f2, f3) in (u, v) over a number field, and its own
-    analysis context: the corank, the fold data and the multiple-point data
-    depend only on the components and the field, which never change, so each
-    is computed on first use and kept.  Overrides are read afresh."""
+    analysis context: the corank, the fold data, the multiple-point data and
+    the resultant curve depend only on the components and the field, which
+    never change, so each is computed on first use and kept.  Overrides are
+    read afresh.  The field's generator may not be named u or v."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -44,6 +45,8 @@ class Germ:
                 raise PolyError("germ components must be polynomials in (u, v)")
             if not f.is_zero() and f.is_unit_local():
                 raise PolyError("germ components must vanish at the origin")
+        if field.degree > 1 and field.generator_name in UV:
+            raise PolyError("the field generator must not be named u or v")
         self.components = (f1, f2, f3)
         self.field = field
         self.name = name
@@ -63,6 +66,10 @@ class Germ:
     @cached_property
     def multipoint(self) -> MultiPointData:
         return multipoint_data(self)
+
+    @cached_property
+    def resultant_curve(self) -> Poly:
+        return _resultant_curve(self.multipoint)
 
 
 class MultiPointData:
@@ -179,13 +186,13 @@ def double_curve_equation(f: Germ) -> Poly:
         if f.corank == 1 and f.components[0] == Poly.variable("u", UV, f.field):
             # the same rule as for components: d holds every branch of the
             # computed curve, and what it leaves out misses the origin
-            if not is_local_unit_multiple(_resultant_curve(f.multipoint), d):
+            if not is_local_unit_multiple(f.resultant_curve, d):
                 raise AnalysisError("double_curve override is not the divided-difference "
                                     "curve up to factors that miss the origin")
         return d.normalized()
     if f.fold_data is not None:
         return squarefree_part(f.fold_data)
-    return _resultant_curve(f.multipoint)
+    return f.resultant_curve
 
 
 def triple_point_number(f: Germ) -> int:

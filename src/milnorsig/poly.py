@@ -16,10 +16,10 @@ class PolyError(ValueError):
 
 
 def local_key(exp: tuple[int, ...]):
-    """Sort key of the local monomial order, in which 1 is larger than every
-    non-constant monomial: negative total degree, ties broken by reverse
-    lexicographic comparison.  Larger key means larger monomial."""
-    return (-sum(exp), tuple(-e for e in reversed(exp)))
+    """Sort key of the local monomial order, in which 1 is the largest
+    monomial: a smaller key (total degree, then reversed exponent) means a
+    larger monomial; as a plain key it is a graded well-order."""
+    return (sum(exp), exp[::-1])
 
 
 class Poly:
@@ -80,7 +80,7 @@ class Poly:
         """(exponent, coefficient) of the leading term under the local order."""
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
-        e = max(self.terms, key=local_key)
+        e = min(self.terms, key=local_key)
         return e, self.terms[e]
 
     def normalized(self) -> "Poly":
@@ -272,7 +272,7 @@ def format_poly(p: Poly) -> str:
     """Deterministic printing; parses back to the same polynomial."""
     if not p.terms:
         return "0"
-    items = sorted(p.terms.items(), key=lambda t: local_key(t[0]), reverse=True)
+    items = sorted(p.terms.items(), key=lambda t: local_key(t[0]))
     chunks = []
     for e, c in items:
         mono = format_exponent(p.vars, e)

@@ -1,18 +1,17 @@
 """The report stages after the twist pairing, one function each: the vertical
 indices (fold formula, then overrides, then the sum rule), the intersection
 form of X on the untwisted pairs as a plain integer matrix, its exact
-signature, and the report sigma(F_f) = sigma(X) + T - C with every
-intermediate invariant."""
+signature by Descartes' rule on the characteristic polynomial, and the
+report sigma(F_f) = sigma(X) + T - C with every intermediate invariant."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .arith import squarefree_part
 from .curves import (ComponentSet, associate, component_set, curve_milnor,
                      v_axis_multiplicities)
-from .germs import (AnalysisError, Germ, OverrideRequired, _resultant_curve,
-                    crosscap_number, double_curve_equation, triple_point_number)
+from .fields import charpoly
+from .germs import (AnalysisError, Germ, OverrideRequired, crosscap_number,
+                    double_curve_equation, triple_point_number)
 from .poly import format_poly
 
 
@@ -83,47 +82,20 @@ def intersection_form(cs: ComponentSet, vi) -> list[list[int]]:
 
 
 def signature_of_form(matrix) -> int:
-    """Exact signature of a symmetric integer/rational matrix by congruence
-    diagonalization (Sylvester inertia); no floating point."""
-    n = len(matrix)
-    A = [[Fraction(x) for x in row] for row in matrix]
-    pos = neg = 0
-    for k in range(n):
-        if A[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if A[j][j] != 0), None)
-            if swap is not None:
-                A[k], A[swap] = A[swap], A[k]
-                for row in A:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next(((p, q) for p in range(k, n) for q in range(p + 1, n)
-                            if A[p][q] != 0), None)
-                if off is None:
-                    break  # remaining block is zero
-                p, q = off
-                if p != k:
-                    A[k], A[p] = A[p], A[k]
-                    for row in A:
-                        row[k], row[p] = row[p], row[k]
-                # diagonal is zero: add row/column q to make A[k][k] = 2*A[k][q]
-                for j in range(n):
-                    A[k][j] += A[q][j]
-                for i in range(n):
-                    A[i][k] += A[i][q]
-        pivot = A[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if A[i][k] != 0:
-                factor = A[i][k] / pivot
-                for j in range(k, n):
-                    A[i][j] -= factor * A[k][j]
-        for j in range(k + 1, n):
-            A[k][j] = Fraction(0)
-            A[j][k] = Fraction(0)
-    return pos - neg
+    """Exact signature of a symmetric integer/rational matrix: the sign
+    changes of the coefficients of its characteristic polynomial p(t) minus
+    those of p(-t).  By Descartes' rule these bound the numbers of positive
+    and negative roots, and equal them when every root is real, as every
+    eigenvalue of a symmetric matrix is; no floating point."""
+    if [list(col) for col in zip(*matrix)] != [list(row) for row in matrix]:
+        raise ValueError("signature needs a symmetric square matrix")
+    c = charpoly(matrix)
+    return _sign_changes(c) - _sign_changes([(-1) ** k * x for k, x in enumerate(c)])
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def derived_invariants(mu_D: int, C: int, T: int):
@@ -206,12 +178,11 @@ def analyze(germ: Germ) -> SignatureReport:
                           f"mu(D)+C-4T-1 = {mu_D + C - 4 * T - 1} is even")]
 
     if germ.fold_data is not None:
-        # fold germ: Res_v2(P, Q) = +-p(u, v1^2) != 0, so _resultant_curve cannot raise
+        # fold germ: Res_v2(P, Q) = +-p(u, v1^2) != 0, so resultant_curve cannot raise
         fold = curve_eq if germ.overrides.double_curve is None \
             else squarefree_part(germ.fold_data)
-        alt = _resultant_curve(germ.multipoint)
-        status = "pass" if associate(alt, fold) else "fail"
-        checks.append(("fold-vs-resultant", status,
+        alt = germ.resultant_curve
+        checks.append(("fold-vs-resultant", "pass" if associate(alt, fold) else "fail",
                        f"resultant route gives {format_poly(alt)}"))
 
     return SignatureReport(germ.name, germ.corank, C, T, mu_D, mu_I, b2, cs,

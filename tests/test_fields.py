@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from milnorsig.fields import (FieldElem, FieldError, NumberField, QQ, parse_field,
-                              quadratic_roots, rational_sqrt, sqrt_in_field)
+from milnorsig.fields import (FieldElem, FieldError, NumberField, QQ, charpoly,
+                              parse_field, quadratic_roots, rational_sqrt,
+                              sqrt_in_field)
 
 
 def test_builtin_fields():
@@ -78,6 +79,33 @@ def test_sqrt_in_quadratic_field():
     s = sqrt_in_field(Qi, Qi.generator() * 2)
     assert s is not None and s * s == Qi.generator() * 2
     assert sqrt_in_field(Qi, Qi.from_rational(2)) is None
+
+
+SQRT_FIELDS = ("Q(i)", "Q(zeta3)", "Q[a]/(a^2 - 2)", "Q[a]/(a^2 - 1/2*a + 1/3)")
+
+
+@pytest.mark.parametrize("desc", SQRT_FIELDS)
+def test_sqrt_of_a_square_is_found(desc):
+    F = parse_field(desc)
+    rng = random.Random(31)
+    for _ in range(200):
+        y = FieldElem(F, tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                               * rng.randint(0, 1) for _ in range(2)))
+        s = sqrt_in_field(F, y * y)
+        assert s is not None and s * s == y * y, y
+        if desc == "Q(i)" and not y.is_zero():
+            # i is not a square in Q(i), so neither is y^2 * i
+            assert sqrt_in_field(F, y * y * F.generator()) is None, y
+
+
+def test_charpoly_of_companion_matrix():
+    # the companion matrix of t^n + a_(n-1) t^(n-1) + ... + a_0 has that
+    # characteristic polynomial
+    rng = random.Random(8)
+    for n in range(7):
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        A = [[int(i == j + 1) for j in range(n - 1)] + [-a[i]] for i in range(n)]
+        assert charpoly(A) == a + [1], a
 
 
 def test_quadratic_roots():

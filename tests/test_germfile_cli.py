@@ -11,6 +11,7 @@ from milnorsig.cli import (EXIT_ERROR, EXIT_OK, EXIT_OVERRIDES, main,
                            render_report, run_analyze, run_batch, run_selftest)
 from milnorsig.germfile import GermFileError, load_germ
 from milnorsig.parser import ParseError
+from milnorsig.poly import PolyError
 from milnorsig.signature import analyze
 
 S1_TEXT = """\
@@ -207,6 +208,18 @@ def _assert_refused(tmp_path, capsys, old, new, error, message):
 def test_misspelled_sections_and_keys_exit_1(tmp_path, capsys, new, message):
     # each of these was dropped silently and the file analyzed with exit 0
     _assert_refused(tmp_path, capsys, '"Q"\n', new, GermFileError, message)
+
+
+@pytest.mark.parametrize("gen", ["u", "v"])
+def test_field_generator_named_u_or_v_exits_1(tmp_path, capsys, gen):
+    # with the generator named v, the branches u -+ i*v of S_1 were reported
+    # as u -+ v*v, which parse back to other curves
+    _assert_refused(tmp_path, capsys, '"Q"', f'"Q[{gen}]/({gen}^2 + 1)"',
+                    PolyError, "must not be named u or v")
+    path = tmp_path / "s1.germ"
+    path.write_text(S1_TEXT.replace("Q(i)", "Q[i]/(i^2 + 1)"))
+    assert run_analyze(str(path), "json") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["sigma_F"] == -3
 
 
 def test_filesystem_errors_exit_1(tmp_path, capsys):

@@ -169,6 +169,33 @@ def test_signature_invariant_under_permutation():
         assert signature_of_form(P) == signature_of_form(M)
 
 
+def test_signature_matches_congruent_diagonal():
+    # Sylvester's law of inertia: P^T D P has the signature of D for every
+    # invertible P; here P is a product of integer unitriangular matrices
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        D = [rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9),
+                                                         rng.randint(1, 7))])
+             for _ in range(n)]
+        up = [[int(i == j) or (rng.randint(-3, 3) if j > i else 0)
+               for j in range(n)] for i in range(n)]
+        low = [[int(i == j) or (rng.randint(-3, 3) if j < i else 0)
+                for j in range(n)] for i in range(n)]
+        P = [[sum(up[i][k] * low[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        M = [[sum(P[k][i] * D[k] * P[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        want = sum(d > 0 for d in D) - sum(d < 0 for d in D)
+        assert signature_of_form(M) == want, (D, P)
+
+
+def test_signature_refuses_non_symmetric_input():
+    for M in ([[1, 2]], [[1, 2], [3, 4]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="symmetric square"):
+            signature_of_form(M)
+
+
 def _vertical_indices(f):
     cs = component_set(f, double_curve_equation(f))
     vi, check = vertical_indices(f, cs, crosscap_number(f), triple_point_number(f))
@@ -336,6 +363,23 @@ def test_fold_vs_resultant_ignores_a_valid_double_curve_override(tmp_path):
         assert run_analyze(str(path), "json", out=str(out)) == 0, overrides
         checks = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
         assert checks["fold-vs-resultant"] == "pass", overrides
+
+
+def test_one_resultant_per_analyze_with_a_double_curve_override(monkeypatch):
+    # the override check and the fold-vs-resultant check read one curve
+    calls = Counter()
+    original = arith.resultant
+
+    def counted(*args):
+        calls["resultant"] += 1
+        return original(*args)
+    for module in (arith, factor, localring, germs, curves, signature):
+        if getattr(module, "resultant", None) is original:
+            monkeypatch.setattr(module, "resultant", counted)
+    maps = ("u", "v^2", "(1 + v^2)*(v^3 + u^2*v)")
+    germ = load_germ(_germ_text(maps, "Q(i)", 'double_curve = "v^2 + u^2"\n'))[0]
+    analyze(germ)
+    assert calls["resultant"] == 1
 
 
 def test_components_override_may_leave_out_units():
