@@ -27,23 +27,36 @@ from .poly import Poly, PolyError, local_key
 
 
 def try_divide(a: Poly, b: Poly) -> Poly | None:
-    """Exact quotient a/b, or None when b does not divide a."""
+    """Exact quotient a/b, or None when b does not divide a.
+
+    Each quotient term t cancels the leading term of the remainder, and t
+    times the rest of b is subtracted from the remainder's terms in place."""
     if b.is_zero():
         raise PolyError("division by zero polynomial")
-    q = Poly.zero(a.vars, a.field)
-    r = a
+    q = {}
+    r = dict(a.terms)
     lb = max(b.terms, key=local_key)
     cb_inv = b.terms[lb].inverse()
-    while not r.is_zero():
-        lr = max(r.terms, key=local_key)
+    rest = [(e, c) for e, c in b.terms.items() if e != lb]
+    while r:
+        lr = max(r, key=local_key)
         if any(x < y for x, y in zip(lr, lb)):
             return None
         mono = tuple(x - y for x, y in zip(lr, lb))
-        coeff = r.terms[lr] * cb_inv
-        t = Poly(a.vars, {mono: coeff}, a.field)
-        q = q + t
-        r = r - t * b
-    return q
+        coeff = r.pop(lr) * cb_inv
+        q[mono] = coeff
+        for e, c in rest:
+            k = tuple(x + y for x, y in zip(mono, e))
+            s = r.get(k)
+            if s is None:
+                r[k] = -(coeff * c)
+            else:
+                s = s - coeff * c
+                if s.is_zero():
+                    del r[k]
+                else:
+                    r[k] = s
+    return Poly(a.vars, q, a.field)
 
 
 def exact_divide(a: Poly, b: Poly) -> Poly:

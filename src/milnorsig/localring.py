@@ -4,6 +4,14 @@ and dimensions of zero-dimensional quotients.
 The monomial order is local (1 is the largest monomial), so leading-term
 reduction implicitly works modulo units of the local ring; termination of the
 normal form follows from the ecart bound.
+
+Before Mora, ``quotient_dim`` eliminates linear variables: if a generator is
+c*x + h with c a nonzero constant, h free of x and h(0) = 0, then
+O/I = O'/(I with x = -h/c), where O' is the local ring without x and the
+generator itself is dropped (Singular's ``elimpart``; Greuel-Pfister, A
+Singular Introduction to Commutative Algebra, ch. 1).  The substitution keeps
+every constant term, so I is the whole ring exactly when one of its original
+generators is a unit.
 """
 
 from __future__ import annotations
@@ -153,8 +161,38 @@ def _staircase_count(leading, nvars):
     return count
 
 
+def _linear_pivot(gens):
+    """(k, i, c) with gens[k] = c*x_i + h, c a nonzero constant and h free of
+    x_i, or None.  The caller has ruled out units, so h(0) = 0."""
+    for k, g in enumerate(gens):
+        n = len(g.vars)
+        for i in range(n):
+            unit = tuple(int(j == i) for j in range(n))
+            if unit in g.terms and all(e[i] == 0 for e in g.terms if e != unit):
+                return k, i, g.terms[unit]
+    return None
+
+
 def quotient_dim(I: LocalIdeal):
-    return _staircase_count(standard_basis(I).leading_ideal, len(I.vars))
+    """dim O/I, or INFINITE: 0 for a unit generator, then the linear
+    variables are eliminated (module docstring) and Mora's standard basis
+    counts what is left."""
+    gens, vars = I.generators, I.vars
+    if any(g.is_unit_local() for g in gens):
+        return 0
+    while (pivot := _linear_pivot(gens)) is not None:
+        k, i, c = pivot
+        x, vars = vars[i], vars[:i] + vars[i + 1:]
+        scale = -c.inverse()
+        image = Poly(vars, {e[:i] + e[i + 1:]: a * scale
+                            for e, a in gens[k].terms.items() if e[i] == 0}, I.field)
+        gens = [h.substitute({x: image}) for h in gens[:k] + gens[k + 1:]]
+        gens = [h for h in gens if not h.is_zero()]
+    if not vars:
+        return 1
+    if not gens:
+        return INFINITE
+    return _staircase_count(standard_basis(LocalIdeal(gens)).leading_ideal, len(vars))
 
 
 def intersection_multiplicity(h1: Poly, h2: Poly):

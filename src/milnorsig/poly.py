@@ -168,9 +168,11 @@ class Poly:
         """Ring homomorphism sending each bound variable to a Poly.
 
         All images must share one variable list; unbound variables must exist
-        there under their own name.
+        there under their own name.  Evaluated by Horner's rule in each bound
+        variable in turn, so a degree of a bound variable costs one product;
+        the unbound variables ride along as exponents, re-keyed into the
+        target list and never multiplied.
         """
-        images = {}
         target = None
         for name, img in bindings.items():
             if name not in self.vars:
@@ -179,30 +181,44 @@ class Poly:
                 target = (img.vars, img.field)
             elif (img.vars, img.field) != target:
                 raise PolyError("substitution images disagree on variables or field")
-            images[name] = img
         if target is None:
             return self
         tvars, field = target
         if field != self.field:
             raise PolyError("substitution cannot change the coefficient field")
-        for v in self.vars:
-            if v not in images:
-                images[v] = Poly.variable(v, tvars, field)
-        result = Poly.zero(tvars, field)
-        powers: dict = {}
+        if any(v not in bindings and v not in tvars for v in self.vars):
+            raise PolyError("an unbound variable is missing from the target variables")
+        bound = [i for i, v in enumerate(self.vars) if v in bindings]
+        kept = [(i, tvars.index(v)) for i, v in enumerate(self.vars) if v not in bindings]
 
-        def power(name, n):
-            if (name, n) not in powers:
-                powers[(name, n)] = images[name] ** n
-            return powers[(name, n)]
+        def rekey(e):
+            ne = [0] * len(tvars)
+            for i, j in kept:
+                ne[j] = e[i]
+            return tuple(ne)
 
-        for e, c in self.terms.items():
-            term = Poly.constant(c, tvars, field)
-            for i, n in enumerate(e):
-                if n:
-                    term = term * power(self.vars[i], n)
-            result = result + term
-        return result
+        def horner(terms, k):
+            # terms share their exponents of the bound variables before bound[k]
+            if k == len(bound):
+                return Poly(tvars, {rekey(e): c for e, c in terms.items()}, field)
+            i = bound[k]
+            img = bindings[self.vars[i]]
+            by_degree: dict = {}
+            for e, c in terms.items():
+                by_degree.setdefault(e[i], {})[e] = c
+            acc = None
+            for n in range(max(by_degree), -1, -1):
+                if acc is not None:
+                    acc = acc * img
+                part = by_degree.get(n)
+                if part is not None:
+                    part = horner(part, k + 1)
+                    acc = part if acc is None else acc + part
+            return acc
+
+        if not self.terms:
+            return Poly.zero(tvars, field)
+        return horner(self.terms, 0)
 
     def rename(self, mapping: dict, new_vars: tuple[str, ...]) -> "Poly":
         """Rename/reorder variables; every variable with a nonzero exponent

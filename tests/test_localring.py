@@ -1,14 +1,20 @@
 import random
+from fractions import Fraction
 from itertools import product
 
-from milnorsig.corpus import corpus
+import pytest
+
+from milnorsig import germs, localring
+from milnorsig.corpus import H, corpus
 from milnorsig.fields import QQ, parse_field
-from milnorsig.germs import fold_normal_data, multipoint_data, triple_point_number
-from milnorsig.localring import (INFINITE, LocalIdeal, intersection_multiplicity,
-                                 milnor_number, mora_normal_form, quotient_dim,
-                                 standard_basis)
+from milnorsig.germs import (Germ, fold_normal_data, multipoint_data,
+                             triple_point_number)
+from milnorsig.localring import (INFINITE, LocalIdeal, _staircase_count,
+                                 intersection_multiplicity, milnor_number,
+                                 mora_normal_form, quotient_dim, standard_basis)
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
+from milnorsig.signature import analyze
 
 UV = ("u", "v")
 
@@ -178,3 +184,91 @@ def test_fold_triple_point_ideal_is_whole_ring():
         assert any(g.is_unit_local() and g.total_degree() == 0
                    for g in ideal.generators), f.name
         assert triple_point_number(f) == 0, f.name
+
+
+def mora_dim(I):
+    """dim O/I from Mora's standard basis of I itself, with no elimination."""
+    return _staircase_count(standard_basis(I).leading_ideal, len(I.vars))
+
+
+def test_elimination_edge_cases():
+    cases = [
+        ([P("u"), P("v")], 1),
+        ([P("u - v^2"), P("v")], 1),
+        ([P("u - v"), P("u - v")], INFINITE),
+        # u*v keeps the first generator from being a pivot for u; their
+        # difference u*v and u = -v^2 give v^3
+        ([P("u + u*v + v^2"), P("u + v^2")], 3),
+        # u = v^2 turns the second generator into the constant 1; a
+        # substitution keeps constant terms, so it was a unit from the start
+        ([P("u - v^2"), P("1 + u - v^2")], 0),
+    ]
+    for gens, want in cases:
+        I = LocalIdeal(gens)
+        assert quotient_dim(I) == want, gens
+        assert mora_dim(I) == want, gens
+
+
+def test_elimination_matches_mora_on_ideals_with_a_linear_generator():
+    # c*x_i + h(other variables), and one generator for each other variable
+    # with a pure power of it, so that most ideals are zero-dimensional
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    XYZ = ("x", "y", "z")
+    coeffs = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    exps = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: 0 < sum(e) <= 3)
+    polys = st.dictionaries(exps, coeffs, max_size=3)
+    finite = []
+
+    def check(i, c, h, others, powers):
+        def unit(j, n=1):
+            return tuple(n * (k == j) for k in range(3))
+
+        gens = [{unit(i): c, **{e[:i] + (0,) + e[i + 1:]: a for e, a in h.items()
+                                if sum(e) > e[i]}}]
+        for j, (g, n) in enumerate(zip(others, powers)):
+            gens.append({unit((i + 1 + j) % 3, n): Fraction(1), **g})
+        I = LocalIdeal([Poly(XYZ, {e: QQ.from_rational(a) for e, a in g.items()}, QQ)
+                        for g in gens])
+        d = quotient_dim(I)
+        assert d == mora_dim(I), I
+        if d not in (0, INFINITE):
+            finite.append(d)
+
+    pair = st.lists(st.integers(1, 3), min_size=2, max_size=2)
+    run = hyp.given(st.integers(0, 2), coeffs, polys,
+                    st.lists(polys, min_size=2, max_size=2), pair)(check)
+    hyp.settings(max_examples=40, deadline=None, database=None, derandomize=True)(run)()
+    assert len(finite) >= 20
+
+
+def test_elimination_matches_mora_on_every_corpus_ideal(monkeypatch):
+    # every ideal that analyze hands to quotient_dim over the corpus: triple
+    # points, cross-caps, intersections of branches and Jacobians of D
+    seen = []
+
+    def recording(I):
+        seen.append(I)
+        return quotient_dim(I)
+
+    monkeypatch.setattr(localring, "quotient_dim", recording)
+    monkeypatch.setattr(germs, "quotient_dim", recording)
+    for f in corpus(10):
+        analyze(f)
+    assert sum(len(I.vars) == 4 for I in seen) >= 30      # triple points
+    for I in seen:
+        assert quotient_dim(I) == mora_dim(I), I
+
+
+def test_elimination_finishes_germs_that_stalled_mora(monkeypatch):
+    # A-equivalent to H_3 and H_4, so T = 2 and T = 3; Mora on the
+    # uneliminated triple-point ideals runs far past this budget
+    monkeypatch.setattr(localring, "STEP_CAP", 200)
+    h3, h4 = H(3), H(4)
+    field = h3.field
+    u, v = (Poly.variable(x, UV, field) for x in UV)
+    moved = Poly.constant(2, UV, field) * v + u
+    f = Germ(tuple(c.substitute({"v": moved}) for c in h3.components), field)
+    assert triple_point_number(f) == 2
+    X, Y, Z = h4.components
+    assert triple_point_number(Germ((X, Z + Y, Y.scale(3) - Z), field)) == 3

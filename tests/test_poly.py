@@ -61,6 +61,46 @@ def test_substitution_is_ring_hom():
         assert (a * b).substitute(img) == a.substitute(img) * b.substitute(img)
 
 
+def _expand_termwise(p, bindings, tvars):
+    """p with each bound variable replaced, one term and one factor at a time."""
+    out = Poly.zero(tvars, p.field)
+    for e, c in p.terms.items():
+        term = Poly.constant(c, tvars, p.field)
+        for name, n in zip(p.vars, e):
+            img = bindings.get(name) or Poly.variable(name, tvars, p.field)
+            for _ in range(n):
+                term = term * img
+        out = out + term
+    return out
+
+
+def test_substitute_matches_termwise_expansion():
+    rng = random.Random(12)
+    V3 = ("u", "v1", "v2")
+
+    def rand3(vars_, nterms=5, maxdeg=3):
+        terms = {tuple(rng.randint(0, maxdeg) for _ in vars_):
+                 QQ.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, nterms))}
+        return Poly(vars_, terms, QQ)
+
+    v1, v2 = (Poly.variable(x, V3, QQ) for x in ("v1", "v2"))
+    for _ in range(25):
+        a = rand3(V3)
+        cases = [
+            ({"u": rand3(V3, 3, 2)}, V3),                        # others unbound
+            ({"v1": v2, "v2": v1}, V3),                          # swap
+            ({"v1": rand3(V3, 3, 2), "v2": rand3(V3, 3, 2)}, V3),
+            ({"u": rand3(V3[1:], 3, 2)}, V3[1:]),                # u dropped
+            ({"u": rand3(V3[1:], 3, 2), "v2": rand3(V3[1:], 3, 2)}, V3[1:]),
+        ]
+        for bindings, tvars in cases:
+            assert a.substitute(bindings) == _expand_termwise(a, bindings, tvars)
+    # an unbound variable must survive into the target list
+    with pytest.raises(PolyError):
+        P("u + v").substitute({"u": Poly.variable("x", ("x",), QQ)})
+
+
 def test_fold_substitution_example():
     # z -> v^3 + u^2*v factors as v*(v^2 + u^2)
     f3 = P("v^3 + u^2*v")
