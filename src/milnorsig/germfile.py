@@ -8,6 +8,7 @@ start with '#'.
 from __future__ import annotations
 
 import ast
+import re
 
 from .fields import parse_field
 from .germs import Germ, OverrideSet, UV
@@ -49,28 +50,31 @@ def _parse_sections(text: str) -> dict:
 def _parse_twist(entries):
     out = []
     for s in entries:
-        parts = s.split(":")
-        if len(parts) == 2 and parts[1] == "twisted":
-            out.append((int(parts[0]), int(parts[0])))
-        elif len(parts) == 3 and parts[1] == "untwisted-with":
-            i, j = int(parts[0]), int(parts[2])
-            if i == j:
-                raise GermFileError(f"untwisted pair needs two components: {s!r}")
-            out.append((i, j))
-        else:
+        m = re.fullmatch(r"(\d+):(?:twisted|untwisted-with:(\d+))", s)
+        if not m:
             raise GermFileError(f"bad twist entry {s!r}")
+        i, j = int(m[1]), int(m[2] or m[1])
+        if m[2] is not None and i == j:
+            raise GermFileError(f"untwisted pair needs two components: {s!r}")
+        out.append((i, j))
     return out
 
 
 def _parse_vertical_indices(entries):
     out = {}
     for s in entries:
-        pair, _, value = s.rpartition(":")
-        if not pair:
+        m = re.fullmatch(r"(\d+(?:\+\d+)*):([+-]?\d+)", s)
+        if not m:
             raise GermFileError(f"bad vertical_indices entry {s!r}")
-        key = "+".join(str(i) for i in sorted(int(x) for x in pair.split("+")))
-        out[key] = int(value)
+        out["+".join(map(str, sorted(map(int, m[1].split("+")))))] = int(m[2])
     return out
+
+
+def _parse_curve(src: str, key: str, field):
+    curve = parse_poly(src, UV, field)
+    if curve.is_zero():
+        raise GermFileError(f"{key} override {src!r} is the zero polynomial")
+    return curve
 
 
 def _check_value_types(section: dict) -> None:
@@ -115,9 +119,9 @@ def load_germ(text: str) -> tuple[Germ, dict]:
     if T is not None and (type(T) is not int or T < 0):
         raise GermFileError("T override must be a non-negative integer")
     overrides = OverrideSet(
-        double_curve=parse_poly(ov["double_curve"], UV, field)
+        double_curve=_parse_curve(ov["double_curve"], "double_curve", field)
         if "double_curve" in ov else None,
-        components=[parse_poly(s, UV, field) for s in ov["components"]]
+        components=[_parse_curve(s, "components", field) for s in ov["components"]]
         if "components" in ov else None,
         twist=_parse_twist(ov["twist"]) if "twist" in ov else None,
         vertical_indices=_parse_vertical_indices(ov["vertical_indices"])

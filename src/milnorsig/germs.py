@@ -33,10 +33,11 @@ class OverrideSet:
 
 class Germ:
     """A map germ (f1, f2, f3) in (u, v) over a number field, and its own
-    analysis context: the corank, the fold data, the multiple-point data and
-    the resultant curve depend only on the components and the field, which
-    never change, so each is computed on first use and kept.  Overrides are
-    read afresh.  The field's generator may not be named u or v."""
+    analysis context: the corank, the fold data, the multiple-point data,
+    the double-point resultant and its curve depend only on the components
+    and the field, which never change, so each is computed on first use and
+    kept.  Overrides are read afresh.  The field's generator may not be
+    named u or v."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -68,8 +69,12 @@ class Germ:
         return multipoint_data(self)
 
     @cached_property
+    def double_point_resultant(self) -> Poly:
+        return _double_point_resultant(self.multipoint)
+
+    @cached_property
     def resultant_curve(self) -> Poly:
-        return _resultant_curve(self.multipoint)
+        return squarefree_part(self.double_point_resultant)
 
 
 class MultiPointData:
@@ -159,11 +164,12 @@ def is_local_unit_multiple(a: Poly, b: Poly) -> bool:
     return rest is not None and rest.is_unit_local()
 
 
-def _resultant_curve(mp: MultiPointData) -> Poly:
-    """Squarefree part of Res_{v2}(P, Q), with v1 renamed to v.
+def _double_point_resultant(mp: MultiPointData) -> Poly:
+    """Res_{v2}(P, Q), with v1 renamed to v; the gcd when P and Q are both
+    free of v2.  On a fold germ P = v1 + v2, so this is +-p(u, v^2).
 
     P and Q are symmetric in v1 <-> v2, so eliminating v1 instead gives the
-    same curve with v2 renamed to v: one elimination is enough."""
+    same polynomial with v2 renamed to v: one elimination is enough."""
     if mp.P.degree_in("v2") <= 0 and mp.Q.degree_in("v2") <= 0:
         r = poly_gcd(mp.P, mp.Q)
     else:
@@ -171,13 +177,13 @@ def _resultant_curve(mp: MultiPointData) -> Poly:
     if r.is_zero():
         raise AnalysisError("divided-difference resultant vanishes identically; "
                             "the germ is not finitely determined")
-    return squarefree_part(r).rename({"v1": "v"}, UV)
+    return r.rename({"v1": "v"}, UV)
 
 
 def double_curve_equation(f: Germ) -> Poly:
     """The reduced double curve D, normalized; the one place that decides
-    the route: the ``double_curve`` override, the fold normal form, or the
-    divided-difference resultant."""
+    the route: the ``double_curve`` override or the divided-difference
+    resultant."""
     ov = f.overrides
     if ov.double_curve is not None:
         d = ov.double_curve
@@ -190,8 +196,6 @@ def double_curve_equation(f: Germ) -> Poly:
                 raise AnalysisError("double_curve override is not the divided-difference "
                                     "curve up to factors that miss the origin")
         return d.normalized()
-    if f.fold_data is not None:
-        return squarefree_part(f.fold_data)
     return f.resultant_curve
 
 

@@ -253,23 +253,14 @@ def divided_difference(a: Poly, var: str, fresh: tuple[str, str]) -> Poly:
     if v1 in a.vars or v2 in a.vars:
         raise PolyError("fresh symbols already in use")
     new_vars = tuple(v1 if v == var else v for v in a.vars) + (v2,)
-    terms: dict = {}
     i = a.vars.index(var)
-    j_new = new_vars.index(v1)
-    k_new = len(new_vars) - 1
+    terms: dict = {}
     for e, c in a.terms.items():
         n = e[i]
-        base = [0] * len(new_vars)
-        for idx, val in enumerate(e):
-            if idx == i:
-                continue
-            base[new_vars.index(a.vars[idx] if a.vars[idx] != var else v1)] = val
-        # (v1^n - v2^n)/(v1 - v2) = sum v1^a v2^b over a+b = n-1
+        # (v1^n - v2^n)/(v1 - v2) = sum v1^(n-1-p) v2^p over p < n; v1 takes
+        # var's place and v2 comes last
         for p in range(n):
-            ne = list(base)
-            ne[j_new] += n - 1 - p
-            ne[k_new] += p
-            key = tuple(ne)
+            key = e[:i] + (n - 1 - p,) + e[i + 1:] + (p,)
             s = terms.get(key)
             terms[key] = c if s is None else s + c
     return Poly(new_vars, terms, a.field)

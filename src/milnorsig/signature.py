@@ -6,9 +6,7 @@ report sigma(F_f) = sigma(X) + T - C with every intermediate invariant."""
 
 from __future__ import annotations
 
-from .arith import squarefree_part
-from .curves import (ComponentSet, associate, component_set, curve_milnor,
-                     v_axis_multiplicities)
+from .curves import ComponentSet, component_set, curve_milnor, v_axis_multiplicities
 from .fields import charpoly
 from .germs import (AnalysisError, Germ, OverrideRequired, crosscap_number,
                     double_curve_equation, triple_point_number)
@@ -177,13 +175,12 @@ def analyze(germ: Germ) -> SignatureReport:
     checks = [sum_check, ("parity", "pass",
                           f"mu(D)+C-4T-1 = {mu_D + C - 4 * T - 1} is even")]
 
-    if germ.fold_data is not None:
-        # fold germ: Res_v2(P, Q) = +-p(u, v1^2) != 0, so resultant_curve cannot raise
-        fold = curve_eq if germ.overrides.double_curve is None \
-            else squarefree_part(germ.fold_data)
-        alt = germ.resultant_curve
-        checks.append(("fold-vs-resultant", "pass" if associate(alt, fold) else "fail",
-                       f"resultant route gives {format_poly(alt)}"))
+    p = germ.fold_data
+    if p is not None:
+        # fold germ: P = v1 + v2, so Res_v2(P, Q) = +-p(u, v1^2) exactly
+        ok = germ.double_point_resultant in (p, -p)
+        checks.append(("fold-vs-resultant", "pass" if ok else "fail",
+                       f"resultant route gives {format_poly(germ.resultant_curve)}"))
 
     return SignatureReport(germ.name, germ.corank, C, T, mu_D, mu_I, b2, cs,
                            vi, form, sigma_X, sigma_X + T - C, checks)

@@ -8,15 +8,14 @@ import pytest
 from test_localring import rand_branch
 from test_signature import sturm_signature
 
+from milnorsig.arith import squarefree_part
 from milnorsig.corpus import (B, C_, F4, H, S, TRIPLE_POINT_MATRIX, corank2,
                               corpus, cross_cap, expected_invariants)
-from milnorsig.curves import (associate, component_set, decompose,
-                              intersection_table)
+from milnorsig.curves import component_set, decompose, intersection_table
 from milnorsig.fields import QQ
 from milnorsig.germs import (AnalysisError, corank, crosscap_number,
                              double_curve_equation, fold_normal_data,
-                             multipoint_data,
-                             triple_point_number, _resultant_curve)
+                             multipoint_data, triple_point_number)
 from milnorsig.localring import (INFINITE, LocalIdeal, intersection_multiplicity,
                                  milnor_number, quotient_dim)
 from milnorsig.parser import parse_poly
@@ -259,13 +258,12 @@ def test_criterion_6_property_suites():
         if (r.mu_D + r.C - 4 * r.T - 1) % 2:
             failures.append(f"parity fails on {f.name}")
 
-    # fold path and resultant path give associate double-curve equations
+    # the fold route squarefree(f3 / v) gives the resultant route's curve
     for f in corpus(5):
         if fold_normal_data(f) is None:
             continue
-        fold = double_curve_equation(f)
-        res = _resultant_curve(multipoint_data(f))
-        if not associate(fold, res):
+        fold = squarefree_part(fold_normal_data(f))
+        if fold != double_curve_equation(f):
             failures.append(f"double-curve routes disagree on {f.name}")
 
     report("6 (property suites)", failures)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -182,16 +183,29 @@ DEEP = "(" * 3000 + "u" + ")" * 3000
         ('"Q"\n', '"Q"\n[expected]\nC = True\n', GermFileError,
          "expected C must be an integer"),
         ('"u*v"', f'"{DEEP}"', ParseError, "nested too deeply"),
+    ]
+] + [
+    pytest.param('"Q"\n', f'"Q"\n[overrides]\n{entry}\n', GermFileError, message,
+                 id=id_)
+    for id_, entry, message in [
+        ("twist-index", 'twist = ["x:twisted"]', "bad twist entry 'x:twisted'"),
+        ("vertical-index-value", 'vertical_indices = ["0+1:abc"]',
+         "bad vertical_indices entry '0+1:abc'"),
+        ("zero-component", 'components = ["0"]',
+         "components override '0' is the zero polynomial"),
+        ("zero-double-curve", 'double_curve = "0"',
+         "double_curve override '0' is the zero polynomial"),
     ]])
 def test_bad_values_exit_1(tmp_path, capsys, old, new, error, message):
-    # each of these escaped run_analyze as a traceback or was accepted
+    # each of these escaped run_analyze as a traceback, was accepted, or
+    # was refused with a message from Python's internals
     _assert_refused(tmp_path, capsys, old, new, error, message)
 
 
 def _assert_refused(tmp_path, capsys, old, new, error, message):
     assert CROSS_CAP_TEXT.count(old) == 1
     text = CROSS_CAP_TEXT.replace(old, new)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=re.escape(message)):
         load_germ(text)
     path = tmp_path / "bad.germ"
     path.write_text(text)

@@ -5,7 +5,7 @@ from milnorsig.corpus import B, C_, F4, H, S, corank2, cross_cap
 from milnorsig.curves import associate
 from milnorsig.fields import QQ, FieldElem, parse_field
 from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, UV,
-                             _resultant_curve, corank, crosscap_number,
+                             _double_point_resultant, corank, crosscap_number,
                              double_curve_equation, fold_normal_data,
                              multipoint_data, triple_point_number)
 from milnorsig.parser import parse_poly
@@ -117,10 +117,11 @@ def test_double_curve_fold_examples():
 
 
 def test_double_curve_routes_agree_on_folds():
+    # the double curve comes from the resultant; the fold route
+    # squarefree(f3 / v) must give the same reduced curve
     for f in (cross_cap(), S(1), S(2), B(2), B(3), C_(3), C_(4), F4()):
-        fold = double_curve_equation(f)
-        res = _resultant_curve(multipoint_data(f))
-        assert associate(fold, res), f.name
+        fold = squarefree_part(fold_normal_data(f))
+        assert fold == double_curve_equation(f), f.name
 
     # the identity behind the check, on generated p over Q(i) with
     # p(0, 0) = 0: P = v1 + v2, so Res_v2(P, Q) = +-Q(u, v1, -v1) = +-p(u, v1^2)
@@ -139,7 +140,9 @@ def test_double_curve_routes_agree_on_folds():
         mp = multipoint_data(f)
         p_v1 = Poly(V3, {(a, 2 * b, 0): c for (a, b), c in coeffs.items()}, field)
         assert resultant(mp.P, mp.Q, "v2") in (p_v1, -p_v1)
-        assert _resultant_curve(mp) == squarefree_part(fold_normal_data(f))
+        p = fold_normal_data(f)
+        assert f.double_point_resultant in (p, -p)
+        assert f.resultant_curve == squarefree_part(p)
 
     run = hyp.given(st.dictionaries(exps, coords, min_size=1, max_size=4))(check)
     hyp.settings(max_examples=30, deadline=None, database=None, derandomize=True)(run)()
@@ -155,7 +158,7 @@ def test_eliminating_v1_or_v2_gives_one_curve():
         r12 = squarefree_part(resultant(mp.P, mp.Q, "v2")).rename({"v1": "v"}, UV)
         r21 = squarefree_part(resultant(mp.P, mp.Q, "v1")).rename({"v2": "v"}, UV)
         assert r12 == r21, f
-        assert _resultant_curve(mp) == r12, f
+        assert squarefree_part(_double_point_resultant(mp)) == r12, f
 
 
 def test_double_curve_requires_override_for_corank2():

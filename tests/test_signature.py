@@ -315,10 +315,10 @@ def test_germ_data_computed_once_per_analyze(monkeypatch):
         for module in (arith, factor, localring, germs, curves, signature):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    # squarefree_part: the fold reduction and the fold-vs-resultant check on
-    # a fold germ, the resultant curve on H_3, the double_curve override
-    # check on the corank-2 germ
-    reductions = {"cross-cap": 2, "S_2": 2, "H_3": 1, "corank-2": 1}
+    # squarefree_part: the resultant curve on cross-cap, S_2 and H_3 (the
+    # fold-vs-resultant check compares the resultant itself), the
+    # double_curve override check on the corank-2 germ
+    reductions = {"cross-cap": 1, "S_2": 1, "H_3": 1, "corank-2": 1}
     for germ in (cross_cap(), S(2), H(3), corank2()):
         calls.clear()
         analyze(germ)
@@ -355,7 +355,7 @@ def test_fold_components_pass_through_the_origin():
 
 def test_fold_vs_resultant_ignores_a_valid_double_curve_override(tmp_path):
     # the override drops the factor 1 + v^2 that misses the origin, so it is
-    # valid; the check compares the fold route with the resultant route
+    # valid; the check compares Res_v2(P, Q) with +-f3/v, not with the override
     path, out = tmp_path / "twin.germ", tmp_path / "twin.json"
     maps = ("u", "v^2", "(1 + v^2)*(v^3 + u^2*v)")
     for overrides in ("", 'double_curve = "v^2 + u^2"\n'):
@@ -365,8 +365,23 @@ def test_fold_vs_resultant_ignores_a_valid_double_curve_override(tmp_path):
         assert checks["fold-vs-resultant"] == "pass", overrides
 
 
+def test_fold_vs_resultant_fails_unless_the_resultant_is_f3_over_v(monkeypatch):
+    # r*r has the squarefree part of r, so the curve and every other stage
+    # stay the same; only the exact identity Res_v2(P, Q) = +-f3/v breaks
+    want = analyze(S(1)).to_dict()
+    original = germs._double_point_resultant
+    monkeypatch.setattr(germs, "_double_point_resultant",
+                        lambda mp: original(mp) ** 2)
+    report = analyze(S(1))
+    for check in want["checks"]:
+        if check["name"] == "fold-vs-resultant":
+            check["status"] = "fail"
+    assert report.to_dict() == want
+    assert not report.ok()
+
+
 def test_one_resultant_per_analyze_with_a_double_curve_override(monkeypatch):
-    # the override check and the fold-vs-resultant check read one curve
+    # the override check and the fold-vs-resultant check read one resultant
     calls = Counter()
     original = arith.resultant
 
