@@ -177,6 +177,18 @@ def _subresultants(A: list[Poly], B: list[Poly]):
             return A, B, h, Fraction(sign, unscale)
 
 
+def first_subresultant(a: Poly, b: Poly, var: str) -> Poly | None:
+    """The degree-1 subresultant of a and b in var, up to a factor: an input
+    of degree 1, else the PRS's last remainder of positive degree, or None."""
+    da, db = a.degree_in(var), b.degree_in(var)
+    if 1 in (da, db):
+        return a if da == 1 else b
+    if da <= 0 or db <= 0:
+        return None
+    S = _subresultants(_univ_coeffs(a, var), _univ_coeffs(b, var))[0]
+    return _from_univ(S, var, a.vars, a.field) if _udeg(S) == 1 else None
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """gcd normalized to leading coefficient 1 under the local order."""
     if a.is_zero() and b.is_zero():

@@ -26,10 +26,6 @@ class ComponentSet:
             self.partner[i], self.partner[j] = j, i
 
 
-def associate(a: Poly, b: Poly) -> bool:
-    return a.normalized() == b.normalized()
-
-
 def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     """The branches through the origin of the reduced curve ``curve_eq``:
     the ``components`` override, or else its irreducible factors that pass
@@ -78,55 +74,67 @@ def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
             if try_divide(rs[0], g) is not None and try_divide(rs[1], g) is not None]
 
 
+def _cleared_pullback(g: Poly, a: Poly, nb: Poly) -> Poly:
+    """a^deg_v(g) * g(u, nb/a) by Horner's rule in v."""
+    acc, a_power = Poly.zero(UV, g.field), Poly.constant(1, UV, g.field)
+    for k in range(g.degree_in("v"), -1, -1):
+        c_k = Poly(UV, {(i, 0): c for (i, j), c in g.terms.items() if j == k}, g.field)
+        acc = acc * nb + c_k * a_power
+        a_power = a_power * a
+    return acc
+
+
+def _partners(f: Germ, comps: list[Poly]) -> list[list[int]]:
+    """j is a partner of h_i when h_i divides G_j = a^deg_v(g_j) * g_j(u, -b/a),
+    with a*v2 + b the germ's ``partner_line``, v1 read as v: where a != 0 the
+    double-point space has the one point v2 = -b/a over (u, v1) (subresultant
+    theorem).  ``_general_partner`` decides when there is no such line, a
+    component divides a, or some G_j is zero."""
+    line = f.partner_line
+    G = None
+    if line is not None:
+        split = ({}, {})
+        for (i, j, k), c in line.terms.items():
+            split[k][(i, j)] = c
+        b, a = (Poly(UV, t, f.field) for t in split)
+        if a.is_constant():  # fold germs and the cross-cap: P = v1 + v2
+            w = b.scale(-a.terms[(0, 0)].inverse())
+            G = [g.substitute({"v": w}) for g in comps]
+        elif all(try_divide(a, h) is None for h in comps):
+            G = [_cleared_pullback(g, a, -b) for g in comps]
+    if G is None or any(G_j.is_zero() for G_j in G):
+        comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized() for h in comps]
+        return [_general_partner(h, f.multipoint, comps_v2) for h in comps]
+    return [[j for j, g in enumerate(G) if try_divide(g, h) is not None] for h in comps]
+
+
 def classify_twist(f: Germ, comps: list[Poly], override=None):
     """The twist pairing of ``comps`` as index pairs (i, j), i == j for a
     twisted component: the ``twist`` override, checked, or else each
-    component paired with its partners.  On a fold germ the partner of
-    h(u, v) is h(u, -v), since v -> -v permutes the branches of the reduced
-    fold curve; elsewhere it comes from ``_general_partner``.  An override
+    component paired with its partners from ``_partners``.  An override
     pair (i, j) needs j among the partners of i; a germ without
     multiple-point data has no partners, and its override is trusted."""
-    if f.fold_data is not None:
-        route = "v -> -v"
-        v = Poly.variable("v", UV, comps[0].field)
-        flipped = [h.substitute({"v": -v}) for h in comps]
-
-        def partners(i):
-            return [j for j, g in enumerate(comps) if associate(g, flipped[i])]
-    else:
-        route = "the divided-difference partners"
-        comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized()
-                    for h in comps]
-
-        def partners(i):
-            return _general_partner(comps[i], f.multipoint, comps_v2)
     if override is not None:
         covered = sorted(i for pair in override for i in set(pair))
         if covered != list(range(len(comps))):
             raise AnalysisError("twist override is not a partition of components")
         try:
-            wrong = any(j not in partners(i) for i, j in override)
+            partners = _partners(f, comps)
         except OverrideRequired:  # f.multipoint: no multiple-point data
-            wrong = False
-        if wrong:
-            raise AnalysisError(f"twist override disagrees with {route}")
+            return list(override)
+        if any(j not in partners[i] for i, j in override):
+            raise AnalysisError(
+                "twist override disagrees with the divided-difference partners")
         return list(override)
-    pairing = []
-    seen = set()
-    for i in range(len(comps)):
-        if i in seen:
-            continue
-        found = partners(i)
+    partners = _partners(f, comps)
+    for i, found in enumerate(partners):
         if len(found) != 1:
             raise OverrideRequired(
                 f"twist classification ambiguous for component {i}: "
                 f"candidates {found}; supply the twist override")
-        j = found[0]
-        if j != i and partners(j) != [i]:
+        if partners[found[0]] != [i]:
             raise AnalysisError("twist pairing is not an involution")
-        pairing.append((i, j))
-        seen.update((i, j))
-    return pairing
+    return [(i, j) for i, (j,) in enumerate(partners) if i <= j]
 
 
 def intersection_table(comps: list[Poly]):

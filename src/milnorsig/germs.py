@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import poly_gcd, resultant, squarefree_part, try_divide
+from .arith import first_subresultant, resultant, squarefree_part, try_divide
 from .localring import INFINITE, LocalIdeal, quotient_dim
 from .poly import Poly, PolyError, divided_difference
 
@@ -34,10 +34,10 @@ class OverrideSet:
 class Germ:
     """A map germ (f1, f2, f3) in (u, v) over a number field, and its own
     analysis context: the corank, the fold data, the multiple-point data,
-    the double-point resultant and its curve depend only on the components
-    and the field, which never change, so each is computed on first use and
-    kept.  Overrides are read afresh.  The field's generator may not be
-    named u or v."""
+    the double-point resultant, its curve and the partner line depend only
+    on the components and the field, which never change, so each is
+    computed on first use and kept.  Overrides are read afresh.  The
+    field's generator may not be named u or v."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -75,6 +75,11 @@ class Germ:
     @cached_property
     def resultant_curve(self) -> Poly:
         return squarefree_part(self.double_point_resultant)
+
+    @cached_property
+    def partner_line(self) -> Poly | None:
+        """The degree-1 subresultant of P and Q in v2, or None."""
+        return first_subresultant(self.multipoint.P, self.multipoint.Q, "v2")
 
 
 class MultiPointData:
@@ -165,15 +170,12 @@ def is_local_unit_multiple(a: Poly, b: Poly) -> bool:
 
 
 def _double_point_resultant(mp: MultiPointData) -> Poly:
-    """Res_{v2}(P, Q), with v1 renamed to v; the gcd when P and Q are both
-    free of v2.  On a fold germ P = v1 + v2, so this is +-p(u, v^2).
+    """Res_{v2}(P, Q), with v1 renamed to v.  On a fold germ P = v1 + v2,
+    so this is +-p(u, v^2).
 
     P and Q are symmetric in v1 <-> v2, so eliminating v1 instead gives the
     same polynomial with v2 renamed to v: one elimination is enough."""
-    if mp.P.degree_in("v2") <= 0 and mp.Q.degree_in("v2") <= 0:
-        r = poly_gcd(mp.P, mp.Q)
-    else:
-        r = resultant(mp.P, mp.Q, "v2")
+    r = resultant(mp.P, mp.Q, "v2")
     if r.is_zero():
         raise AnalysisError("divided-difference resultant vanishes identically; "
                             "the germ is not finitely determined")

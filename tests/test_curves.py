@@ -2,18 +2,19 @@ import re
 
 import pytest
 
-from milnorsig import localring
+from milnorsig import arith, curves, germs, localring
 from milnorsig.arith import poly_gcd, resultant, squarefree_part, try_divide
 from milnorsig.corpus import B, C_, F4, H, S, corank2, corpus, cross_cap
-from milnorsig.curves import (_general_partner, associate, classify_twist,
+from milnorsig.curves import (_general_partner, _partners, classify_twist,
                               component_set, curve_milnor, decompose,
                               intersection_table, v_axis_multiplicities)
 from milnorsig.fields import QQ
 from milnorsig.germfile import load_germ
-from milnorsig.germs import (AnalysisError, MultiPointData, UV, double_curve_equation,
-                             multipoint_data)
+from milnorsig.germs import (AnalysisError, Germ, MultiPointData, OverrideRequired, UV,
+                             double_curve_equation, multipoint_data)
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
+from milnorsig.signature import analyze
 
 UVV = ("u", "v1", "v2")
 
@@ -30,6 +31,14 @@ def gcd_route_partner(h, mp, comps_v2):
 
 def in_v2(comps):
     return [h.rename({"v": "v2"}, UVV).normalized() for h in comps]
+
+
+def target_changed(f):
+    """f under the target changes (X, Y, Z) -> (X, Y + X^2, Z + XY) and
+    (X, Y, Z) -> (X, Z + Y, 3Y - Z); its double curve stays the same."""
+    X, Y, Z = f.components
+    return [Germ((X, Y + X * X, Z + X * Y), f.field, f"{f.name} (X, Y + X^2, Z + XY)"),
+            Germ((X, Z + Y, Y.scale(3) - Z), f.field, f"{f.name} (X, Z + Y, 3Y - Z)")]
 
 
 def test_decompose_examples():
@@ -160,6 +169,73 @@ def test_general_partner_needs_both_resultants():
     assert _general_partner(h, mp, comps_v2) == gcd_route_partner(h, mp, comps_v2) == [0]
 
 
+def test_partners_match_general_partner():
+    cases = [f for f in corpus(10) if f.corank == 1]
+    cases += [g for f in corpus(8) if f.corank == 1 for g in target_changed(f)]
+    for f in cases:
+        comps = decompose(double_curve_equation(f))
+        comps_v2 = in_v2(comps)
+        want = [_general_partner(h, f.multipoint, comps_v2) for h in comps]
+        assert _partners(f, comps) == want, f.name
+
+
+def test_general_partner_is_only_the_fallback(monkeypatch):
+    seen = []
+    original = curves._general_partner
+
+    def recording(h, mp, comps_v2):
+        seen.append(h)
+        return original(h, mp, comps_v2)
+    monkeypatch.setattr(curves, "_general_partner", recording)
+    for f in corpus(10):
+        classify_twist(f, decompose(double_curve_equation(f), f.overrides.components),
+                       f.overrides.twist)
+    assert seen == []
+    # the component u of C_4 under (X, Z + Y, 3Y - Z) divides the coefficient
+    # a of v2 in the partner line, so the fallback decides
+    f = target_changed(C_(4))[1]
+    comps = decompose(double_curve_equation(f))
+    a = f.partner_line.derivative("v2")
+    assert try_divide(a, parse_poly("u", UVV, f.field)) is not None
+    assert classify_twist(f, comps) == classify_twist(C_(4), comps)
+    assert len(seen) == len(comps)
+
+
+def test_classify_twist_runs_no_resultant_on_the_corpus(monkeypatch):
+    cases = [(f, decompose(double_curve_equation(f), f.overrides.components))
+             for f in corpus(10)]
+
+    def refuse(*args):
+        raise AssertionError("resultant called")
+    for module in (arith, germs, curves):
+        monkeypatch.setattr(module, "resultant", refuse)
+    for f, comps in cases:
+        classify_twist(f, comps, f.overrides.twist)
+
+
+def test_target_changes_keep_every_invariant():
+    keys = ("C", "T", "mu_D", "mu_I", "b2", "sigma_X", "sigma_F")
+
+    def invariants(report):
+        d = report.to_dict()
+        pattern = [(c["twist"], c["partner"]) for c in d["components"]]
+        return [d[k] for k in keys], pattern
+
+    completed = 0
+    for f in corpus(6):
+        if f.corank != 1:
+            continue
+        want = invariants(analyze(f))
+        for g in target_changed(f):
+            try:
+                got = invariants(analyze(g))
+            except OverrideRequired:  # C_3 and C_5 ask for vertical indices
+                continue
+            assert got == want, g.name
+            completed += 1
+    assert completed >= 40
+
+
 def test_twist_override_validation():
     f = corank2()
     comps = decompose(double_curve_equation(f), f.overrides.components)
@@ -187,7 +263,7 @@ field = "Q(i)"
     assert classify_twist(f, comps, [(3, 2), (1, 0)]) == [(3, 2), (1, 0)]
     for wrong in ([(i, i) for i in range(4)], [(0, 2), (1, 3)],
                   [(0, 1), (2, 2), (3, 3)]):
-        with pytest.raises(AnalysisError, match="disagrees with v -> -v"):
+        with pytest.raises(AnalysisError, match="disagrees with the divided-difference partners"):
             classify_twist(f, comps, wrong)
 
 
@@ -267,9 +343,3 @@ def test_curve_milnor():
     with pytest.raises(AnalysisError):
         curve_milnor(parse_poly("(u - i*v)^2*(u + i*v)", UV, f.field))
     assert curve_milnor(parse_poly("(1 + u)^2*(u^2 + v^2)", UV, f.field)) == 1
-
-
-def test_associate():
-    a = parse_poly("u + v", UV, S(1).field)
-    assert associate(a, a.scale(3))
-    assert not associate(a, parse_poly("u - v", UV, S(1).field))

@@ -151,6 +151,13 @@ def test_run_analyze_exit_codes(tmp_path, capsys):
     assert run_analyze(str(negative_T)) == EXIT_ERROR
     assert "non-negative integer" in capsys.readouterr().err
 
+    # f2 and f3 affine in v leave P and Q free of v2; the cross-cap
+    # criterion stops such a germ before the double-point resultant
+    affine = tmp_path / "affine.germ"
+    affine.write_text('[germ]\nmap = ["u", "u*v", "u^2 + u^3*v"]\nfield = "Q"\n')
+    assert run_analyze(str(affine)) == EXIT_ERROR
+    assert "not finitely determined along the cross-cap criterion" in capsys.readouterr().err
+
     wrong_twist = tmp_path / "wrong_twist.germ"
     wrong_twist.write_text(
         '[germ]\nmap = ["u", "v^2", "v*(u^2 + v^2)*(u^2 + 4*v^2)"]\n'
@@ -158,7 +165,7 @@ def test_run_analyze_exit_codes(tmp_path, capsys):
         'components = ["u - i*v", "u + i*v", "u - 2*i*v", "u + 2*i*v"]\n'
         'twist = ["0:twisted", "1:twisted", "2:twisted", "3:twisted"]\n')
     assert run_analyze(str(wrong_twist)) == EXIT_ERROR
-    assert "disagrees with v -> -v" in capsys.readouterr().err
+    assert "disagrees with the divided-difference partners" in capsys.readouterr().err
 
 
 CROSS_CAP_TEXT = '[germ]\nmap = ["u", "v^2", "u*v"]\nfield = "Q"\n'

@@ -2,7 +2,6 @@ import pytest
 
 from milnorsig.arith import resultant, squarefree_part
 from milnorsig.corpus import B, C_, F4, H, S, corank2, cross_cap
-from milnorsig.curves import associate
 from milnorsig.fields import QQ, FieldElem, parse_field
 from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, UV,
                              _double_point_resultant, corank, crosscap_number,
@@ -107,13 +106,13 @@ def test_double_curve_fold_examples():
     assert double_curve_equation(S(2)) == parse_poly("v^2 + u^3", UV, S(2).field)
     h2 = H(2)
     d = double_curve_equation(h2)
-    assert associate(d, parse_poly("u^2 + u*v^4 + v^8", UV, h2.field))
+    assert d.normalized() == parse_poly("u^2 + u*v^4 + v^8", UV, h2.field).normalized()
     c2 = corank2()
     d = double_curve_equation(c2)
     want = parse_poly(
         "(u + v^2)*(u^2 + v)*(u + v)*(u + zeta3*v)*(u + zeta3^2*v)",
         UV, c2.field)
-    assert associate(d, want)
+    assert d.normalized() == want.normalized()
 
 
 def test_double_curve_routes_agree_on_folds():
