@@ -4,7 +4,9 @@ One subresultant polynomial remainder sequence (PRS) serves both gcds and
 resultants.  A gcd is the gcd of the contents times the primitive part of
 the last nonzero remainder; a resultant follows from the last two remainders
 with the sign convention of the Sylvester determinant (rows of the first
-argument on top).
+argument on top), and one run also gives the degree-1 subresultant.  A gcd
+with a one-term input, a constant included, needs no PRS: it is the
+monomial of the least exponents.
 
 The PRS runs on integral inputs: at its entry each view is multiplied by the
 least common denominator L of the coordinates of its coefficients.  Over
@@ -177,18 +179,6 @@ def _subresultants(A: list[Poly], B: list[Poly]):
             return A, B, h, Fraction(sign, unscale)
 
 
-def first_subresultant(a: Poly, b: Poly, var: str) -> Poly | None:
-    """The degree-1 subresultant of a and b in var, up to a factor: an input
-    of degree 1, else the PRS's last remainder of positive degree, or None."""
-    da, db = a.degree_in(var), b.degree_in(var)
-    if 1 in (da, db):
-        return a if da == 1 else b
-    if da <= 0 or db <= 0:
-        return None
-    S = _subresultants(_univ_coeffs(a, var), _univ_coeffs(b, var))[0]
-    return _from_univ(S, var, a.vars, a.field) if _udeg(S) == 1 else None
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """gcd normalized to leading coefficient 1 under the local order."""
     if a.is_zero() and b.is_zero():
@@ -197,11 +187,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.normalized()
     if b.is_zero():
         return a.normalized()
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # the divisors of a monomial are monomials, and x^m divides a
+        # polynomial iff it divides each term: m is the least exponent
+        m = tuple(map(min, *a.terms, *b.terms))
+        return Poly(a.vars, {m: a.field.one()}, a.field)
     # main variable: the cheapest PRS, i.e. smallest maximal degree
-    candidates = [v for v in a.vars if a.degree_in(v) > 0 or b.degree_in(v) > 0]
-    if not candidates:
-        return Poly.constant(1, a.vars, a.field)
-    var = min(candidates, key=lambda v: max(a.degree_in(v), b.degree_in(v)))
+    var = min((v for v in a.vars if a.degree_in(v) > 0 or b.degree_in(v) > 0),
+              key=lambda v: max(a.degree_in(v), b.degree_in(v)))
     ca, pa = _primitive(_univ_coeffs(a, var))
     cb, pb = _primitive(_univ_coeffs(b, var))
     cont = poly_gcd(ca, cb)
@@ -231,18 +224,29 @@ def squarefree_part(a: Poly) -> Poly:
 def resultant(a: Poly, b: Poly, var: str) -> Poly:
     """Resultant with respect to var; sign fixed by the Sylvester determinant
     with the rows of a first.  Computed by the subresultant PRS."""
+    return resultant_and_s1(a, b, var)[0]
+
+
+def resultant_and_s1(a: Poly, b: Poly, var: str) -> tuple[Poly, Poly | None]:
+    """(resultant(a, b, var), S1) from one subresultant PRS.  S1 is the
+    degree-1 subresultant of a and b in var up to a factor: an input of
+    degree 1, else the PRS's last remainder of positive degree when it has
+    degree 1, else None."""
     if a.is_zero() or b.is_zero():
         raise PolyError("resultant of zero polynomial")
     da, db = a.degree_in(var), b.degree_in(var)
     if da <= 0 and db <= 0:
         raise PolyError(f"both inputs constant in {var}")
+    s1 = a if da == 1 else b if db == 1 else None
     if da <= 0:
-        return a ** db
+        return a ** db, s1
     if db <= 0:
-        return b ** da
+        return b ** da, s1
     S, R, h, factor = _subresultants(_univ_coeffs(a, var), _univ_coeffs(b, var))
-    if _udeg(R) < 0:
-        return Poly.zero(a.vars, a.field)
     dS = _udeg(S)
+    if s1 is None and dS == 1:
+        s1 = _from_univ(S, var, a.vars, a.field)
+    if _udeg(R) < 0:
+        return Poly.zero(a.vars, a.field), s1
     res = R[0] if dS == 1 else exact_divide(R[0] ** dS, h ** (dS - 1))
-    return res.scale(factor)
+    return res.scale(factor), s1

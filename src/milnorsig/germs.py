@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import first_subresultant, resultant, squarefree_part, try_divide
+from .arith import resultant_and_s1, squarefree_part, try_divide
 from .localring import INFINITE, LocalIdeal, quotient_dim
 from .poly import Poly, PolyError, divided_difference
 
@@ -36,8 +36,9 @@ class Germ:
     analysis context: the corank, the fold data, the multiple-point data,
     the double-point resultant, its curve and the partner line depend only
     on the components and the field, which never change, so each is
-    computed on first use and kept.  Overrides are read afresh.  The
-    field's generator may not be named u or v."""
+    computed on first use and kept; the resultant and the partner line come
+    from one PRS.  Overrides are read afresh.  The field's generator may not
+    be named u or v."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -76,10 +77,10 @@ class Germ:
     def resultant_curve(self) -> Poly:
         return squarefree_part(self.double_point_resultant)
 
-    @cached_property
+    @property
     def partner_line(self) -> Poly | None:
         """The degree-1 subresultant of P and Q in v2, or None."""
-        return first_subresultant(self.multipoint.P, self.multipoint.Q, "v2")
+        return self.multipoint.prs_v2[1]
 
 
 class MultiPointData:
@@ -89,6 +90,11 @@ class MultiPointData:
         self.P = P
         self.Q = Q
         self.D3_ideal = D3_ideal
+
+    @cached_property
+    def prs_v2(self) -> tuple[Poly, Poly | None]:
+        """(Res_v2(P, Q), the degree-1 subresultant or None) from one PRS."""
+        return resultant_and_s1(self.P, self.Q, "v2")
 
 
 def corank(f: Germ) -> int:
@@ -175,7 +181,7 @@ def _double_point_resultant(mp: MultiPointData) -> Poly:
 
     P and Q are symmetric in v1 <-> v2, so eliminating v1 instead gives the
     same polynomial with v2 renamed to v: one elimination is enough."""
-    r = resultant(mp.P, mp.Q, "v2")
+    r = mp.prs_v2[0]
     if r.is_zero():
         raise AnalysisError("divided-difference resultant vanishes identically; "
                             "the germ is not finitely determined")

@@ -9,15 +9,24 @@ with a letter):
     base   := intliteral ['/' natliteral] | identifier | '(' expr ')'
 
 Rational literals ``p/q`` are accepted in coefficient position.  Identifiers
-must be declared variables or the field generator.
+must be declared variables or the field generator.  A power is refused before
+it is expanded when its exponent exceeds MAX_EXPONENT, or when its base has t
+terms and C(n + t - 1, t - 1), the number of monomials of degree n in t
+symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fields import NumberField
 from .poly import Poly
+
+# Far above the germs in use, whose powers have one-term bases and
+# exponents up to 33; (u + i*v + 1)^61, with 1,953 terms, is within both.
+MAX_EXPONENT = 500
+MAX_POWER_TERMS = 2000
 
 
 class ParseError(ValueError):
@@ -121,7 +130,15 @@ class _Parser:
         if self.peek().kind == "^":
             self.next()
             t = self.expect("int")
-            p = p ** int(t.text)
+            digits = t.text.lstrip("0") or "0"
+            # compare lengths first: int() refuses very long digit strings
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent above the limit {MAX_EXPONENT}", t.pos)
+            n = int(digits)
+            if len(p.terms) > 1 and math.comb(n + len(p.terms) - 1, n) > MAX_POWER_TERMS:
+                raise ParseError(f"power of a {len(p.terms)}-term polynomial may exceed "
+                                 f"{MAX_POWER_TERMS} terms", t.pos)
+            p = p ** n
         return p
 
     def base(self) -> Poly:

@@ -310,13 +310,53 @@ def test_gcd_matches_sympy(sympy, field):
             assert sympy_poly(sympy, poly_gcd(x, y), UVW).monic() == want, (x, y)
 
 
+def one_term_gcd_cases(field):
+    """(a, b) pairs over field with a one-term or constant input."""
+    Q3 = field_parser(field)
+    return [
+        # the double curve's v-coefficients on H_k rows: a PRS of degree 44
+        (Q3("u^44"), Q3("(2/3 + z)*u^22")),
+        # a monomial against a polynomial with a monomial factor
+        (Q3("z*u^2*v^3"), Q3("u*v*(v + u)")),
+        # a constant against a polynomial, and against a constant
+        (Q3("7/2*z"), Q3("(u + v)*(v^2 + z*u)")),
+        (Q3("3"), Q3("5*z")),
+        # three variables
+        (Q3("3*u^2*v*w^4"), Q3("u*w^2*(v*w + z*u^3 + v^2)")),
+        (Q3("u^2*v*w^4"), Q3("z*u*v^3*w^2")),
+    ]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_one_term_gcd_matches_sympy(sympy, field):
+    for a, b in one_term_gcd_cases(field):
+        want = sympy.gcd(sympy_poly(sympy, a, UVW), sympy_poly(sympy, b, UVW)).monic()
+        for x, y in ((a, b), (b, a)):
+            assert sympy_poly(sympy, poly_gcd(x, y), UVW).monic() == want, (x, y)
+
+
+def test_one_term_gcd_runs_no_prs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("PRS run")
+    monkeypatch.setattr(arith, "_subresultants", refuse)
+    for field in ORACLE_FIELDS:
+        for a, b in one_term_gcd_cases(field):
+            poly_gcd(a, b)
+            poly_gcd(b, a)
+    # the recorder is live: two inputs of two terms each do run the PRS
+    with pytest.raises(AssertionError, match="PRS run"):
+        poly_gcd(P("u^2 + v"), P("u + v"))
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
 def test_squarefree_part_matches_sympy(sympy, field):
     # small inputs: sympy's sqf_part over Q(i) took 56 s on a*a*b of the
     # first gcd case above
     Q3 = field_parser(field)
     for p in (Q3("(v + z*u)^2*(v^2 + u)"), Q3("(u - z)^2*(v^2 - u)^3*v"),
-              Q3("(u^2 + z)^2*(u + 1)"), Q3("(v + z*w)^2*(u + w)*(u - v)^3")):
+              Q3("(u^2 + z)^2*(u + 1)"), Q3("(v + z*w)^2*(u + w)*(u - v)^3"),
+              # v-content u^4, as in the double curve of the H_k rows
+              Q3("u^4*(v^2 + z*u)^2*(v + 1)")):
         want = sympy_poly(sympy, p, UVW).sqf_part()
         assert sympy_poly(sympy, squarefree_part(p), UVW).monic() == want.monic(), p
 

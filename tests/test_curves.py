@@ -207,8 +207,10 @@ def test_classify_twist_runs_no_resultant_on_the_corpus(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("resultant called")
-    for module in (arith, germs, curves):
-        monkeypatch.setattr(module, "resultant", refuse)
+    # the germ's one PRS of (P, Q) ran in double_curve_equation above
+    for module, name in ((arith, "resultant"), (curves, "resultant"),
+                         (arith, "resultant_and_s1"), (germs, "resultant_and_s1")):
+        monkeypatch.setattr(module, name, refuse)
     for f, comps in cases:
         classify_twist(f, comps, f.overrides.twist)
 

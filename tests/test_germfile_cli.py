@@ -190,6 +190,9 @@ DEEP = "(" * 3000 + "u" + ")" * 3000
         ('"Q"\n', '"Q"\n[expected]\nC = True\n', GermFileError,
          "expected C must be an integer"),
         ('"u*v"', f'"{DEEP}"', ParseError, "nested too deeply"),
+        ('"u*v"', '"u*v^501"', ParseError, "exponent above the limit 500 (at position 4)"),
+        ('"u*v"', '"(u + v + 1)^62"', ParseError,
+         "power of a 3-term polynomial may exceed 2000 terms (at position 12)"),
     ]
 ] + [
     pytest.param('"Q"\n', f'"Q"\n[overrides]\n{entry}\n', GermFileError, message,

@@ -1,10 +1,16 @@
+import importlib.util
+import pathlib
+
 import pytest
 
+from milnorsig.corpus import corpus
 from milnorsig.fields import QQ, parse_field
+from milnorsig.germfile import load_germ
 from milnorsig.parser import ParseError, parse_poly
 from milnorsig.poly import format_poly
 
 UV = ("u", "v")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_basic_examples():
@@ -77,3 +83,34 @@ def test_zero_denominator():
 def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_poly("(" * 3000 + "u" + ")" * 3000, UV, QQ)
+
+
+def test_powers_are_bounded_before_expanding():
+    Qi = parse_field("Q(i)")
+    assert parse_poly("(2*u)^500", UV, QQ) == parse_poly("u^500", UV, QQ).scale(2 ** 500)
+    assert parse_poly("u^007", UV, QQ) == parse_poly("u^7", UV, QQ)
+    assert parse_poly("0^500", UV, QQ).is_zero()
+    with pytest.raises(ParseError, match=r"exponent above the limit 500 \(at position 2\)"):
+        parse_poly("u^501", UV, QQ)
+    # int() refuses digit strings this long; the limit is checked first
+    with pytest.raises(ParseError, match="exponent above the limit"):
+        parse_poly("u^" + "9" * 5000, UV, QQ)
+    # C(62 + 2, 2) = 2016 possible terms: refused at once, not expanded
+    with pytest.raises(ParseError, match=r"3-term polynomial may exceed 2000 terms"):
+        parse_poly("(u + i*v + 1)^62", UV, Qi)
+    # C(20 + 3, 3) = 1771 possible terms, 441 actual; C(21 + 3, 3) = 2024
+    assert len(parse_poly("(u + v + u*v + 1)^20", UV, QQ).terms) == 441
+    with pytest.raises(ParseError, match=r"4-term polynomial may exceed 2000 terms"):
+        parse_poly("(u + v + u*v + 1)^21", UV, QQ)
+
+
+def test_every_corpus_and_workload_germ_parses_within_the_limits(tmp_path):
+    # corpus(10) parses its germs as it builds them
+    assert len(corpus(10)) == 39
+    spec = importlib.util.spec_from_file_location("germgen", PERFBENCH / "germgen.py")
+    germgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(germgen)
+    for workload in germgen.WORKLOADS:
+        for seed in (1, 2, 3):
+            for _, path in germgen.generate(workload, seed, tmp_path / f"{workload}-{seed}"):
+                load_germ(pathlib.Path(path).read_text())

@@ -381,20 +381,44 @@ def test_fold_vs_resultant_fails_unless_the_resultant_is_f3_over_v(monkeypatch):
 
 
 def test_one_resultant_per_analyze_with_a_double_curve_override(monkeypatch):
-    # the override check and the fold-vs-resultant check read one resultant
+    # the override check and the fold-vs-resultant check read one resultant;
+    # arith.resultant calls resultant_and_s1, so this counts every elimination
     calls = Counter()
-    original = arith.resultant
+    original = arith.resultant_and_s1
 
     def counted(*args):
         calls["resultant"] += 1
         return original(*args)
     for module in (arith, factor, localring, germs, curves, signature):
-        if getattr(module, "resultant", None) is original:
-            monkeypatch.setattr(module, "resultant", counted)
+        if getattr(module, "resultant_and_s1", None) is original:
+            monkeypatch.setattr(module, "resultant_and_s1", counted)
     maps = ("u", "v^2", "(1 + v^2)*(v^3 + u^2*v)")
     germ = load_germ(_germ_text(maps, "Q(i)", 'double_curve = "v^2 + u^2"\n'))[0]
     analyze(germ)
     assert calls["resultant"] == 1
+
+
+def test_one_prs_of_P_and_Q_per_analyze(monkeypatch):
+    # the double-point resultant and the partner line share one PRS run
+    runs = []
+    original = arith._subresultants
+
+    def recording(A, B):
+        runs.append((A, B))
+        return original(A, B)
+    monkeypatch.setattr(arith, "_subresultants", recording)
+    prs_germs = 0
+    for f in corpus(10):
+        runs.clear()
+        analyze(f)
+        if f.corank != 1:
+            continue
+        views = [arith._univ_coeffs(g, "v2") for g in (f.multipoint.P, f.multipoint.Q)]
+        on_P_and_Q = sum(1 for A, B in runs if [A, B] in (views, views[::-1]))
+        assert on_P_and_Q <= 1, f.name
+        prs_germs += on_P_and_Q
+    # every corank-1 germ but the cross-cap, whose Q = u is free of v2
+    assert prs_germs == 37
 
 
 def test_components_override_may_leave_out_units():
