@@ -4,7 +4,7 @@ twisted/untwisted pairing, intersection tables, and the curve Milnor number."""
 from __future__ import annotations
 
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
-from .arith import poly_gcd, resultant, try_divide  # noqa: F401
+from .arith import _univ_coeffs, poly_gcd, resultant, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, factor_components
 from .germs import AnalysisError, Germ, OverrideRequired, UV, is_local_unit_multiple
 from .localring import INFINITE, intersection_multiplicity, milnor_number
@@ -77,8 +77,7 @@ def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
 def _cleared_pullback(g: Poly, a: Poly, nb: Poly) -> Poly:
     """a^deg_v(g) * g(u, nb/a) by Horner's rule in v."""
     acc, a_power = Poly.zero(UV, g.field), Poly.constant(1, UV, g.field)
-    for k in range(g.degree_in("v"), -1, -1):
-        c_k = Poly(UV, {(i, 0): c for (i, j), c in g.terms.items() if j == k}, g.field)
+    for c_k in reversed(_univ_coeffs(g, "v")):
         acc = acc * nb + c_k * a_power
         a_power = a_power * a
     return acc
@@ -93,10 +92,7 @@ def _partners(f: Germ, comps: list[Poly]) -> list[list[int]]:
     line = f.partner_line
     G = None
     if line is not None:
-        split = ({}, {})
-        for (i, j, k), c in line.terms.items():
-            split[k][(i, j)] = c
-        b, a = (Poly(UV, t, f.field) for t in split)
+        b, a = (c.rename({"v1": "v"}, UV) for c in _univ_coeffs(line, "v2"))
         if a.is_constant():  # fold germs and the cross-cap: P = v1 + v2
             w = b.scale(-a.terms[(0, 0)].inverse())
             G = [g.substitute({"v": w}) for g in comps]

@@ -12,6 +12,8 @@ multiplied back here: ``curves.decompose`` checks them against the curve.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .arith import _content, _univ_coeffs, exact_divide, try_divide
 from .fields import quadratic_roots
 from .poly import Poly, PolyError, local_key
@@ -151,8 +153,6 @@ def _split_by_edge_root(h: Poly, x: str, y: str):
 def _newton_certificate(h: Poly, x: str, y: str) -> bool:
     """Single-edge Newton polygon with coprime endpoints: certifies that h is
     irreducible as a curve germ at the origin."""
-    from math import gcd
-
     supp = _support(h, x, y)
     a = min((i for i, j, _ in supp if j == 0), default=None)
     b = min((j for i, j, _ in supp if i == 0), default=None)

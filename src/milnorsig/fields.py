@@ -430,10 +430,19 @@ def sqrt_in_field(field: NumberField, x: FieldElem) -> FieldElem | None:
         return None if r is None else field.from_rational(r)
     if field.degree != 2:
         return None  # unsupported; caller falls back to overrides
+    c0, c1 = field.minimal_poly[:2]
+    if x.is_rational():
+        d = x.as_rational()
+        r = rational_sqrt(d)
+        if r is not None:
+            return field.from_rational(r)
+        # y = b * (alpha + c1/2) has trace 0 and squares to b^2 (c1^2 - 4 c0) / 4
+        b = rational_sqrt(4 * d / (c1 * c1 - 4 * c0))
+        return None if b is None else b * (field.generator() + c1 / 2)
+    # A root y of an irrational x has Tr(y) != 0, as y^2 = Tr(y) y - N(y).
     # y^2 = x gives N(y)^2 = N(x) and Tr(y)^2 = Tr(x) + 2 N(y); conversely,
     # n^2 = N(x) and t^2 = Tr(x) + 2n != 0 give ((x + n) / t)^2 = x, since
     # x^2 = Tr(x) x - N(x).  Tr(d0 + d1 alpha) = 2 d0 - c1 d1.
-    c0, c1 = field.minimal_poly[:2]
     d0, d1 = x.coeffs
     r = rational_sqrt(d0 * d0 - c1 * d0 * d1 + c0 * d1 * d1)
     if r is None:
@@ -441,15 +450,8 @@ def sqrt_in_field(field: NumberField, x: FieldElem) -> FieldElem | None:
     for n in (r, -r):
         t = rational_sqrt(2 * d0 - c1 * d1 + 2 * n)
         if t:
-            y = (x + n) * (1 / t)
-            break
-    else:
-        # Tr(y) = 0: y = b * (alpha + c1/2) squares to b^2 (c1^2 - 4 c0) / 4
-        b = rational_sqrt(4 * d0 / (c1 * c1 - 4 * c0)) if d1 == 0 else None
-        if b is None:
-            return None
-        y = b * (field.generator() + c1 / 2)
-    return y if y * y == x else None
+            return (x + n) * (1 / t)
+    return None
 
 
 def quadratic_roots(field: NumberField, p: FieldElem, q: FieldElem) -> list[FieldElem]:

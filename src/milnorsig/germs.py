@@ -33,12 +33,13 @@ class OverrideSet:
 
 class Germ:
     """A map germ (f1, f2, f3) in (u, v) over a number field, and its own
-    analysis context: the corank, the fold data, the multiple-point data,
-    the double-point resultant, its curve and the partner line depend only
-    on the components and the field, which never change, so each is
-    computed on first use and kept; the resultant and the partner line come
-    from one PRS.  Overrides are read afresh.  The field's generator may not
-    be named u or v."""
+    analysis context: the Jacobian minors, the corank, the fold data, the
+    multiple-point data, the double-point resultant, its curve and the
+    partner line depend only on the components and the field, which never
+    change, so each is computed on first use and kept; the corank and C read
+    the same minors, and the resultant and the partner line come from one
+    PRS.  Overrides are read afresh.  The field's generator may not be named
+    u or v."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -56,6 +57,13 @@ class Germ:
 
     def __repr__(self):
         return f"Germ({self.name or ', '.join(map(str, self.components))})"
+
+    @cached_property
+    def jacobian_minors(self) -> tuple[Poly, Poly, Poly]:
+        """The 2x2 minors of the Jacobian matrix, rows (df_i/du, df_i/dv)."""
+        du = [c.derivative("u") for c in self.components]
+        dv = [c.derivative("v") for c in self.components]
+        return tuple(du[i] * dv[j] - du[j] * dv[i] for i, j in ((0, 1), (0, 2), (1, 2)))
 
     @cached_property
     def corank(self) -> int:
@@ -98,31 +106,18 @@ class MultiPointData:
 
 
 def corank(f: Germ) -> int:
-    zero = f.field.zero()
-    # the columns d/du and d/dv of the linear part
-    cols = [[c.terms.get(e, zero) for c in f.components] for e in ((1, 0), (0, 1))]
-    nonzero = [c for c in cols if any(not x.is_zero() for x in c)]
-    if not nonzero:
-        return 2
-    if len(nonzero) == 1:
+    """2 - rank df(0): 0 when a Jacobian minor is a unit of the local ring,
+    else 1 when some first partial derivative is one, that is, some
+    component has a linear term, else 2."""
+    if any(m.is_unit_local() for m in f.jacobian_minors):
+        return 0
+    if any((1, 0) in c.terms or (0, 1) in c.terms for c in f.components):
         return 1
-    a, b = nonzero
-    # rank 1 iff the two columns are proportional: all 2x2 minors vanish
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (a[i] * b[j] - a[j] * b[i]).is_zero():
-                return 0
-    return 1
+    return 2
 
 
 def crosscap_number(f: Germ) -> int:
-    du = [c.derivative("u") for c in f.components]
-    dv = [c.derivative("v") for c in f.components]
-    minors = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            minors.append(du[i] * dv[j] - du[j] * dv[i])
-    minors = [m for m in minors if not m.is_zero()]
+    minors = [m for m in f.jacobian_minors if not m.is_zero()]
     if not minors:
         raise AnalysisError("all Jacobian minors vanish identically")
     d = quotient_dim(LocalIdeal(minors))
@@ -160,12 +155,11 @@ def multipoint_data(f: Germ) -> MultiPointData:
     P = divided_difference(f2, "v", ("v1", "v2"))
     Q = divided_difference(f3, "v", ("v1", "v2"))
     vars4 = ("u", "v1", "v2", "v3")
-    P3 = P.rename({}, vars4)
-    Q3 = Q.rename({}, vars4)
-    ddP = divided_difference(P, "v2", ("v2x", "v3")).rename({"v2x": "v2"}, vars4)
-    ddQ = divided_difference(Q, "v2", ("v2x", "v3")).rename({"v2x": "v2"}, vars4)
-    gens = [g for g in (P3, Q3, ddP, ddQ) if not g.is_zero()]
-    return MultiPointData(P, Q, LocalIdeal(gens))
+    ddP = divided_difference(P, "v2", ("v2", "v3"))
+    ddQ = divided_difference(Q, "v2", ("v2", "v3"))
+    # LocalIdeal leaves out zero generators
+    D3 = LocalIdeal([P.rename({}, vars4), Q.rename({}, vars4), ddP, ddQ])
+    return MultiPointData(P, Q, D3)
 
 
 def is_local_unit_multiple(a: Poly, b: Poly) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import NumberField
+from .fields import QQ, NumberField
 from .poly import Poly
 
 # Far above the germs in use, whose powers have one-term bases and
@@ -52,9 +52,9 @@ def _tokenize(src: str) -> list[_Tok]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit() also holds for digits int() refuses
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             toks.append(_Tok("int", src[i:j], i))
             i = j
@@ -73,6 +73,14 @@ def _tokenize(src: str) -> list[_Tok]:
         raise ParseError(f"unexpected character {ch!r}", i)
     toks.append(_Tok("end", "", n))
     return toks
+
+
+def _literal(t: _Tok) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # longer than the interpreter's int_max_str_digits
+        raise ParseError(f"integer literal of {len(t.text)} digits is too long",
+                         t.pos) from None
 
 
 class _Parser:
@@ -144,13 +152,14 @@ class _Parser:
     def base(self) -> Poly:
         t = self.next()
         if t.kind == "int":
-            num = int(t.text)
+            num = _literal(t)
             if self.peek().kind == "/":
                 self.next()
                 d = self.expect("int")
-                if int(d.text) == 0:
+                den = _literal(d)
+                if den == 0:
                     raise ParseError("zero denominator", d.pos)
-                return Poly.constant(Fraction(num, int(d.text)), self.vars, self.field)
+                return Poly.constant(Fraction(num, den), self.vars, self.field)
             return Poly.constant(num, self.vars, self.field)
         if t.kind == "ident":
             if t.text in self.vars:
@@ -175,8 +184,6 @@ def parse_poly(src: str, vars, field: NumberField) -> Poly:
 
 def parse_univariate_rational(src: str, gen: str) -> list[Fraction]:
     """Coefficient list (index = exponent) of a univariate rational polynomial."""
-    from .fields import QQ
-
     p = parse_poly(src, (gen,), QQ)
     d = p.degree_in(gen)
     coeffs = [Fraction(0)] * (d + 1)

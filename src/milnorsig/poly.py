@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import FieldElem, NumberField
+from .fields import FieldElem, NumberField, format_field_elem
 
 
 class PolyError(ValueError):
@@ -247,10 +247,11 @@ class Poly:
 def divided_difference(a: Poly, var: str, fresh: tuple[str, str]) -> Poly:
     """(a[var -> v1] - a[var -> v2]) / (v1 - v2), an exact polynomial.
 
-    The fresh names replace ``var`` in the variable list.
+    v1 takes ``var``'s place in the variable list and v2 is appended; v1 may
+    be ``var`` itself.
     """
     v1, v2 = fresh
-    if v1 in a.vars or v2 in a.vars:
+    if v1 != var and v1 in a.vars or v2 in a.vars:
         raise PolyError("fresh symbols already in use")
     new_vars = tuple(v1 if v == var else v for v in a.vars) + (v2,)
     i = a.vars.index(var)
@@ -301,8 +302,6 @@ def format_poly(p: Poly) -> str:
 
 
 def _coeff_str(c: FieldElem, standalone: bool) -> str:
-    from .fields import format_field_elem
-
     s = format_field_elem(c)
     if (" + " in s or " - " in s) and not standalone:
         return f"({s})"

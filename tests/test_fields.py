@@ -79,6 +79,16 @@ def test_sqrt_in_quadratic_field():
     s = sqrt_in_field(Qi, Qi.generator() * 2)
     assert s is not None and s * s == Qi.generator() * 2
     assert sqrt_in_field(Qi, Qi.from_rational(2)) is None
+    # the roots returned: a rational x takes its non-negative rational root,
+    # else b * (alpha + c1/2) with b >= 0
+    z, i = Qz.generator(), Qi.generator()
+    assert sqrt_in_field(Qz, Qz.from_rational(Fraction(-3, 4))) == z + Fraction(1, 2)
+    assert sqrt_in_field(Qi, Qi.from_rational(-4)) == i * 2
+    assert sqrt_in_field(Qi, Qi.from_rational(Fraction(9, 4))) == Fraction(3, 2)
+    assert sqrt_in_field(Qi, Qi.zero()) == 0
+    assert sqrt_in_field(Qi, i * 2) == i + 1
+    Qa = parse_field("Q[a]/(a^2 - 2)")
+    assert sqrt_in_field(Qa, Qa.from_rational(8)) == Qa.generator() * 2
 
 
 SQRT_FIELDS = ("Q(i)", "Q(zeta3)", "Q[a]/(a^2 - 2)", "Q[a]/(a^2 - 1/2*a + 1/3)")

@@ -191,6 +191,8 @@ DEEP = "(" * 3000 + "u" + ")" * 3000
          "expected C must be an integer"),
         ('"u*v"', f'"{DEEP}"', ParseError, "nested too deeply"),
         ('"u*v"', '"u*v^501"', ParseError, "exponent above the limit 500 (at position 4)"),
+        ('"u*v"', f'"{"9" * 5000}*u*v"', ParseError,
+         "integer literal of 5000 digits is too long (at position 0)"),
         ('"u*v"', '"(u + v + 1)^62"', ParseError,
          "power of a 3-term polynomial may exceed 2000 terms (at position 12)"),
     ]

@@ -1,7 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from milnorsig.arith import resultant, squarefree_part
-from milnorsig.corpus import B, C_, F4, H, S, corank2, cross_cap
+from milnorsig.corpus import B, C_, F4, H, S, corank2, corpus, cross_cap
 from milnorsig.fields import QQ, FieldElem, parse_field
 from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, UV,
                              _double_point_resultant, corank, crosscap_number,
@@ -20,6 +23,59 @@ def test_corank():
     assert corank(corank2()) == 2
     assert corank(G(("u", "v", "0"))) == 0
     assert corank(G(("u + v", "2*u + 2*v", "u^2"))) == 1  # proportional columns
+
+
+def _rank(matrix) -> int:
+    """Rank of a matrix of Fractions by Gaussian elimination."""
+    rows, rank = [list(r) for r in matrix], 0
+    for col in range(len(rows[0])):
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1:]:
+            k = r[col] / pivot[col]
+            r[:] = [a - k * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def test_corank_matches_rank_of_linear_part():
+    # linear parts: random rational 3x2 matrices of rank 0, 1 (proportional
+    # columns) and 2, with zero rows and zero components, under random terms
+    # of degree 2 and 3
+    rng = random.Random(18)
+
+    def q(zero_odds=0.0):
+        return Fraction(0) if rng.random() < zero_odds else \
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+    seen = set()
+    for n in range(90):
+        if n % 3 == 0:
+            matrix = [[Fraction(0)] * 2 for _ in range(3)]
+        elif n % 3 == 1:
+            col, row = [q(0.3) for _ in range(3)], [q(0.3), q(0.3)]
+            matrix = [[a * b for b in row] for a in col]
+        else:
+            matrix = [[q(0.2), q(0.2)] for _ in range(3)]
+        comps = []
+        for a, b in matrix:
+            if rng.random() < 0.15:
+                comps.append(Poly.zero(UV, QQ))
+                continue
+            terms = {(1, 0): a, (0, 1): b}
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randint(0, 3)
+                terms[(i, rng.randint(max(0, 2 - i), 3 - i))] = q()
+            comps.append(Poly(UV, {e: QQ.from_rational(c) for e, c in terms.items()}, QQ))
+        matrix = [[c.terms.get(e, QQ.zero()).as_rational() for e in ((1, 0), (0, 1))]
+                  for c in comps]
+        rank = _rank(matrix)
+        seen.add(rank)
+        assert corank(Germ(tuple(comps), QQ)) == 2 - rank, comps
+    assert seen == {0, 1, 2}
 
 
 def test_crosscap_numbers():
@@ -70,7 +126,6 @@ def test_multipoint_data():
 
 
 def test_multipoint_divided_difference_identity():
-    from milnorsig.corpus import corpus
     V3 = ("u", "v1", "v2")
     for f in corpus(3):
         if corank(f) != 1:
@@ -84,6 +139,46 @@ def test_multipoint_divided_difference_identity():
             lhs = dd * (v1 - v2)
             rhs = comp.substitute({"u": u, "v": v1}) - comp.substitute({"u": u, "v": v2})
             assert lhs == rhs
+
+
+def test_triple_point_generators_are_divided_differences():
+    """The triple-point ideal is (P, Q, ddP, ddQ) in (u, v1, v2, v3), zero
+    generators left out, with (v2 - v3) * ddP = P(u, v1, v2) - P(u, v1, v3),
+    and the same for Q."""
+    V4 = ("u", "v1", "v2", "v3")
+    checked = 0
+    for f in corpus(10):
+        if corank(f) != 1:
+            continue
+        mp = multipoint_data(f)
+        gens = list(mp.D3_ideal.generators)
+        assert gens[:2] == [mp.P.rename({}, V4), mp.Q.rename({}, V4)], f.name
+        dds = gens[2:]
+        v2, v3 = (Poly.variable(x, V4, f.field) for x in ("v2", "v3"))
+        for g in (mp.P, mp.Q):
+            diff = g.rename({}, V4) - g.rename({"v2": "v3"}, V4)
+            dd = Poly.zero(V4, f.field) if diff.is_zero() else dds.pop(0)
+            assert (v2 - v3) * dd == diff, f.name
+        assert not dds, f.name
+        checked += 1
+    assert checked == 38
+
+
+def test_multipoint_data_builds_ddP_and_ddQ_in_place(monkeypatch):
+    # only P and Q are re-indexed into (u, v1, v2, v3); the divided
+    # differences of P and Q in v2 land there directly
+    renamed = []
+    rename = Poly.rename
+
+    def recording(p, mapping, new_vars):
+        renamed.append(p)
+        return rename(p, mapping, new_vars)
+
+    monkeypatch.setattr(Poly, "rename", recording)
+    for f in (cross_cap(), S(2), H(3), C_(4)):
+        renamed.clear()
+        mp = multipoint_data(Germ(f.components, f.field))
+        assert renamed == [mp.P, mp.Q], f.name
 
 
 def test_multipoint_symmetry():

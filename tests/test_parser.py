@@ -4,10 +4,10 @@ import pathlib
 import pytest
 
 from milnorsig.corpus import corpus
-from milnorsig.fields import QQ, parse_field
+from milnorsig.fields import QQ, FieldError, parse_field
 from milnorsig.germfile import load_germ
 from milnorsig.parser import ParseError, parse_poly
-from milnorsig.poly import format_poly
+from milnorsig.poly import PolyError, format_poly
 
 UV = ("u", "v")
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -102,6 +102,48 @@ def test_powers_are_bounded_before_expanding():
     assert len(parse_poly("(u + v + u*v + 1)^20", UV, QQ).terms) == 441
     with pytest.raises(ParseError, match=r"4-term polynomial may exceed 2000 terms"):
         parse_poly("(u + v + u*v + 1)^21", UV, QQ)
+
+
+def test_long_integer_literals_are_parse_errors():
+    # int() refuses more than 4300 digits; the refusal names the literal
+    big = "9" * 5000
+    with pytest.raises(ParseError, match=r"literal of 5000 digits is too long \(at position 4\)"):
+        parse_poly(f"u + {big}*v", UV, QQ)
+    with pytest.raises(ParseError, match=r"literal of 5000 digits is too long \(at position 6\)"):
+        parse_poly(f"u + 1/{big}", UV, QQ)
+    assert parse_poly("9" * 4000 + "*u", UV, QQ) == parse_poly("u", UV, QQ).scale(10 ** 4000 - 1)
+    # str.isdigit() holds for a superscript two, which int() refuses
+    with pytest.raises(ParseError, match=r"unexpected character '²' \(at position 2\)"):
+        parse_poly("u^²", UV, QQ)
+
+
+def test_fuzzed_text_raises_only_documented_errors():
+    """Random polynomial text and field descriptors, digit runs of 4000 to
+    6000 characters among them: parsing succeeds or raises ParseError,
+    FieldError or PolyError."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    Qi = parse_field("Q(i)")
+    digit_runs = st.builds(lambda d, n: d * n, st.sampled_from("0123456789"),
+                           st.integers(4000, 6000))
+    pieces = st.one_of(
+        st.sampled_from(["u", "v", "i", "a", "w", "zeta3", "Q", "0", "1", "2", "07",
+                         "500", "501", "+", "-", "*", "/", "^", "(", ")", "[", "]",
+                         "]/(", " "]),
+        digit_runs, st.text(max_size=3))
+    text = st.lists(pieces, max_size=10).map("".join)
+    descriptors = st.one_of(text, text.map("Q[a]/({})".format),
+                            text.map("Q[{}]/(a^2 + 1)".format))
+
+    def check(src, desc):
+        for parse in (lambda: parse_poly(src, UV, Qi), lambda: parse_field(desc)):
+            try:
+                parse()
+            except (ParseError, FieldError, PolyError):
+                pass
+
+    run = hyp.given(text, descriptors)(check)
+    hyp.settings(max_examples=300, deadline=None, database=None, derandomize=True)(run)()
 
 
 def test_every_corpus_and_workload_germ_parses_within_the_limits(tmp_path):

@@ -123,6 +123,12 @@ def test_divided_difference_examples():
     dd = divided_difference(P("u*v + v^5"), "v", ("v1", "v2"))
     assert dd == parse_poly(
         "u + v1^4 + v1^3*v2 + v1^2*v2^2 + v1*v2^3 + v2^4", V3, QQ)
+    # the first fresh name may be the replaced variable's own
+    V4 = ("u", "v1", "v2", "v3")
+    dd = divided_difference(parse_poly("v1*v2^2 + u", V3, QQ), "v2", ("v2", "v3"))
+    assert dd == parse_poly("v1*v2 + v1*v3", V4, QQ)
+    with pytest.raises(PolyError, match="fresh symbols already in use"):
+        divided_difference(parse_poly("v2^2", V3, QQ), "v2", ("v1", "v3"))
 
 
 def test_divided_difference_identity_random():
