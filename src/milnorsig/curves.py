@@ -4,7 +4,7 @@ twisted/untwisted pairing, intersection tables, and the curve Milnor number."""
 from __future__ import annotations
 
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
-from .arith import _univ_coeffs, poly_gcd, resultant, try_divide  # noqa: F401
+from .arith import _univ_coeffs, poly_gcd, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, factor_components
 from .germs import AnalysisError, Germ, OverrideRequired, UV, is_local_unit_multiple
 from .localring import INFINITE, intersection_multiplicity, milnor_number
@@ -52,64 +52,40 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     return comps
 
 
-def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
-    """Indices of components dividing the elimination of v1 from
-    (h(u, v1), P, Q), that is, dividing both resultants r0 = Res(h, P) and
-    r1 = Res(h, Q).
-
-    Every component g is squarefree (an irreducible factor, or an override
-    component checked squarefree by ``decompose``), and for squarefree g,
-    g divides sqfree(gcd(r0, r1)) exactly when g divides r0 and r1.  So two
-    exact divisions replace the gcd."""
-    h1 = h.rename({"v": "v1"}, ("u", "v1", "v2"))
-    rs = []
-    for g in (mp.P, mp.Q):
-        if h1.degree_in("v1") <= 0 and g.degree_in("v1") <= 0:
-            rs.append(g)
-        else:
-            rs.append(resultant(h1, g, "v1"))
-    if rs[0].is_zero() or rs[1].is_zero():
-        raise AnalysisError("degenerate elimination while classifying twists")
-    return [j for j, g in enumerate(comps_v2)
-            if try_divide(rs[0], g) is not None and try_divide(rs[1], g) is not None]
-
-
-def _cleared_pullback(g: Poly, a: Poly, nb: Poly) -> Poly:
-    """a^deg_v(g) * g(u, nb/a) by Horner's rule in v."""
-    acc, a_power = Poly.zero(UV, g.field), Poly.constant(1, UV, g.field)
-    for c_k in reversed(_univ_coeffs(g, "v")):
-        acc = acc * nb + c_k * a_power
-        a_power = a_power * a
-    return acc
-
-
 def _partners(f: Germ, comps: list[Poly]) -> list[list[int]]:
-    """j is a partner of h_i when h_i divides G_j = a^deg_v(g_j) * g_j(u, -b/a),
-    with a*v2 + b the germ's ``partner_line``, v1 read as v: where a != 0 the
-    double-point space has the one point v2 = -b/a over (u, v1) (subresultant
-    theorem).  ``_general_partner`` decides when there is no such line, a
-    component divides a, or some G_j is zero."""
-    line = f.partner_line
-    G = None
+    """Each branch's candidate partners.  With a*v2 + b the germ's
+    ``partner_line`` (v1 read as v), the double-point space has the one
+    point v2 = -b/a over (u, v1) where a != 0 (subresultant theorem).  So
+    when no G_j = a^deg_v(g_j) * g_j(u, -b/a) is zero, a branch h_i that
+    does not divide a is decided: its partners are the j with h_i | G_j.
+    The partner map swaps v1 <-> v2, an involution, so an undecided branch's
+    partners are the decided branches that name it, or else the undecided
+    branches that no decided branch names (itself alone: twisted)."""
+    line, found = f.partner_line, [None] * len(comps)
     if line is not None:
         b, a = (c.rename({"v1": "v"}, UV) for c in _univ_coeffs(line, "v2"))
         if a.is_constant():  # fold germs and the cross-cap: P = v1 + v2
             w = b.scale(-a.terms[(0, 0)].inverse())
-            G = [g.substitute({"v": w}) for g in comps]
-        elif all(try_divide(a, h) is None for h in comps):
-            G = [_cleared_pullback(g, a, -b) for g in comps]
-    if G is None or any(G_j.is_zero() for G_j in G):
-        comps_v2 = [h.rename({"v": "v2"}, ("u", "v1", "v2")).normalized() for h in comps]
-        return [_general_partner(h, f.multipoint, comps_v2) for h in comps]
-    return [[j for j, g in enumerate(G) if try_divide(g, h) is not None] for h in comps]
+            G, a = [g.substitute("v", w) for g in comps], None  # no branch divides a unit
+        else:
+            G = [g.substitute("v", -b, a) for g in comps]
+        if not any(G_j.is_zero() for G_j in G):
+            found = [[j for j, G_j in enumerate(G) if try_divide(G_j, h) is not None]
+                     if a is None or try_divide(a, h) is None else None for h in comps]
+    named = {j for p in found if p is not None for j in p}
+    unnamed = [i for i, p in enumerate(found) if p is None and i not in named]
+    return [p if p is not None
+            else [k for k, q in enumerate(found) if q is not None and i in q] or unnamed
+            for i, p in enumerate(found)]
 
 
 def classify_twist(f: Germ, comps: list[Poly], override=None):
     """The twist pairing of ``comps`` as index pairs (i, j), i == j for a
     twisted component: the ``twist`` override, checked, or else each
-    component paired with its partners from ``_partners``.  An override
-    pair (i, j) needs j among the partners of i; a germ without
-    multiple-point data has no partners, and its override is trusted."""
+    component paired with its one candidate from ``_partners``; several
+    candidates ask for the override.  An override pair (i, j) needs j among
+    the candidates of i; a germ without multiple-point data has none, and
+    its override is trusted."""
     if override is not None:
         covered = sorted(i for pair in override for i in set(pair))
         if covered != list(range(len(comps))):

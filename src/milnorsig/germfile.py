@@ -47,13 +47,23 @@ def _parse_sections(text: str) -> dict:
     return sections
 
 
+def _ints(runs, kind: str, n: int) -> list[int]:
+    """int() of each ASCII digit run of the n-th ``kind`` entry."""
+    try:
+        return [int(r) for r in runs]
+    except ValueError:  # longer than the interpreter's int_max_str_digits
+        longest = max(map(len, runs))
+        raise GermFileError(
+            f"{kind} entry {n}: a number of {longest} digits is too long") from None
+
+
 def _parse_twist(entries):
     out = []
-    for s in entries:
-        m = re.fullmatch(r"(\d+):(?:twisted|untwisted-with:(\d+))", s)
+    for n, s in enumerate(entries):
+        m = re.fullmatch(r"([0-9]+):(?:twisted|untwisted-with:([0-9]+))", s)
         if not m:
             raise GermFileError(f"bad twist entry {s!r}")
-        i, j = int(m[1]), int(m[2] or m[1])
+        i, j = _ints((m[1], m[2] or m[1]), "twist", n)
         if m[2] is not None and i == j:
             raise GermFileError(f"untwisted pair needs two components: {s!r}")
         out.append((i, j))
@@ -62,11 +72,12 @@ def _parse_twist(entries):
 
 def _parse_vertical_indices(entries):
     out = {}
-    for s in entries:
-        m = re.fullmatch(r"(\d+(?:\+\d+)*):([+-]?\d+)", s)
+    for n, s in enumerate(entries):
+        m = re.fullmatch(r"([0-9]+(?:\+[0-9]+)*):([+-]?[0-9]+)", s)
         if not m:
             raise GermFileError(f"bad vertical_indices entry {s!r}")
-        out["+".join(map(str, sorted(map(int, m[1].split("+")))))] = int(m[2])
+        *pair, value = _ints(m[1].split("+") + [m[2]], "vertical_indices", n)
+        out["+".join(map(str, sorted(pair)))] = value
     return out
 
 

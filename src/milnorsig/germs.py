@@ -74,8 +74,20 @@ class Germ:
         return fold_normal_data(self)
 
     @cached_property
+    def _multipoint(self) -> MultiPointData | OverrideRequired:
+        try:
+            return multipoint_data(self)
+        except OverrideRequired as exc:
+            return exc
+
+    @property
     def multipoint(self) -> MultiPointData:
-        return multipoint_data(self)
+        """Raises, on each use, the ``OverrideRequired`` of a germ with no
+        multiple-point data."""
+        mp = self._multipoint
+        if isinstance(mp, OverrideRequired):
+            raise mp.with_traceback(None)
+        return mp
 
     @cached_property
     def double_point_resultant(self) -> Poly:
@@ -191,12 +203,15 @@ def double_curve_equation(f: Germ) -> Poly:
         d = ov.double_curve
         if squarefree_part(d) != d.normalized():
             raise AnalysisError("double_curve override is not squarefree")
-        if f.corank == 1 and f.components[0] == Poly.variable("u", UV, f.field):
-            # the same rule as for components: d holds every branch of the
-            # computed curve, and what it leaves out misses the origin
-            if not is_local_unit_multiple(f.resultant_curve, d):
-                raise AnalysisError("double_curve override is not the divided-difference "
-                                    "curve up to factors that miss the origin")
+        try:
+            computed = f.resultant_curve
+        except OverrideRequired:  # f.multipoint: no multiple-point data
+            return d.normalized()
+        # the same rule as for components: d holds every branch of the
+        # computed curve, and what it leaves out misses the origin
+        if not is_local_unit_multiple(computed, d):
+            raise AnalysisError("double_curve override is not the divided-difference "
+                                "curve up to factors that miss the origin")
         return d.normalized()
     return f.resultant_curve
 

@@ -186,7 +186,7 @@ def quotient_dim(I: LocalIdeal):
         scale = -c.inverse()
         image = Poly(vars, {e[:i] + e[i + 1:]: a * scale
                             for e, a in gens[k].terms.items() if e[i] == 0}, I.field)
-        gens = [h.substitute({x: image}) for h in gens[:k] + gens[k + 1:]]
+        gens = [h.substitute(x, image) for h in gens[:k] + gens[k + 1:]]
         gens = [h for h in gens if not h.is_zero()]
     if not vars:
         return 1

@@ -164,61 +164,43 @@ class Poly:
             terms[tuple(ne)] = c * e[i]
         return Poly(self.vars, terms, self.field)
 
-    def substitute(self, bindings: dict) -> "Poly":
-        """Ring homomorphism sending each bound variable to a Poly.
-
-        All images must share one variable list; unbound variables must exist
-        there under their own name.  Evaluated by Horner's rule in each bound
-        variable in turn, so a degree of a bound variable costs one product;
-        the unbound variables ride along as exponents, re-keyed into the
-        target list and never multiplied.
-        """
-        target = None
-        for name, img in bindings.items():
-            if name not in self.vars:
-                raise PolyError(f"{name} is not a variable of this polynomial")
-            if target is None:
-                target = (img.vars, img.field)
-            elif (img.vars, img.field) != target:
-                raise PolyError("substitution images disagree on variables or field")
-        if target is None:
-            return self
-        tvars, field = target
+    def substitute(self, var: str, num: "Poly", den: "Poly | None" = None) -> "Poly":
+        """den^d * self(var = num/den), d = deg_var self, in num's variables;
+        with no den, self(var = num).  var may be kept in the target list or
+        dropped; every other variable must exist there under its own name.
+        By Horner's rule in var, so a degree of var costs one product by num
+        (and one by den); the other variables ride along as exponents,
+        re-keyed into the target list and never multiplied."""
+        tvars, field = num.vars, num.field
         if field != self.field:
             raise PolyError("substitution cannot change the coefficient field")
-        if any(v not in bindings and v not in tvars for v in self.vars):
+        if den is not None and (den.vars, den.field) != (tvars, field):
+            raise PolyError("num and den disagree on variables or field")
+        if var not in self.vars:
+            raise PolyError(f"{var} is not a variable of this polynomial")
+        if any(v != var and v not in tvars for v in self.vars):
             raise PolyError("an unbound variable is missing from the target variables")
-        bound = [i for i, v in enumerate(self.vars) if v in bindings]
-        kept = [(i, tvars.index(v)) for i, v in enumerate(self.vars) if v not in bindings]
-
-        def rekey(e):
+        i = self.vars.index(var)
+        kept = [(k, tvars.index(v)) for k, v in enumerate(self.vars) if k != i]
+        by_degree: dict = {}
+        for e, c in self.terms.items():
             ne = [0] * len(tvars)
-            for i, j in kept:
-                ne[j] = e[i]
-            return tuple(ne)
-
-        def horner(terms, k):
-            # terms share their exponents of the bound variables before bound[k]
-            if k == len(bound):
-                return Poly(tvars, {rekey(e): c for e, c in terms.items()}, field)
-            i = bound[k]
-            img = bindings[self.vars[i]]
-            by_degree: dict = {}
-            for e, c in terms.items():
-                by_degree.setdefault(e[i], {})[e] = c
-            acc = None
-            for n in range(max(by_degree), -1, -1):
-                if acc is not None:
-                    acc = acc * img
-                part = by_degree.get(n)
-                if part is not None:
-                    part = horner(part, k + 1)
-                    acc = part if acc is None else acc + part
-            return acc
-
-        if not self.terms:
+            for k, j in kept:
+                ne[j] = e[k]
+            by_degree.setdefault(e[i], {})[tuple(ne)] = c
+        if not by_degree:
             return Poly.zero(tvars, field)
-        return horner(self.terms, 0)
+        d = max(by_degree)
+        acc, den_power = Poly(tvars, by_degree[d], field), den
+        for n in range(d - 1, -1, -1):
+            acc = acc * num
+            part = by_degree.get(n)
+            if part is not None:
+                part = Poly(tvars, part, field)
+                acc = acc + (part if den is None else part * den_power)
+            if den is not None and n:
+                den_power = den_power * den
+        return acc
 
     def rename(self, mapping: dict, new_vars: tuple[str, ...]) -> "Poly":
         """Rename/reorder variables; every variable with a nonzero exponent

@@ -89,8 +89,7 @@ def test_h_family_derivation_at_S1():
     # with c^2 = 3/4.
     f = H(1)
     P = lambda s: parse_poly(s, UV, f.field)
-    X, Y, Z = (c.substitute({"u": P("u"), "v": P("v - 1/2*u")})
-               for c in f.components)
+    X, Y, Z = (c.substitute("v", P("v - 1/2*u")) for c in f.components)
     Y = Y + P("1/4*u^2")
     Z = Z + P("3/2*u") * Y + P("1/8*u^3")
     assert (X, Y, Z) == tuple(P(s) for s in ("u", "v^2", "v^3 + 3/4*u^2*v"))
@@ -244,11 +243,9 @@ def test_criterion_6_property_suites():
         mp = multipoint_data(f)
         v1 = Poly.variable("v1", V3, f.field)
         v2 = Poly.variable("v2", V3, f.field)
-        u = Poly.variable("u", V3, f.field)
         for dd, comp in ((mp.P, f.components[1]), (mp.Q, f.components[2])):
             lhs = dd * (v1 - v2)
-            rhs = (comp.substitute({"u": u, "v": v1})
-                   - comp.substitute({"u": u, "v": v2}))
+            rhs = comp.rename({"v": "v1"}, V3) - comp.rename({"v": "v2"}, V3)
             if lhs != rhs:
                 failures.append(f"dd identity fails on {f.name}")
 

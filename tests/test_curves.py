@@ -2,12 +2,11 @@ import re
 
 import pytest
 
-from milnorsig import arith, curves, germs, localring
+from milnorsig import arith, germs, localring
 from milnorsig.arith import poly_gcd, resultant, squarefree_part, try_divide
 from milnorsig.corpus import B, C_, F4, H, S, corank2, corpus, cross_cap
-from milnorsig.curves import (_general_partner, _partners, classify_twist,
-                              component_set, curve_milnor, decompose,
-                              intersection_table, v_axis_multiplicities)
+from milnorsig.curves import (_partners, classify_twist, component_set, curve_milnor,
+                              decompose, intersection_table, v_axis_multiplicities)
 from milnorsig.fields import QQ
 from milnorsig.germfile import load_germ
 from milnorsig.germs import (AnalysisError, Germ, MultiPointData, OverrideRequired, UV,
@@ -17,6 +16,28 @@ from milnorsig.poly import Poly
 from milnorsig.signature import analyze
 
 UVV = ("u", "v1", "v2")
+
+
+def _general_partner(h: Poly, mp, comps_v2: list[Poly]) -> list[int]:
+    """Indices of components dividing the elimination of v1 from
+    (h(u, v1), P, Q), that is, dividing both resultants r0 = Res(h, P) and
+    r1 = Res(h, Q).
+
+    Every component g is squarefree (an irreducible factor, or an override
+    component checked squarefree by ``decompose``), and for squarefree g,
+    g divides sqfree(gcd(r0, r1)) exactly when g divides r0 and r1.  So two
+    exact divisions replace the gcd."""
+    h1 = h.rename({"v": "v1"}, ("u", "v1", "v2"))
+    rs = []
+    for g in (mp.P, mp.Q):
+        if h1.degree_in("v1") <= 0 and g.degree_in("v1") <= 0:
+            rs.append(g)
+        else:
+            rs.append(resultant(h1, g, "v1"))
+    if rs[0].is_zero() or rs[1].is_zero():
+        raise AnalysisError("degenerate elimination while classifying twists")
+    return [j for j, g in enumerate(comps_v2)
+            if try_divide(rs[0], g) is not None and try_divide(rs[1], g) is not None]
 
 
 def gcd_route_partner(h, mp, comps_v2):
@@ -169,47 +190,61 @@ def test_general_partner_needs_both_resultants():
     assert _general_partner(h, mp, comps_v2) == gcd_route_partner(h, mp, comps_v2) == [0]
 
 
+def target_changed_corpus8():
+    return [g for f in corpus(8) if f.corank == 1 for g in target_changed(f)]
+
+
 def test_partners_match_general_partner():
-    cases = [f for f in corpus(10) if f.corank == 1]
-    cases += [g for f in corpus(8) if f.corank == 1 for g in target_changed(f)]
-    for f in cases:
+    for f in [f for f in corpus(10) if f.corank == 1] + target_changed_corpus8():
         comps = decompose(double_curve_equation(f))
         comps_v2 = in_v2(comps)
         want = [_general_partner(h, f.multipoint, comps_v2) for h in comps]
         assert _partners(f, comps) == want, f.name
 
 
-def test_general_partner_is_only_the_fallback(monkeypatch):
-    seen = []
-    original = curves._general_partner
+def test_branch_dividing_a_is_paired_by_the_involution():
+    # the branch u of C_k under (X, Z + Y, 3Y - Z) divides the coefficient a
+    # of v2 in the partner line, so no pullback decides it; no decided
+    # branch names it, so it is its own partner: twisted
+    for k in range(3, 9):
+        f = target_changed(C_(k))[1]
+        comps = decompose(double_curve_equation(f))
+        i = comps.index(parse_poly("u", UV, f.field))
+        a = f.partner_line.derivative("v2").rename({"v1": "v"}, UV)
+        assert try_divide(a, comps[i]) is not None, f.name
+        assert _partners(f, comps)[i] == [i], f.name
+        assert classify_twist(f, comps) == classify_twist(C_(k), comps), f.name
 
-    def recording(h, mp, comps_v2):
-        seen.append(h)
-        return original(h, mp, comps_v2)
-    monkeypatch.setattr(curves, "_general_partner", recording)
-    for f in corpus(10):
-        classify_twist(f, decompose(double_curve_equation(f), f.overrides.components),
-                       f.overrides.twist)
-    assert seen == []
-    # the component u of C_4 under (X, Z + Y, 3Y - Z) divides the coefficient
-    # a of v2 in the partner line, so the fallback decides
-    f = target_changed(C_(4))[1]
+
+@pytest.mark.parametrize("line", [
+    pytest.param(None, id="no-line"),
+    # v2 + i*u pulls u - i*v back to u - i*(-i*u) = 0
+    pytest.param("v2 + i*u", id="zero-pullback"),
+])
+def test_undecided_branches_ask_for_the_override(line):
+    # S_1 with its partner line replaced: neither branch is decided
+    f = S(1)
+    if line is not None:
+        line = parse_poly(line, UVV, f.field)
+    f.multipoint.prs_v2 = (f.multipoint.prs_v2[0], line)
     comps = decompose(double_curve_equation(f))
-    a = f.partner_line.derivative("v2")
-    assert try_divide(a, parse_poly("u", UVV, f.field)) is not None
-    assert classify_twist(f, comps) == classify_twist(C_(4), comps)
-    assert len(seen) == len(comps)
+    assert _partners(f, comps) == [[0, 1], [0, 1]]
+    with pytest.raises(OverrideRequired, match=re.escape("candidates [0, 1]")):
+        classify_twist(f, comps)
+    for override in ([(0, 1)], [(0, 0), (1, 1)]):
+        assert classify_twist(f, comps, override) == override
 
 
 def test_classify_twist_runs_no_resultant_on_the_corpus(monkeypatch):
     cases = [(f, decompose(double_curve_equation(f), f.overrides.components))
              for f in corpus(10)]
+    cases += [(f, decompose(double_curve_equation(f))) for f in target_changed_corpus8()]
 
     def refuse(*args):
         raise AssertionError("resultant called")
     # the germ's one PRS of (P, Q) ran in double_curve_equation above
-    for module, name in ((arith, "resultant"), (curves, "resultant"),
-                         (arith, "resultant_and_s1"), (germs, "resultant_and_s1")):
+    for module, name in ((arith, "resultant"), (arith, "resultant_and_s1"),
+                         (germs, "resultant_and_s1")):
         monkeypatch.setattr(module, name, refuse)
     for f, comps in cases:
         classify_twist(f, comps, f.overrides.twist)

@@ -203,6 +203,10 @@ DEEP = "(" * 3000 + "u" + ")" * 3000
         ("twist-index", 'twist = ["x:twisted"]', "bad twist entry 'x:twisted'"),
         ("vertical-index-value", 'vertical_indices = ["0+1:abc"]',
          "bad vertical_indices entry '0+1:abc'"),
+        ("twist-index-digits", f'twist = ["{"9" * 5000}:twisted"]',
+         "twist entry 0: a number of 5000 digits is too long"),
+        ("vertical-index-digits", f'vertical_indices = ["0:-1", "0+1:{"9" * 5000}"]',
+         "vertical_indices entry 1: a number of 5000 digits is too long"),
         ("zero-component", 'components = ["0"]',
          "components override '0' is the zero polynomial"),
         ("zero-double-curve", 'double_curve = "0"',
@@ -224,6 +228,18 @@ def _assert_refused(tmp_path, capsys, old, new, error, message):
     assert run_analyze(str(path)) == EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "error:" in err[0] and message in err[0]
+
+
+@pytest.mark.parametrize("entry, message", [
+    pytest.param('twist = ["\u0663:twisted"]', "bad twist entry '\u0663:twisted'",
+                 id="twist"),
+    pytest.param('vertical_indices = ["0+\u0663:-2"]',
+                 "bad vertical_indices entry '0+\u0663:-2'", id="vertical_indices"),
+])
+def test_indices_take_ascii_digits_only(entry, message):
+    # an Arabic-Indic three was read as component 3
+    with pytest.raises(GermFileError, match=re.escape(message)):
+        load_germ(CROSS_CAP_TEXT + "[overrides]\n" + entry + "\n")
 
 
 @pytest.mark.parametrize("new, message", [

@@ -268,7 +268,7 @@ def test_elimination_finishes_germs_that_stalled_mora(monkeypatch):
     field = h3.field
     u, v = (Poly.variable(x, UV, field) for x in UV)
     moved = Poly.constant(2, UV, field) * v + u
-    f = Germ(tuple(c.substitute({"v": moved}) for c in h3.components), field)
+    f = Germ(tuple(c.substitute("v", moved) for c in h3.components), field)
     assert triple_point_number(f) == 2
     X, Y, Z = h4.components
     assert triple_point_number(Germ((X, Z + Y, Y.scale(3) - Z), field)) == 3

@@ -56,20 +56,29 @@ def test_substitution_is_ring_hom():
     rng = random.Random(9)
     for _ in range(20):
         a, b = rand_poly(rng), rand_poly(rng)
-        img = {"u": rand_poly(rng, maxdeg=2), "v": rand_poly(rng, maxdeg=2)}
-        assert (a + b).substitute(img) == a.substitute(img) + b.substitute(img)
-        assert (a * b).substitute(img) == a.substitute(img) * b.substitute(img)
+        for var in UV:
+            num, den = rand_poly(rng, maxdeg=2), rand_poly(rng, maxdeg=2)
+            assert (a + b).substitute(var, num) == a.substitute(var, num) + b.substitute(var, num)
+            assert (a * b).substitute(var, num) == a.substitute(var, num) * b.substitute(var, num)
+            # deg_var(a*b) = deg_var a + deg_var b, so the den powers add up too
+            assert ((a * b).substitute(var, num, den)
+                    == a.substitute(var, num, den) * b.substitute(var, num, den))
 
 
-def _expand_termwise(p, bindings, tvars):
-    """p with each bound variable replaced, one term and one factor at a time."""
+def _expand_termwise(p, var, num, den=None):
+    """den^d * p(var = num/den), d = deg_var p, one term and one factor at a
+    time."""
+    tvars, d = num.vars, p.degree_in(var)
     out = Poly.zero(tvars, p.field)
     for e, c in p.terms.items():
         term = Poly.constant(c, tvars, p.field)
         for name, n in zip(p.vars, e):
-            img = bindings.get(name) or Poly.variable(name, tvars, p.field)
-            for _ in range(n):
-                term = term * img
+            if name != var:
+                factors = [Poly.variable(name, tvars, p.field)] * n
+            else:
+                factors = [num] * n + ([] if den is None else [den] * (d - n))
+            for x in factors:
+                term = term * x
         out = out + term
     return out
 
@@ -84,21 +93,18 @@ def test_substitute_matches_termwise_expansion():
                  for _ in range(rng.randint(1, nterms))}
         return Poly(vars_, terms, QQ)
 
-    v1, v2 = (Poly.variable(x, V3, QQ) for x in ("v1", "v2"))
     for _ in range(25):
         a = rand3(V3)
-        cases = [
-            ({"u": rand3(V3, 3, 2)}, V3),                        # others unbound
-            ({"v1": v2, "v2": v1}, V3),                          # swap
-            ({"v1": rand3(V3, 3, 2), "v2": rand3(V3, 3, 2)}, V3),
-            ({"u": rand3(V3[1:], 3, 2)}, V3[1:]),                # u dropped
-            ({"u": rand3(V3[1:], 3, 2), "v2": rand3(V3[1:], 3, 2)}, V3[1:]),
-        ]
-        for bindings, tvars in cases:
-            assert a.substitute(bindings) == _expand_termwise(a, bindings, tvars)
+        for var, tvars in (("u", V3), ("v1", V3), ("u", V3[1:]), ("v2", V3[:2])):
+            num = rand3(tvars, 3, 2)       # var kept in tvars, or dropped
+            den = rand3(tvars, 3, 2)
+            assert a.substitute(var, num) == _expand_termwise(a, var, num)
+            assert a.substitute(var, num, den) == _expand_termwise(a, var, num, den)
     # an unbound variable must survive into the target list
-    with pytest.raises(PolyError):
-        P("u + v").substitute({"u": Poly.variable("x", ("x",), QQ)})
+    with pytest.raises(PolyError, match="missing from the target"):
+        P("u + v").substitute("u", Poly.variable("x", ("x",), QQ))
+    with pytest.raises(PolyError, match="disagree"):
+        P("u + v").substitute("u", P("v"), Poly.variable("x", ("x",), QQ))
 
 
 def test_fold_substitution_example():
@@ -134,7 +140,6 @@ def test_divided_difference_examples():
 def test_divided_difference_identity_random():
     rng = random.Random(3)
     V3 = ("u", "v1", "v2")
-    u = Poly.variable("u", V3, QQ)
     v1 = Poly.variable("v1", V3, QQ)
     v2 = Poly.variable("v2", V3, QQ)
     for _ in range(20):
@@ -142,8 +147,8 @@ def test_divided_difference_identity_random():
         if a.degree_in("v") <= 0:
             continue
         dd = divided_difference(a, "v", ("v1", "v2"))
-        lhs = dd * (v1 - v2) + a.substitute({"u": u, "v": v2})
-        assert lhs == a.substitute({"u": u, "v": v1})
+        lhs = dd * (v1 - v2) + a.rename({"v": "v2"}, V3)
+        assert lhs == a.rename({"v": "v1"}, V3)
 
 
 def test_mismatched_operands():
