@@ -4,9 +4,9 @@ twisted/untwisted pairing, intersection tables, and the curve Milnor number."""
 from __future__ import annotations
 
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
-from .arith import _univ_coeffs, poly_gcd, try_divide  # noqa: F401
+from .arith import poly_gcd, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, factor_components
-from .germs import AnalysisError, Germ, OverrideRequired, UV, is_local_unit_multiple
+from .germs import AnalysisError, Germ, OverrideRequired, is_local_unit_multiple
 from .localring import INFINITE, intersection_multiplicity, milnor_number
 from .poly import Poly
 
@@ -53,22 +53,18 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
 
 
 def _partners(f: Germ, comps: list[Poly]) -> list[list[int]]:
-    """Each branch's candidate partners.  With a*v2 + b the germ's
-    ``partner_line`` (v1 read as v), the double-point space has the one
-    point v2 = -b/a over (u, v1) where a != 0 (subresultant theorem).  So
+    """Each branch's candidate partners.  With (a, b) the germ's
+    ``multipoint.line`` (a None for 1), the double-point space has the one
+    point v2 = -b/a over (u, v1 = v) where a != 0 (subresultant theorem).  So
     when no G_j = a^deg_v(g_j) * g_j(u, -b/a) is zero, a branch h_i that
     does not divide a is decided: its partners are the j with h_i | G_j.
     The partner map swaps v1 <-> v2, an involution, so an undecided branch's
     partners are the decided branches that name it, or else the undecided
     branches that no decided branch names (itself alone: twisted)."""
-    line, found = f.partner_line, [None] * len(comps)
+    line, found = f.multipoint.line, [None] * len(comps)
     if line is not None:
-        b, a = (c.rename({"v1": "v"}, UV) for c in _univ_coeffs(line, "v2"))
-        if a.is_constant():  # fold germs and the cross-cap: P = v1 + v2
-            w = b.scale(-a.terms[(0, 0)].inverse())
-            G, a = [g.substitute("v", w) for g in comps], None  # no branch divides a unit
-        else:
-            G = [g.substitute("v", -b, a) for g in comps]
+        a, b = line
+        G = [g.substitute("v", -b, a) for g in comps]
         if not any(G_j.is_zero() for G_j in G):
             found = [[j for j, G_j in enumerate(G) if try_divide(G_j, h) is not None]
                      if a is None or try_divide(a, h) is None else None for h in comps]

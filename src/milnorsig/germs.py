@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import resultant_and_s1, squarefree_part, try_divide
+from .arith import _univ_coeffs, resultant_and_s1, squarefree_part, try_divide
 from .localring import INFINITE, LocalIdeal, quotient_dim
 from .poly import Poly, PolyError, divided_difference
 
@@ -33,13 +33,11 @@ class OverrideSet:
 
 class Germ:
     """A map germ (f1, f2, f3) in (u, v) over a number field, and its own
-    analysis context: the Jacobian minors, the corank, the fold data, the
-    multiple-point data, the double-point resultant, its curve and the
-    partner line depend only on the components and the field, which never
-    change, so each is computed on first use and kept; the corank and C read
-    the same minors, and the resultant and the partner line come from one
-    PRS.  Overrides are read afresh.  The field's generator may not be named
-    u or v."""
+    analysis context: the Jacobian minors, the corank, the fold data and the
+    multiple-point data depend only on the components and the field, which
+    never change, so each is computed on first use and kept; the corank and
+    C read the same minors.  Overrides are read afresh.  The field's
+    generator may not be named u or v."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -89,22 +87,12 @@ class Germ:
             raise mp.with_traceback(None)
         return mp
 
-    @cached_property
-    def double_point_resultant(self) -> Poly:
-        return _double_point_resultant(self.multipoint)
-
-    @cached_property
-    def resultant_curve(self) -> Poly:
-        return squarefree_part(self.double_point_resultant)
-
-    @property
-    def partner_line(self) -> Poly | None:
-        """The degree-1 subresultant of P and Q in v2, or None."""
-        return self.multipoint.prs_v2[1]
-
 
 class MultiPointData:
-    """Divided-difference presentation of the double and triple point spaces."""
+    """Divided-difference presentation of the double and triple point spaces,
+    and what one PRS of P and Q in v2 gives, read in (u, v) with v1 as v.
+    P and Q are symmetric in v1 <-> v2, so eliminating v1 instead gives the
+    same polynomial with v2 read as v: one elimination is enough."""
 
     def __init__(self, P, Q, D3_ideal):
         self.P = P
@@ -112,9 +100,34 @@ class MultiPointData:
         self.D3_ideal = D3_ideal
 
     @cached_property
-    def prs_v2(self) -> tuple[Poly, Poly | None]:
-        """(Res_v2(P, Q), the degree-1 subresultant or None) from one PRS."""
+    def _prs(self) -> tuple[Poly, Poly | None]:
         return resultant_and_s1(self.P, self.Q, "v2")
+
+    @cached_property
+    def resultant(self) -> Poly:
+        """Res_v2(P, Q); on a fold germ P = v1 + v2, so this is +-p(u, v^2)."""
+        r = self._prs[0]
+        if r.is_zero():
+            raise AnalysisError("divided-difference resultant vanishes identically; "
+                                "the germ is not finitely determined")
+        return r.rename({"v1": "v"}, UV)
+
+    @cached_property
+    def line(self) -> tuple[Poly | None, Poly] | None:
+        """(a, b) with a*v2 + b the degree-1 subresultant of P and Q in v2,
+        or (None, b/a) when a is a constant; None with no such subresultant."""
+        s1 = self._prs[1]
+        if s1 is None:
+            return None
+        b, a = (c.rename({"v1": "v"}, UV) for c in _univ_coeffs(s1, "v2"))
+        if a.is_constant():  # fold germs and the cross-cap: P = v1 + v2
+            return None, b.scale(a.terms[(0, 0)].inverse())
+        return a, b
+
+    @cached_property
+    def curve(self) -> Poly:
+        """The reduced double curve, the squarefree part of ``resultant``."""
+        return squarefree_part(self.resultant)
 
 
 def corank(f: Germ) -> int:
@@ -159,11 +172,12 @@ def fold_normal_data(f: Germ) -> Poly | None:
 def multipoint_data(f: Germ) -> MultiPointData:
     if f.corank != 1:
         raise OverrideRequired("multiple-point spaces need a corank-1 germ; "
-                               "supply double_curve/T overrides instead")
+                               "supply the double_curve, twist and T overrides")
     f1, f2, f3 = f.components
     if f1 != Poly.variable("u", UV, f.field):
-        raise OverrideRequired("corank-1 route needs coordinates with f1 = u; "
-                               "re-enter the germ or supply overrides")
+        raise OverrideRequired("corank-1 route needs coordinates with f1 = u; re-enter "
+                               "the germ with f1 = u or supply the double_curve, twist "
+                               "and T overrides")
     P = divided_difference(f2, "v", ("v1", "v2"))
     Q = divided_difference(f3, "v", ("v1", "v2"))
     vars4 = ("u", "v1", "v2", "v3")
@@ -181,19 +195,6 @@ def is_local_unit_multiple(a: Poly, b: Poly) -> bool:
     return rest is not None and rest.is_unit_local()
 
 
-def _double_point_resultant(mp: MultiPointData) -> Poly:
-    """Res_{v2}(P, Q), with v1 renamed to v.  On a fold germ P = v1 + v2,
-    so this is +-p(u, v^2).
-
-    P and Q are symmetric in v1 <-> v2, so eliminating v1 instead gives the
-    same polynomial with v2 renamed to v: one elimination is enough."""
-    r = mp.prs_v2[0]
-    if r.is_zero():
-        raise AnalysisError("divided-difference resultant vanishes identically; "
-                            "the germ is not finitely determined")
-    return r.rename({"v1": "v"}, UV)
-
-
 def double_curve_equation(f: Germ) -> Poly:
     """The reduced double curve D, normalized; the one place that decides
     the route: the ``double_curve`` override or the divided-difference
@@ -204,7 +205,7 @@ def double_curve_equation(f: Germ) -> Poly:
         if squarefree_part(d) != d.normalized():
             raise AnalysisError("double_curve override is not squarefree")
         try:
-            computed = f.resultant_curve
+            computed = f.multipoint.curve
         except OverrideRequired:  # f.multipoint: no multiple-point data
             return d.normalized()
         # the same rule as for components: d holds every branch of the
@@ -213,7 +214,7 @@ def double_curve_equation(f: Germ) -> Poly:
             raise AnalysisError("double_curve override is not the divided-difference "
                                 "curve up to factors that miss the origin")
         return d.normalized()
-    return f.resultant_curve
+    return f.multipoint.curve
 
 
 def triple_point_number(f: Germ) -> int:

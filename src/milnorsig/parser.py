@@ -12,7 +12,9 @@ Rational literals ``p/q`` are accepted in coefficient position.  Identifiers
 must be declared variables or the field generator.  A power is refused before
 it is expanded when its exponent exceeds MAX_EXPONENT, or when its base has t
 terms and C(n + t - 1, t - 1), the number of monomials of degree n in t
-symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS.
+symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS, or
+when n * (b + ceil(log2 t)), b the largest bit length among the base's
+numerators and denominators, exceeds MAX_COEFF_BITS.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .poly import Poly
 # exponents up to 33; (u + i*v + 1)^61, with 1,953 terms, is within both.
 MAX_EXPONENT = 500
 MAX_POWER_TERMS = 2000
+# a number of at most this many bits has at most 4300 digits, the most that
+# int() and str() convert by default
+MAX_COEFF_BITS = 14284
 
 
 class ParseError(ValueError):
@@ -142,10 +147,16 @@ class _Parser:
             # compare lengths first: int() refuses very long digit strings
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent above the limit {MAX_EXPONENT}", t.pos)
-            n = int(digits)
-            if len(p.terms) > 1 and math.comb(n + len(p.terms) - 1, n) > MAX_POWER_TERMS:
-                raise ParseError(f"power of a {len(p.terms)}-term polynomial may exceed "
+            n, size = int(digits), len(p.terms)
+            if size > 1 and math.comb(n + size - 1, n) > MAX_POWER_TERMS:
+                raise ParseError(f"power of a {size}-term polynomial may exceed "
                                  f"{MAX_POWER_TERMS} terms", t.pos)
+            bits = max((x.bit_length() for c in p.terms.values() for x in (*c.num, c.den)),
+                       default=0)
+            # the multinomial coefficients of base^n add up to size^n
+            if n * (bits + (size - 1).bit_length()) > MAX_COEFF_BITS:
+                raise ParseError(f"power may have coefficients above {MAX_COEFF_BITS} "
+                                 "bits", t.pos)
             p = p ** n
         return p
 

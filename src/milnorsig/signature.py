@@ -178,9 +178,9 @@ def analyze(germ: Germ) -> SignatureReport:
     p = germ.fold_data
     if p is not None:
         # fold germ: P = v1 + v2, so Res_v2(P, Q) = +-p(u, v1^2) exactly
-        ok = germ.double_point_resultant in (p, -p)
+        ok = germ.multipoint.resultant in (p, -p)
         checks.append(("fold-vs-resultant", "pass" if ok else "fail",
-                       f"resultant route gives {format_poly(germ.resultant_curve)}"))
+                       f"resultant route gives {format_poly(germ.multipoint.curve)}"))
 
     return SignatureReport(germ.name, germ.corank, C, T, mu_D, mu_I, b2, cs,
                            vi, form, sigma_X, sigma_X + T - C, checks)

@@ -210,7 +210,7 @@ def test_branch_dividing_a_is_paired_by_the_involution():
         f = target_changed(C_(k))[1]
         comps = decompose(double_curve_equation(f))
         i = comps.index(parse_poly("u", UV, f.field))
-        a = f.partner_line.derivative("v2").rename({"v1": "v"}, UV)
+        a = f.multipoint.line[0]
         assert try_divide(a, comps[i]) is not None, f.name
         assert _partners(f, comps)[i] == [i], f.name
         assert classify_twist(f, comps) == classify_twist(C_(k), comps), f.name
@@ -218,15 +218,15 @@ def test_branch_dividing_a_is_paired_by_the_involution():
 
 @pytest.mark.parametrize("line", [
     pytest.param(None, id="no-line"),
-    # v2 + i*u pulls u - i*v back to u - i*(-i*u) = 0
-    pytest.param("v2 + i*u", id="zero-pullback"),
+    # v2 + i*u, stored as (None, i*u), pulls u - i*v back to u - i*(-i*u) = 0
+    pytest.param("i*u", id="zero-pullback"),
 ])
 def test_undecided_branches_ask_for_the_override(line):
     # S_1 with its partner line replaced: neither branch is decided
     f = S(1)
     if line is not None:
-        line = parse_poly(line, UVV, f.field)
-    f.multipoint.prs_v2 = (f.multipoint.prs_v2[0], line)
+        line = (None, parse_poly(line, UV, f.field))
+    f.multipoint.line = line
     comps = decompose(double_curve_equation(f))
     assert _partners(f, comps) == [[0, 1], [0, 1]]
     with pytest.raises(OverrideRequired, match=re.escape("candidates [0, 1]")):
@@ -380,3 +380,23 @@ def test_curve_milnor():
     with pytest.raises(AnalysisError):
         curve_milnor(parse_poly("(u - i*v)^2*(u + i*v)", UV, f.field))
     assert curve_milnor(parse_poly("(1 + u)^2*(u^2 + v^2)", UV, f.field)) == 1
+
+
+def test_intersection_tables_reach_only_univariate_orders(monkeypatch):
+    # eliminating the linear variables leaves each intersection of two
+    # corpus branches finished, or one generator in one variable, whose
+    # standard basis is its order; none runs Mora on a real ideal
+    branch_lists = [decompose(double_curve_equation(f), f.overrides.components)
+                    for f in corpus(10)]
+    calls = []
+    original = localring.standard_basis
+
+    def recording(I):
+        calls.append(I)
+        return original(I)
+    monkeypatch.setattr(localring, "standard_basis", recording)
+    for comps in branch_lists:
+        intersection_table(comps)
+    assert sum(len(c) * (len(c) - 1) // 2 for c in branch_lists) == 49
+    assert len(calls) == 36
+    assert all(len(I.vars) == 1 and len(I.generators) == 1 for I in calls)

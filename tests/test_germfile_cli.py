@@ -305,6 +305,29 @@ def test_resultant_route_overrides_checked_by_the_route(tmp_path, capsys):
         assert message in capsys.readouterr().err, text
 
 
+@pytest.mark.parametrize("text, message", [
+    # asked for "double_curve/T overrides", although it had both
+    pytest.param(CORANK2_TEXT.replace(
+        'twist = ["0:twisted", "1:twisted", "2:twisted", "3:twisted", "4:twisted"]\n', ""),
+        "corank-1 germ; supply the double_curve, twist and T overrides", id="corank-2"),
+    pytest.param(CROSS_CAP_TEXT.replace('"u", "v^2"', '"v^2", "u"'),
+                 "re-enter the germ with f1 = u or supply the double_curve, twist "
+                 "and T overrides", id="f1-not-u"),
+])
+def test_missing_multipoint_data_names_every_override(tmp_path, capsys, text, message):
+    path = tmp_path / "g.germ"
+    path.write_text(text)
+    assert run_analyze(str(path)) == EXIT_OVERRIDES
+    assert message in capsys.readouterr().err
+
+
+def test_power_coefficient_bound_exits_1(tmp_path, capsys):
+    # exited 1 with Python's own "Exceeds the limit (4300 digits)" while the
+    # factorization refusal formatted the double curve
+    _assert_refused(tmp_path, capsys, '"u*v"', '"v^3 + (9^500)^10*u^2*v"', ParseError,
+                    "power may have coefficients above 14284 bits (at position 14)")
+
+
 def test_run_analyze_out_file(tmp_path):
     src = tmp_path / "s1.germ"
     src.write_text(S1_TEXT)

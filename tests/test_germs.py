@@ -7,7 +7,7 @@ from milnorsig.arith import resultant, squarefree_part
 from milnorsig.corpus import B, C_, F4, H, S, corank2, corpus, cross_cap
 from milnorsig.fields import QQ, FieldElem, parse_field
 from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, UV,
-                             _double_point_resultant, corank, crosscap_number,
+                             corank, crosscap_number,
                              double_curve_equation, fold_normal_data,
                              multipoint_data, triple_point_number)
 from milnorsig.parser import parse_poly
@@ -233,8 +233,8 @@ def test_double_curve_routes_agree_on_folds():
         p_v1 = Poly(V3, {(a, 2 * b, 0): c for (a, b), c in coeffs.items()}, field)
         assert resultant(mp.P, mp.Q, "v2") in (p_v1, -p_v1)
         p = fold_normal_data(f)
-        assert f.double_point_resultant in (p, -p)
-        assert f.resultant_curve == squarefree_part(p)
+        assert f.multipoint.resultant in (p, -p)
+        assert f.multipoint.curve == squarefree_part(p)
 
     run = hyp.given(st.dictionaries(exps, coords, min_size=1, max_size=4))(check)
     hyp.settings(max_examples=30, deadline=None, database=None, derandomize=True)(run)()
@@ -250,7 +250,7 @@ def test_eliminating_v1_or_v2_gives_one_curve():
         r12 = squarefree_part(resultant(mp.P, mp.Q, "v2")).rename({"v1": "v"}, UV)
         r21 = squarefree_part(resultant(mp.P, mp.Q, "v1")).rename({"v2": "v"}, UV)
         assert r12 == r21, f
-        assert squarefree_part(_double_point_resultant(mp)) == r12, f
+        assert mp.curve == r12, f
 
 
 def test_double_curve_requires_override_for_corank2():

@@ -1,5 +1,7 @@
 import importlib.util
 import pathlib
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +104,23 @@ def test_powers_are_bounded_before_expanding():
     assert len(parse_poly("(u + v + u*v + 1)^20", UV, QQ).terms) == 441
     with pytest.raises(ParseError, match=r"4-term polynomial may exceed 2000 terms"):
         parse_poly("(u + v + u*v + 1)^21", UV, QQ)
+
+
+def test_power_coefficient_bits_are_bounded_before_expanding():
+    # 9^500 has 1,585 bits, so (9^500)^500 may have 792,500 and (9^500)^10
+    # 15,850, above the 14,284 bits of a 4300-digit literal
+    Qi = parse_field("Q(i)")
+    for src, pos in (("((9^500)^500)^20", 9), ("v^3 + (9^500)^10*u^2*v", 14)):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=rf"above 14284 bits \(at position {pos}\)"):
+            parse_poly(src, UV, Qi)
+        assert time.perf_counter() - start < 0.1, src
+    # n * b: 500 * 2 bits for (2/3)^500 and (2*u)^500; n * (b + ceil(log2 t)):
+    # 61 * (1 + 2) bits for (u + i*v + 1)^61
+    assert parse_poly("(2/3)^500*u", UV, QQ) == parse_poly("u", UV, QQ).scale(
+        Fraction(2, 3) ** 500)
+    assert parse_poly("(2*u)^500", UV, Qi) == parse_poly("u^500", UV, Qi).scale(2 ** 500)
+    assert len(parse_poly("(u + i*v + 1)^61", UV, Qi).terms) == 1953
 
 
 def test_long_integer_literals_are_parse_errors():
