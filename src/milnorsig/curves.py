@@ -3,11 +3,13 @@ twisted/untwisted pairing, intersection tables, and the curve Milnor number."""
 
 from __future__ import annotations
 
+from functools import cache
+
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
 from .arith import poly_gcd, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, factor_components
 from .germs import AnalysisError, Germ, OverrideRequired, is_local_unit_multiple
-from .localring import INFINITE, intersection_multiplicity, milnor_number
+from .localring import INFINITE, intersection_multiplicity, linear_pivot, milnor_number
 from .poly import Poly
 
 
@@ -52,21 +54,53 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     return comps
 
 
+def _dividing_pullbacks(h: Poly, a: Poly | None, b: Poly, comps: list[Poly],
+                        pullbacks) -> list[int]:
+    """The j with h | G_j = a^deg_v(g_j) * g_j(u, -b/a).  A branch h = c*x + r
+    (``linear_pivot``) divides G_j exactly when G_j(x = -r/c) = 0, and that
+    value is a_r^deg_v(g_j) * g_j(u, -b_r/a_r) with x = -r/c put into a and
+    b first (a_r, b_r), then into u when x is u: G_j is never formed.  When
+    x occurs in neither a nor b, a_r^deg_v(g_j) * g_j(u, -b_r/a_r) is G_j
+    itself, so the shared ``pullbacks()`` are evaluated instead.  Any other
+    branch divides the ``pullbacks()``."""
+    pivot = linear_pivot([h])
+    if pivot is None:
+        return [j for j, G_j in enumerate(pullbacks()) if try_divide(G_j, h) is not None]
+    _, i, c = pivot
+    x, scale = h.vars[i], -c.inverse()
+    root = Poly(h.vars, {e: k * scale for e, k in h.terms.items() if e[i] == 0}, h.field)
+    if all(p is None or p.degree_in(x) <= 0 for p in (a, b)):
+        values = (G_j.substitute(x, root) for G_j in pullbacks())
+    else:
+        a_r = None if a is None else a.substitute(x, root)
+        neg_b_r = -b.substitute(x, root)
+        values = (g.substitute("v", neg_b_r, a_r) for g in comps)
+        if x == "u":
+            values = (value.substitute("u", root) for value in values)
+    return [j for j, value in enumerate(values) if value.is_zero()]
+
+
 def _partners(f: Germ, comps: list[Poly]) -> list[list[int]]:
     """Each branch's candidate partners.  With (a, b) the germ's
     ``multipoint.line`` (a None for 1), the double-point space has the one
     point v2 = -b/a over (u, v1 = v) where a != 0 (subresultant theorem).  So
     when no G_j = a^deg_v(g_j) * g_j(u, -b/a) is zero, a branch h_i that
-    does not divide a is decided: its partners are the j with h_i | G_j.
+    does not divide a is decided: its partners are the j with h_i | G_j
+    (``_dividing_pullbacks``).  No G_j is zero when W = a*b_v - b*a_v (b_v
+    when a is None) is not: then (u, v) -> (u, -b/a) is dominant (Jacobian
+    criterion, characteristic 0), so only for W = 0 are the G_j formed and
+    checked.
     The partner map swaps v1 <-> v2, an involution, so an undecided branch's
     partners are the decided branches that name it, or else the undecided
     branches that no decided branch names (itself alone: twisted)."""
     line, found = f.multipoint.line, [None] * len(comps)
     if line is not None:
         a, b = line
-        G = [g.substitute("v", -b, a) for g in comps]
-        if not any(G_j.is_zero() for G_j in G):
-            found = [[j for j, G_j in enumerate(G) if try_divide(G_j, h) is not None]
+        pullbacks = cache(lambda: [g.substitute("v", -b, a) for g in comps])
+        dominant = (b.degree_in("v") > 0 if a is None else
+                    not (a * b.derivative("v") - b * a.derivative("v")).is_zero())
+        if dominant or not any(G_j.is_zero() for G_j in pullbacks()):
+            found = [_dividing_pullbacks(h, a, b, comps, pullbacks)
                      if a is None or try_divide(a, h) is None else None for h in comps]
     named = {j for p in found if p is not None for j in p}
     unnamed = [i for i, p in enumerate(found) if p is None and i not in named]

@@ -161,7 +161,7 @@ def _staircase_count(leading, nvars):
     return count
 
 
-def _linear_pivot(gens):
+def linear_pivot(gens):
     """(k, i, c) with gens[k] = c*x_i + h, c a nonzero constant and h free of
     x_i, or None.  The caller has ruled out units, so h(0) = 0."""
     for k, g in enumerate(gens):
@@ -180,7 +180,7 @@ def quotient_dim(I: LocalIdeal):
     gens, vars = I.generators, I.vars
     if any(g.is_unit_local() for g in gens):
         return 0
-    while (pivot := _linear_pivot(gens)) is not None:
+    while (pivot := linear_pivot(gens)) is not None:
         k, i, c = pivot
         x, vars = vars[i], vars[:i] + vars[i + 1:]
         scale = -c.inverse()

@@ -14,7 +14,10 @@ it is expanded when its exponent exceeds MAX_EXPONENT, or when its base has t
 terms and C(n + t - 1, t - 1), the number of monomials of degree n in t
 symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS, or
 when n * (b + ceil(log2 t)), b the largest bit length among the base's
-numerators and denominators, exceeds MAX_COEFF_BITS.
+numerators and denominators, exceeds MAX_COEFF_BITS.  A product p * q is
+refused before it is expanded when b_p + b_q + ceil(log2 min(t_p, t_q))
+exceeds MAX_COEFF_BITS: each of its coefficients sums at most min(t_p, t_q)
+products of two coefficients.
 """
 
 from __future__ import annotations
@@ -80,6 +83,13 @@ def _tokenize(src: str) -> list[_Tok]:
     return toks
 
 
+def _coeff_bits(p: Poly) -> int:
+    """The largest bit length among the numerators and denominators of p's
+    coefficients."""
+    return max((x.bit_length() for c in p.terms.values() for x in (*c.num, c.den)),
+               default=0)
+
+
 def _literal(t: _Tok) -> int:
     try:
         return int(t.text)
@@ -134,8 +144,13 @@ class _Parser:
     def term(self) -> Poly:
         p = self.factor()
         while self.peek().kind == "*":
-            self.next()
-            p = p * self.factor()
+            t = self.next()
+            q = self.factor()
+            size = min(len(p.terms), len(q.terms))
+            if _coeff_bits(p) + _coeff_bits(q) + (size - 1).bit_length() > MAX_COEFF_BITS:
+                raise ParseError(f"product may have coefficients above {MAX_COEFF_BITS} "
+                                 "bits", t.pos)
+            p = p * q
         return p
 
     def factor(self) -> Poly:
@@ -151,8 +166,7 @@ class _Parser:
             if size > 1 and math.comb(n + size - 1, n) > MAX_POWER_TERMS:
                 raise ParseError(f"power of a {size}-term polynomial may exceed "
                                  f"{MAX_POWER_TERMS} terms", t.pos)
-            bits = max((x.bit_length() for c in p.terms.values() for x in (*c.num, c.den)),
-                       default=0)
+            bits = _coeff_bits(p)
             # the multinomial coefficients of base^n add up to size^n
             if n * (bits + (size - 1).bit_length()) > MAX_COEFF_BITS:
                 raise ParseError(f"power may have coefficients above {MAX_COEFF_BITS} "

@@ -22,6 +22,18 @@ def local_key(exp: tuple[int, ...]):
     return (sum(exp), exp[::-1])
 
 
+def _field_pow(x: FieldElem, k: int) -> FieldElem:
+    """x^k for k >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else result * x
+        k >>= 1
+        if not k:
+            return result
+        x = x * x
+
+
 class Poly:
     __slots__ = ("vars", "terms", "field")
 
@@ -168,9 +180,11 @@ class Poly:
         """den^d * self(var = num/den), d = deg_var self, in num's variables;
         with no den, self(var = num).  var may be kept in the target list or
         dropped; every other variable must exist there under its own name.
-        By Horner's rule in var, so a degree of var costs one product by num
-        (and one by den); the other variables ride along as exponents,
-        re-keyed into the target list and never multiplied."""
+        When num has at most one term, and den if given has one, each term
+        maps to at most one term; otherwise by Horner's rule in var, so a
+        degree of var costs one product by num (and one by den).  Either
+        way the other variables ride along as exponents, re-keyed into the
+        target list and never multiplied."""
         tvars, field = num.vars, num.field
         if field != self.field:
             raise PolyError("substitution cannot change the coefficient field")
@@ -182,6 +196,8 @@ class Poly:
             raise PolyError("an unbound variable is missing from the target variables")
         i = self.vars.index(var)
         kept = [(k, tvars.index(v)) for k, v in enumerate(self.vars) if k != i]
+        if self.terms and len(num.terms) <= 1 and (den is None or len(den.terms) == 1):
+            return self._substitute_term(i, kept, num, den)
         by_degree: dict = {}
         for e, c in self.terms.items():
             ne = [0] * len(tvars)
@@ -201,6 +217,39 @@ class Poly:
             if den is not None and n:
                 den_power = den_power * den
         return acc
+
+    def _substitute_term(self, i: int, kept: list, num: "Poly", den: "Poly | None") -> "Poly":
+        """``substitute`` for num = n*X^a or 0, and den = m*X^b if given:
+        the term c*var^k*Y, Y re-keyed by ``kept``, maps to the one term
+        c*n^k*m^(d-k)*X^(k*a + (d-k)*b)*Y, or to 0 when num = 0 and k > 0.
+        The factor and the shift of each degree k are computed once."""
+        (a, n), = num.terms.items() or (((0,) * len(num.vars), None),)
+        (b, m), = den.terms.items() if den is not None else ((None, None),)
+        d = max(e[i] for e in self.terms)
+        images: dict = {}
+        terms: dict = {}
+        for e, c in self.terms.items():
+            k = e[i]
+            if k and n is None:
+                continue
+            image = images.get(k)
+            if image is None:
+                factor = _field_pow(n, k) if k else None
+                shift = [k * x for x in a]
+                if m is not None and k < d:
+                    mk = _field_pow(m, d - k)
+                    factor = mk if factor is None else factor * mk
+                    shift = [s + (d - k) * y for s, y in zip(shift, b)]
+                image = images[k] = shift, factor
+            key, factor = list(image[0]), image[1]
+            for src, j in kept:
+                key[j] += e[src]
+            key = tuple(key)
+            if factor is not None:
+                c = c * factor
+            s = terms.get(key)
+            terms[key] = c if s is None else s + c
+        return Poly(num.vars, terms, num.field)
 
     def rename(self, mapping: dict, new_vars: tuple[str, ...]) -> "Poly":
         """Rename/reorder variables; every variable with a nonzero exponent

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from milnorsig import arith, germs, localring
+from milnorsig import arith, curves, germs, localring
 from milnorsig.arith import poly_gcd, resultant, squarefree_part, try_divide
 from milnorsig.corpus import B, C_, F4, H, S, corank2, corpus, cross_cap
 from milnorsig.curves import (_partners, classify_twist, component_set, curve_milnor,
@@ -233,6 +233,36 @@ def test_undecided_branches_ask_for_the_override(line):
         classify_twist(f, comps)
     for override in ([(0, 1)], [(0, 0), (1, 1)]):
         assert classify_twist(f, comps, override) == override
+
+
+def test_linear_branches_divide_no_pullback(monkeypatch):
+    # every branch of H_k and B_k is c*x + r, on which _partners evaluates
+    # the pullbacks: try_divide runs only for the h | a checks, one per
+    # branch when a is a polynomial and none when a is None
+    cases = [(f, decompose(double_curve_equation(f)))
+             for f in [H(k) for k in range(2, 9)] + [B(k) for k in range(2, 9)]]
+    calls = []
+
+    def counted(p, q, real=curves.try_divide):
+        calls.append(q)
+        return real(p, q)
+    monkeypatch.setattr(curves, "try_divide", counted)
+    for f, comps in cases:
+        calls.clear()
+        partners = _partners(f, comps)
+        assert all(len(p) == 1 for p in partners), f.name
+        a = f.multipoint.line[0]
+        assert calls == ([] if a is None else comps), f.name
+
+
+def test_vanishing_jacobian_forms_the_pullbacks():
+    # S_1 with the line v2 + 2u, stored as (None, 2u): W = b_v = 0, so the
+    # pullbacks are formed, and none is zero (u -+ i*v pulls back to
+    # (1 -+ 2i)*u); both branches are decided, and neither divides one
+    f = S(1)
+    f.multipoint.line = (None, parse_poly("2*u", UV, f.field))
+    comps = decompose(double_curve_equation(f))
+    assert _partners(f, comps) == [[], []]
 
 
 def test_classify_twist_runs_no_resultant_on_the_corpus(monkeypatch):

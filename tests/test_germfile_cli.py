@@ -328,6 +328,14 @@ def test_power_coefficient_bound_exits_1(tmp_path, capsys):
                     "power may have coefficients above 14284 bits (at position 14)")
 
 
+def test_product_coefficient_bound_exits_1(tmp_path, capsys):
+    # each power has 14,265 bits, under the bound; their product's 28,530
+    # made the CLI exit 1 with Python's own "Exceeds the limit (4300 digits)"
+    _assert_refused(tmp_path, capsys, '"u*v"', '"v^3 + (9^500)^9*(9^500)^9*u^2*v"',
+                    ParseError,
+                    "product may have coefficients above 14284 bits (at position 15)")
+
+
 def test_run_analyze_out_file(tmp_path):
     src = tmp_path / "s1.germ"
     src.write_text(S1_TEXT)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,9 +7,10 @@ import pytest
 
 from milnorsig import germs, localring
 from milnorsig.corpus import H, corpus
+from milnorsig.curves import decompose
 from milnorsig.fields import QQ, parse_field
-from milnorsig.germs import (Germ, fold_normal_data, multipoint_data,
-                             triple_point_number)
+from milnorsig.germs import (Germ, double_curve_equation, fold_normal_data,
+                             multipoint_data, triple_point_number)
 from milnorsig.localring import (INFINITE, LocalIdeal, _staircase_count,
                                  intersection_multiplicity, milnor_number,
                                  mora_normal_form, quotient_dim, standard_basis)
@@ -272,3 +274,72 @@ def test_elimination_finishes_germs_that_stalled_mora(monkeypatch):
     assert triple_point_number(f) == 2
     X, Y, Z = h4.components
     assert triple_point_number(Germ((X, Z + Y, Y.scale(3) - Z), field)) == 3
+
+
+def fulton_intersection(F: Poly, G: Poly, budget: int = 100_000):
+    """I(F, G) at the origin of the plane (x, y) = (u, v) by Fulton's
+    algorithm (Algebraic Curves, section 3.3), from the axioms alone: no
+    standard basis, no normal form, no elimination.  With r and s the
+    degrees of F(x, 0) and G(x, 0) (0 for the zero polynomial), ordered so
+    that r <= s:
+    - r = 0: y | F, and I(yH, G) = I(y, G) + I(H, G) with I(y, G) the order
+      of G(x, 0) in x (infinite when y | G too);
+    - r > 0: I(F, G) = I(F, G - (lc G(x, 0) / lc F(x, 0)) x^(s-r) F), whose
+      second argument has a smaller s."""
+    total = 0
+    for _ in range(budget):
+        if F.is_zero() or G.is_zero():
+            return math.inf
+        if F.is_unit_local() or G.is_unit_local():
+            return total
+        on_axis = [{a: c for (a, b), c in p.terms.items() if b == 0} for p in (F, G)]
+        r, s = (max(axis, default=0) for axis in on_axis)
+        if r > s:
+            F, G, on_axis, r, s = G, F, on_axis[::-1], s, r
+        if r == 0:
+            if not on_axis[1]:
+                return math.inf
+            total += min(on_axis[1])
+            F = Poly(F.vars, {(a, b - 1): c for (a, b), c in F.terms.items()}, F.field)
+            continue
+        lead = on_axis[1][s] * on_axis[0][r].inverse()
+        G = G - Poly(F.vars, {(s - r, 0): lead}, F.field) * F
+    raise AssertionError("Fulton's algorithm ran past its budget")
+
+
+def test_fulton_oracle_examples():
+    Qi = parse_field("Q(i)")
+    assert fulton_intersection(P("u^2 - v^3"), P("u^3 - v^2")) == 4
+    assert fulton_intersection(P("v - u^2"), P("v")) == 2
+    assert fulton_intersection(P("u + 1"), P("v")) == 0
+    assert fulton_intersection(P("u*(u + v)"), P("u*v")) == math.inf
+    assert fulton_intersection(P("u - i*v^4", Qi), P("u + i*v^4", Qi)) == 4
+    # the Milnor number of the A_k curve v^2 + u^(k+1) is k
+    assert fulton_intersection(P("2*v"), P("7*u^6")) == 6
+
+
+def test_fulton_matches_intersection_multiplicity_on_corpus_branches():
+    pairs = 0
+    for f in corpus(10):
+        comps = decompose(double_curve_equation(f), f.overrides.components)
+        for i, h in enumerate(comps):
+            for g in comps[i + 1:]:
+                assert fulton_intersection(h, g) == intersection_multiplicity(h, g), f.name
+                pairs += 1
+    assert pairs >= 49
+
+
+def test_fulton_matches_quotient_dim_on_corpus_milnor_ideals():
+    # the Jacobian ideal of the double curve D, and of each of its branches
+    # that is not smooth: quotient_dim eliminates a linear variable first
+    # wherever a partial derivative is c*x + h
+    ideals = []
+    for f in corpus(10):
+        curve = double_curve_equation(f)
+        for h in [curve] + decompose(curve, f.overrides.components):
+            jac = [h.derivative(x) for x in UV]
+            if all(not p.is_zero() for p in jac):
+                ideals.append((f.name, jac))
+    assert len(ideals) >= 107
+    for name, jac in ideals:
+        assert fulton_intersection(*jac) == quotient_dim(LocalIdeal(jac)), name

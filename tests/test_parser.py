@@ -123,6 +123,27 @@ def test_power_coefficient_bits_are_bounded_before_expanding():
     assert len(parse_poly("(u + i*v + 1)^61", UV, Qi).terms) == 1953
 
 
+def test_product_coefficient_bits_are_bounded_before_expanding():
+    # (9^500)^9 has 14,265 bits and passes the power bound; a product of two
+    # has up to 28,530.  The bound is b_p + b_q + ceil(log2 min(t_p, t_q)).
+    Qi = parse_field("Q(i)")
+    for src, pos in (("(9^500)^9*(9^500)^9", 9), ("u*(9^500)^9*u*(9^500)^9*v", 13),
+                     ("(9^500)^9*(u + v)*(9^500)^9", 17)):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=rf"product may have coefficients above "
+                                             rf"14284 bits \(at position {pos}\)"):
+            parse_poly(src, UV, Qi)
+        assert time.perf_counter() - start < 0.1, src
+    # 7,132 + 7,132 bits plus 2 for min(3, 3) terms is 14,266: accepted
+    half = f"({2 ** 7131}*u + v + 1)"
+    p = parse_poly(f"{half}*{half}", UV, QQ)
+    assert max(c.num[0].bit_length() for c in p.terms.values()) == 14263
+    # 7,142 + 7,142 bits plus 1 for min(2, 2) terms is 14,285: refused
+    half = f"({2 ** 7141}*u + v)"
+    with pytest.raises(ParseError, match="product may have coefficients above"):
+        parse_poly(f"{half}*{half}", UV, QQ)
+
+
 def test_long_integer_literals_are_parse_errors():
     # int() refuses more than 4300 digits; the refusal names the literal
     big = "9" * 5000

@@ -107,6 +107,48 @@ def test_substitute_matches_termwise_expansion():
         P("u + v").substitute("u", P("v"), Poly.variable("x", ("x",), QQ))
 
 
+def test_one_term_substitution_matches_termwise_expansion(monkeypatch):
+    # a num of at most one term (and a one-term den) maps each term to at
+    # most one term, with no product of polynomials; any other input goes
+    # through Horner's rule
+    rng = random.Random(21)
+    Qz = parse_field("Q(zeta3)")
+    V3 = ("u", "v1", "v2")
+
+    def rand3(vars_, field, nterms, maxdeg=3):
+        terms = {}
+        for _ in range(nterms):
+            e = tuple(rng.randint(0, maxdeg) for _ in vars_)
+            c = field.from_rational(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+            terms[e] = c * field.generator() if field.degree > 1 and rng.random() < 0.5 else c
+        return Poly(vars_, terms, field)
+
+    cases = []
+    for field in (QQ, Qz):
+        for _ in range(12):
+            a = rand3(V3, field, rng.randint(1, 6))
+            for var, tvars in (("u", V3), ("v1", V3), ("u", V3[1:]), ("v2", V3[:2])):
+                num, den = rand3(tvars, field, 1, 2), rand3(tvars, field, 1, 2)
+                zero = Poly.zero(tvars, field)
+                cases += [(a, var, num, None), (a, var, num, den),
+                          (a, var, zero, None), (a, var, zero, den)]
+        # free of the substituted variable, with a den; the zero polynomial
+        free = rand3(("u", "v1"), field, 4).rename({}, V3)
+        cases += [(free, "v2", rand3(V3, field, 1), rand3(V3, field, 1)),
+                  (Poly.zero(V3, field), "v1", rand3(V3, field, 1), None),
+                  (Poly.zero(V3, field), "v1", rand3(V3, field, 1), rand3(V3, field, 1))]
+    # terms that meet on one monomial add up, and may cancel
+    cases.append((P("u - v", Qz), "v", P("u", Qz), None))
+    want = [_expand_termwise(*case) for case in cases]
+    products = []
+    monkeypatch.setattr(Poly, "__mul__", lambda self, other: products.append(1))
+    got = [p.substitute(var, num, den) for p, var, num, den in cases]
+    monkeypatch.undo()
+    assert not products
+    assert got == want
+    assert got[-1].is_zero()
+
+
 def test_fold_substitution_example():
     # z -> v^3 + u^2*v factors as v*(v^2 + u^2)
     f3 = P("v^3 + u^2*v")
