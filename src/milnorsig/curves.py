@@ -1,5 +1,6 @@
 """Component analysis of the double-point curve: decomposition, the
-twisted/untwisted pairing, intersection tables, and the curve Milnor number."""
+twisted/untwisted pairing, intersection tables, and the Milnor number of a
+branch."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from functools import cache
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
 from .arith import poly_gcd, try_divide  # noqa: F401
 from .factor import FactorizationIncomplete, factor_components
-from .germs import AnalysisError, Germ, OverrideRequired, is_local_unit_multiple
+from .germs import (AnalysisError, Germ, OverrideRequired, double_curve_equation,
+                    is_local_unit_multiple)
 from .localring import INFINITE, intersection_multiplicity, linear_pivot, milnor_number
 from .poly import Poly
 
@@ -32,9 +34,13 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     """The branches through the origin of the reduced curve ``curve_eq``:
     the ``components`` override, or else its irreducible factors that pass
     through the origin, sorted by ``canonical_key``.  Either list must
-    multiply to ``curve_eq`` up to a unit of the local ring."""
+    multiply to ``curve_eq`` up to a unit of the local ring, and every
+    override component must pass through the origin, as the factors do."""
     if override is not None:
         comps = [h.normalized() for h in override]
+        units = [i for i, h in enumerate(comps) if h.is_unit_local()]
+        if units:
+            raise AnalysisError(f"override components {units} miss the origin")
     else:
         try:
             comps = factor_components(curve_eq)
@@ -66,14 +72,13 @@ def _dividing_pullbacks(h: Poly, a: Poly | None, b: Poly, comps: list[Poly],
     pivot = linear_pivot([h])
     if pivot is None:
         return [j for j, G_j in enumerate(pullbacks()) if try_divide(G_j, h) is not None]
-    _, i, c = pivot
-    x, scale = h.vars[i], -c.inverse()
-    root = Poly(h.vars, {e: k * scale for e, k in h.terms.items() if e[i] == 0}, h.field)
+    _, x, root = pivot
     if all(p is None or p.degree_in(x) <= 0 for p in (a, b)):
         values = (G_j.substitute(x, root) for G_j in pullbacks())
     else:
-        a_r = None if a is None else a.substitute(x, root)
-        neg_b_r = -b.substitute(x, root)
+        at_root = root.rename({}, h.vars)   # keeps x, with exponent 0
+        a_r = None if a is None else a.substitute(x, at_root)
+        neg_b_r = -b.substitute(x, at_root)
         values = (g.substitute("v", neg_b_r, a_r) for g in comps)
         if x == "u":
             values = (value.substitute("u", root) for value in values)
@@ -164,16 +169,17 @@ def v_axis_multiplicities(comps: list[Poly]):
     return out
 
 
-def curve_milnor(curve_eq: Poly) -> int:
-    m = milnor_number(curve_eq)
+def curve_milnor(h: Poly) -> int:
+    """The Milnor number at the origin of the reduced curve h = 0."""
+    m = milnor_number(h)
     if m == INFINITE:
-        raise AnalysisError("double curve has non-isolated singularity")
+        raise AnalysisError("curve has a non-isolated singularity")
     return m
 
 
-def component_set(f: Germ, curve_eq: Poly) -> ComponentSet:
-    """The component set of ``curve_eq = double_curve_equation(f)``."""
+def component_set(f: Germ) -> ComponentSet:
+    """The component set of f's double curve ``double_curve_equation(f)``."""
     ov = f.overrides
-    comps = decompose(curve_eq, ov.components)
+    comps = decompose(double_curve_equation(f), ov.components)
     pairing = classify_twist(f, comps, ov.twist)
     return ComponentSet(comps, pairing, intersection_table(comps))

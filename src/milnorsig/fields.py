@@ -170,6 +170,11 @@ class NumberField:
         # q * minimal_poly = p_0 + p_1 x + ... + q x^d with integers p_i, q > 0
         self._q = math.lcm(*(c.denominator for c in self.minimal_poly))
         self._p = tuple(int(c * self._q) for c in self.minimal_poly)
+        # bits one product in ``FieldElem.__mul__`` may add to its factors':
+        # ceil(log2 d) for the schoolbook sums, then h + 1 for each of the
+        # d - 1 reduction steps (x -> q*x - c*p_i), h the bit length of max |p_i|
+        h = max(map(abs, self._p)).bit_length()
+        self.reduction_bits = (d - 1).bit_length() + (d - 1) * (h + 1)
 
     def _check_irreducible(self) -> None:
         d = self.degree

@@ -152,18 +152,16 @@ def crosscap_number(f: Germ) -> int:
 
 
 def fold_normal_data(f: Germ) -> Poly | None:
-    """p(u, v^2) = f3 / v in (u, v) with f = (u, v^2, v*p(u, v^2)), or None
-    if f is not literally in the fold normal form."""
+    """p(u, v^2) = (odd part of f3) / v in (u, v) for f = (u, v^2, f3), or
+    None if f1 != u, f2 != v^2 or f3 has no term of odd v-degree.  The
+    target change Z -> Z - q(X, Y) with q(u, v^2) the even part of f3 takes
+    f to the fold normal form (u, v^2, v*p(u, v^2))."""
     f1, f2, f3 = f.components
     u = Poly.variable("u", UV, f.field)
     v = Poly.variable("v", UV, f.field)
     if f1 != u or f2 != v * v:
         return None
-    terms = {}
-    for (a, b), c in f3.terms.items():
-        if b % 2 == 0:
-            return None
-        terms[(a, b - 1)] = c
+    terms = {(a, b - 1): c for (a, b), c in f3.terms.items() if b % 2}
     if not terms:
         return None
     return Poly(UV, terms, f.field)

@@ -162,14 +162,19 @@ def _staircase_count(leading, nvars):
 
 
 def linear_pivot(gens):
-    """(k, i, c) with gens[k] = c*x_i + h, c a nonzero constant and h free of
-    x_i, or None.  The caller has ruled out units, so h(0) = 0."""
+    """(k, x, root) with gens[k] = c*x + h, c a nonzero constant and h free
+    of x, and root = -h/c in the variables other than x; or None.  The
+    caller has ruled out units, so h(0) = 0."""
     for k, g in enumerate(gens):
         n = len(g.vars)
         for i in range(n):
             unit = tuple(int(j == i) for j in range(n))
             if unit in g.terms and all(e[i] == 0 for e in g.terms if e != unit):
-                return k, i, g.terms[unit]
+                scale = -g.terms[unit].inverse()
+                root = Poly(g.vars[:i] + g.vars[i + 1:],
+                            {e[:i] + e[i + 1:]: a * scale
+                             for e, a in g.terms.items() if e != unit}, g.field)
+                return k, g.vars[i], root
     return None
 
 
@@ -181,12 +186,9 @@ def quotient_dim(I: LocalIdeal):
     if any(g.is_unit_local() for g in gens):
         return 0
     while (pivot := linear_pivot(gens)) is not None:
-        k, i, c = pivot
-        x, vars = vars[i], vars[:i] + vars[i + 1:]
-        scale = -c.inverse()
-        image = Poly(vars, {e[:i] + e[i + 1:]: a * scale
-                            for e, a in gens[k].terms.items() if e[i] == 0}, I.field)
-        gens = [h.substitute(x, image) for h in gens[:k] + gens[k + 1:]]
+        k, x, root = pivot
+        vars = root.vars
+        gens = [h.substitute(x, root) for h in gens[:k] + gens[k + 1:]]
         gens = [h for h in gens if not h.is_zero()]
     if not vars:
         return 1

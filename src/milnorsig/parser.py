@@ -13,11 +13,15 @@ must be declared variables or the field generator.  A power is refused before
 it is expanded when its exponent exceeds MAX_EXPONENT, or when its base has t
 terms and C(n + t - 1, t - 1), the number of monomials of degree n in t
 symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS, or
-when n * (b + ceil(log2 t)), b the largest bit length among the base's
-numerators and denominators, exceeds MAX_COEFF_BITS.  A product p * q is
-refused before it is expanded when b_p + b_q + ceil(log2 min(t_p, t_q))
-exceeds MAX_COEFF_BITS: each of its coefficients sums at most min(t_p, t_q)
-products of two coefficients.
+when n * (b + ceil(log2 t)) + (n - 1) * r, b the largest bit length among
+the base's numerators and denominators, exceeds MAX_COEFF_BITS.  A product
+p * q is refused before it is expanded when b_p + b_q + ceil(log2 min(t_p,
+t_q)) + r exceeds MAX_COEFF_BITS: each of its coefficients sums at most
+min(t_p, t_q) products of two coefficients.  r is the field's
+``reduction_bits``, what reducing by the minimal polynomial may add to one
+product of two field elements.  A rational factor only scales coordinates,
+so r counts only for a base, or for two factors, with a coefficient
+outside Q.
 """
 
 from __future__ import annotations
@@ -90,6 +94,11 @@ def _coeff_bits(p: Poly) -> int:
                default=0)
 
 
+def _irrational(p: Poly) -> bool:
+    """Whether some coefficient of p lies outside Q."""
+    return any(any(c.num[1:]) for c in p.terms.values())
+
+
 def _literal(t: _Tok) -> int:
     try:
         return int(t.text)
@@ -147,7 +156,9 @@ class _Parser:
             t = self.next()
             q = self.factor()
             size = min(len(p.terms), len(q.terms))
-            if _coeff_bits(p) + _coeff_bits(q) + (size - 1).bit_length() > MAX_COEFF_BITS:
+            reduction = self.field.reduction_bits if _irrational(p) and _irrational(q) else 0
+            if (_coeff_bits(p) + _coeff_bits(q) + (size - 1).bit_length() + reduction
+                    > MAX_COEFF_BITS):
                 raise ParseError(f"product may have coefficients above {MAX_COEFF_BITS} "
                                  "bits", t.pos)
             p = p * q
@@ -167,8 +178,10 @@ class _Parser:
                 raise ParseError(f"power of a {size}-term polynomial may exceed "
                                  f"{MAX_POWER_TERMS} terms", t.pos)
             bits = _coeff_bits(p)
-            # the multinomial coefficients of base^n add up to size^n
-            if n * (bits + (size - 1).bit_length()) > MAX_COEFF_BITS:
+            reduction = self.field.reduction_bits if _irrational(p) else 0
+            # the multinomial coefficients of base^n add up to size^n, and
+            # each of its terms is a product of n coefficients
+            if n * (bits + (size - 1).bit_length()) + (n - 1) * reduction > MAX_COEFF_BITS:
                 raise ParseError(f"power may have coefficients above {MAX_COEFF_BITS} "
                                  "bits", t.pos)
             p = p ** n

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .curves import ComponentSet, component_set, curve_milnor, v_axis_multiplicities
 from .fields import charpoly
 from .germs import (AnalysisError, Germ, OverrideRequired, crosscap_number,
-                    double_curve_equation, triple_point_number)
+                    triple_point_number)
 from .poly import format_poly
 
 
@@ -165,12 +165,15 @@ def analyze(germ: Germ) -> SignatureReport:
                             "the double-point curve is empty")
     C = crosscap_number(germ)
     T = triple_point_number(germ)
-    curve_eq = double_curve_equation(germ)
-    cs = component_set(germ, curve_eq)
+    cs = component_set(germ)
     vi, sum_check = vertical_indices(germ, cs, C, T)
     form = intersection_form(cs, vi)
     sigma_X = signature_of_form(form)
-    mu_D = curve_milnor(curve_eq)
+    # Milnor 1968, section 10: mu(D) = sum mu(D_i) + 2 sum_{i<j} D_i.D_j - r + 1
+    # for reduced, pairwise coprime D_i through the origin; the table is
+    # symmetric with a zero diagonal, so its full sum is the middle term
+    mu_D = (sum(curve_milnor(h) for h in cs.components) + sum(map(sum, cs.intersection))
+            - len(cs.components) + 1)
     mu_I, b2 = derived_invariants(mu_D, C, T)
     checks = [sum_check, ("parity", "pass",
                           f"mu(D)+C-4T-1 = {mu_D + C - 4 * T - 1} is even")]

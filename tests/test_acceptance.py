@@ -125,7 +125,7 @@ def test_criterion_2_C_and_T():
 
 def _vertical_indices(f):
     """(pairing, {pair: (value, provenance)}) of a germ."""
-    cs = component_set(f, double_curve_equation(f))
+    cs = component_set(f)
     vi, _ = vertical_indices(f, cs, crosscap_number(f), triple_point_number(f))
     return cs.pairing, vi
 

@@ -336,8 +336,7 @@ field = "Q(i)"
 
 def test_pairing_is_involution():
     for f in (S(1), C_(5), H(2)):
-        curve = double_curve_equation(f)
-        cs = component_set(f, curve)
+        cs = component_set(f)
         for i in range(len(cs.components)):
             assert cs.partner[cs.partner[i]] == i
 

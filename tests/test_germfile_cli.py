@@ -321,6 +321,20 @@ def test_missing_multipoint_data_names_every_override(tmp_path, capsys, text, me
     assert message in capsys.readouterr().err
 
 
+def test_override_components_that_miss_the_origin_exit_1(tmp_path, capsys):
+    # 1 + u divides the double curve but misses the origin; it was reported
+    # as a sixth, twisted branch with exit 0
+    text = (CORANK2_TEXT
+            .replace('double_curve = "', 'double_curve = "(1 + u)*')
+            .replace('"u + zeta3^2*v"]', '"u + zeta3^2*v", "1 + u"]')
+            .replace('"4:twisted"]', '"4:twisted", "5:twisted"]'))
+    assert text.count("1 + u") == 2 and "5:twisted" in text
+    path = tmp_path / "g.germ"
+    path.write_text(text)
+    assert run_analyze(str(path)) == EXIT_ERROR
+    assert "override components [5] miss the origin" in capsys.readouterr().err
+
+
 def test_power_coefficient_bound_exits_1(tmp_path, capsys):
     # exited 1 with Python's own "Exceeds the limit (4300 digits)" while the
     # factorization refusal formatted the double curve

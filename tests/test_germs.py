@@ -111,6 +111,10 @@ def test_fold_normal_data():
     assert fold_normal_data(H(2)) is None
     p = fold_normal_data(cross_cap())
     assert p == parse_poly("u", UV, QQ)
+    # the even part of f3 is left out; an f3 with no odd term has no p
+    assert fold_normal_data(G(("u", "v^2", "u*v^3 + u*v^2 + u^5*v"))) == \
+        parse_poly("u*v^2 + u^5", UV, QQ)
+    assert fold_normal_data(G(("u", "v^2", "u*v^2 + v^4"))) is None
 
 
 def test_multipoint_data():

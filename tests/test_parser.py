@@ -10,6 +10,7 @@ from milnorsig.fields import QQ, FieldError, parse_field
 from milnorsig.germfile import load_germ
 from milnorsig.parser import ParseError, parse_poly
 from milnorsig.poly import PolyError, format_poly
+from test_golden import OVERRIDE_GERMS
 
 UV = ("u", "v")
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -144,6 +145,29 @@ def test_product_coefficient_bits_are_bounded_before_expanding():
         parse_poly(f"{half}*{half}", UV, QQ)
 
 
+def test_coefficient_bounds_count_the_reduction_by_the_minimal_polynomial():
+    # a^2 = 2*10^100 adds up to 336 bits per product of irrational
+    # coefficients: (u + a*v)^200 had coefficients of 33,320 bits against a
+    # bound of 200 * (1 + 1)
+    F = parse_field("Q[a]/(a^2 - 2*10^100)")
+    assert F.reduction_bits == 2 + (2 * 10 ** 100).bit_length()
+    for src, pos, what in (("(u + a*v)^200", 10, "power"),
+                           ("(u + a*v)^42*(u + a*v)^42", 12, "product")):
+        with pytest.raises(ParseError, match=rf"{what} may have coefficients above "
+                                             rf"14284 bits \(at position {pos}\)"):
+            parse_poly(src, UV, F)
+    # 43 * 2 + 42 * 336 = 14,198 bits: accepted, with 7,003
+    p = parse_poly("(u + a*v)^43", UV, F)
+    assert max(x.bit_length() for c in p.terms.values() for x in (*c.num, c.den)) == 7003
+    # a rational factor only scales coordinates: no reduction is counted
+    assert parse_poly("(9^500)^9*a*u", UV, F) == parse_poly("a*u", UV, F).scale(9 ** 4500)
+    assert QQ.reduction_bits == 0
+    assert parse_field("Q(i)").reduction_bits == 3
+    Qa = parse_field("Q[a]/(a^2 - 2)")
+    # 61 * 2 + 60 * 4 bits
+    assert len(parse_poly("(u + a*v)^61", UV, Qa).terms) == 62
+
+
 def test_long_integer_literals_are_parse_errors():
     # int() refuses more than 4300 digits; the refusal names the literal
     big = "9" * 5000
@@ -189,6 +213,8 @@ def test_fuzzed_text_raises_only_documented_errors():
 def test_every_corpus_and_workload_germ_parses_within_the_limits(tmp_path):
     # corpus(10) parses its germs as it builds them
     assert len(corpus(10)) == 39
+    for text in OVERRIDE_GERMS:
+        load_germ(text)
     spec = importlib.util.spec_from_file_location("germgen", PERFBENCH / "germgen.py")
     germgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(germgen)

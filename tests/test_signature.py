@@ -13,8 +13,11 @@ from milnorsig.curves import component_set
 from milnorsig.germfile import load_germ
 from milnorsig.germs import AnalysisError, OverrideRequired, corank, crosscap_number, \
     double_curve_equation, triple_point_number
+from milnorsig.localring import milnor_number
 from milnorsig.signature import (analyze, derived_invariants, intersection_form,
                                  signature_of_form, vertical_indices)
+from test_curves import target_changed
+from test_golden import OVERRIDE_GERMS
 
 
 # --- Sturm-sequence oracle for the signature of a symmetric matrix ----------
@@ -197,7 +200,7 @@ def test_signature_refuses_non_symmetric_input():
 
 
 def _vertical_indices(f):
-    cs = component_set(f, double_curve_equation(f))
+    cs = component_set(f)
     vi, check = vertical_indices(f, cs, crosscap_number(f), triple_point_number(f))
     return cs, vi, check
 
@@ -230,7 +233,7 @@ def test_sum_rule_completion_Hk():
 def test_sum_rule_mismatch_of_fold_formula_is_an_error():
     # the fold formula and the sum rule are two routes to the same total
     f = S(1)
-    cs = component_set(f, double_curve_equation(f))
+    cs = component_set(f)
     with pytest.raises(AnalysisError, match="sum of vertical indices"):
         vertical_indices(f, cs, crosscap_number(f) + 1, triple_point_number(f))
 
@@ -281,6 +284,46 @@ def test_analyze_corpus_intermediates():
         assert r.b2 == r.mu_D + 2 * r.C - 3 * r.T - 1
         assert r.mu_I >= 0 and r.b2 >= 0
         assert abs(r.sigma_X) <= len(r.form)
+
+
+def _override_germs():
+    return [load_germ(text)[0] for text in OVERRIDE_GERMS]
+
+
+def test_mu_D_from_the_branches_matches_the_whole_curve():
+    # analyze sums Milnor's formula over the component set; the oracle runs
+    # Mora on the Jacobian ideal of the whole double curve
+    germs = corpus(10) + _override_germs()
+    germs += [g for f in corpus(8) for g in target_changed(f)]
+    completed = 0
+    for f in germs:
+        try:
+            report = analyze(f)
+        except OverrideRequired:   # target-changed corank-2 and odd C_k: no
+            continue               # overrides, or two vertical indices unknown
+        assert report.mu_D == milnor_number(double_curve_equation(f)), f.name
+        completed += 1
+    assert completed >= 39 + len(OVERRIDE_GERMS) + 54
+
+
+def test_analyze_reads_the_milnor_number_of_components_only(monkeypatch):
+    # the whole double curve went through curve_milnor before
+    seen = []
+
+    def recorder(module, name):
+        original = getattr(module, name)
+
+        def recording(h):
+            seen.append(h)
+            return original(h)
+        monkeypatch.setattr(module, name, recording)
+    recorder(signature, "curve_milnor")
+    recorder(curves, "milnor_number")
+    for f in corpus(10) + _override_germs():
+        seen.clear()
+        comps = analyze(f).component_set.components
+        assert len(seen) == 2 * len(comps), f.name
+        assert all(h in comps for h in seen), f.name
 
 
 def test_analyze_determinism():
@@ -351,6 +394,21 @@ def test_fold_components_pass_through_the_origin():
         twin = load_germ(_germ_text(("u", "v^2", f3), field))[0]
         assert _without_check_details(analyze(twin)) == \
             _without_check_details(analyze(plain)), plain.name
+
+
+def test_fold_formula_reads_the_odd_part_of_f3():
+    # Z -> Z - q(X, Y) removes the even part of f3, so (u, v^2, f3) is the
+    # fold germ of its odd part; the first exited 2 asking for vertical_indices
+    cases = [(C_(5), "u*v^3 + u^5*v + u*v^2"), (S(1), "v^3 + u^2*v + v^2"),
+             (B(3), "u^2*v + v^7 + 3*u*v^4 + v^6")]
+    for plain, f3 in cases:
+        twin = load_germ(_germ_text(("u", "v^2", f3), "Q(i)"))[0]
+        report = analyze(twin)
+        assert _without_check_details(report) == \
+            _without_check_details(analyze(plain)), plain.name
+        assert all(vi["provenance"] == "fold-formula"
+                   for vi in report.to_dict()["vertical_indices"]), plain.name
+        assert ("fold-vs-resultant", "pass") in [c[:2] for c in report.checks], plain.name
 
 
 def test_fold_vs_resultant_ignores_a_valid_double_curve_override(tmp_path):
