@@ -113,7 +113,10 @@ def _lower_hull(points):
 def _split_by_edge_root(h: Poly, x: str, y: str):
     """Try to split off a factor x - c*y^m found on a Newton-polygon edge.
 
-    Returns (factor, quotient) or None."""
+    h has degree 2 in x, and a segment of the hull holds one support point
+    per x-exponent, so each edge polynomial has degree 1 or 2 and a nonzero
+    constant term: its roots c are nonzero.  Returns (factor, quotient) or
+    None."""
     supp = _support(h, x, y)
     hull = _lower_hull([(i, j) for i, j, _ in supp])
     field = h.field
@@ -122,25 +125,16 @@ def _split_by_edge_root(h: Poly, x: str, y: str):
         if di <= 0 or dj <= 0 or dj % di:
             continue
         m = dj // di
-        # edge polynomial in c: sum of coefficients on the segment, graded by i
-        edge = {}
-        for i, j, c in supp:
-            if (i - i1) * dj == (j1 - j) * di and i1 <= i <= i2:
-                edge[i] = edge.get(i, field.zero()) + c
-        degs = sorted(edge)
-        lo = degs[0]
-        e = [edge.get(k, field.zero()) for k in range(lo, degs[-1] + 1)]
-        if len(e) - 1 > 2:
-            continue
-        roots = []
-        if len(e) - 1 == 1:
+        # edge polynomial in c: the coefficients on the segment, graded by i
+        edge = {i: c for i, j, c in supp
+                if (i - i1) * dj == (j1 - j) * di and i1 <= i <= i2}
+        e = [edge.get(k, field.zero()) for k in range(i1, i2 + 1)]
+        if di == 1:
             roots = [-e[0] / e[1]]
-        elif len(e) - 1 == 2:
+        else:
             inv = e[2].inverse()
             roots = quadratic_roots(field, e[1] * inv, e[0] * inv)
         for c in roots:
-            if c.is_zero():
-                continue
             cand = Poly.variable(x, h.vars, field) - (
                 Poly.variable(y, h.vars, field) ** m
             ).scale(c)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arith import _univ_coeffs, resultant_and_s1, squarefree_part, try_divide
-from .localring import INFINITE, LocalIdeal, quotient_dim
+from .localring import INFINITE, quotient_dim
 from .poly import Poly, PolyError, divided_difference
 
 UV = ("u", "v")
@@ -94,10 +94,18 @@ class MultiPointData:
     P and Q are symmetric in v1 <-> v2, so eliminating v1 instead gives the
     same polynomial with v2 read as v: one elimination is enough."""
 
-    def __init__(self, P, Q, D3_ideal):
+    def __init__(self, P, Q):
         self.P = P
         self.Q = Q
-        self.D3_ideal = D3_ideal
+
+    def triple_point_generators(self):
+        """P, Q, ddP and ddQ (divided differences in v2) in (u, v1, v2, v3),
+        each built when read: a fold germ's ddP = 1 ends the count before ddQ."""
+        vars4 = ("u", "v1", "v2", "v3")
+        yield self.P.rename({}, vars4)
+        yield self.Q.rename({}, vars4)
+        yield divided_difference(self.P, "v2", ("v2", "v3"))
+        yield divided_difference(self.Q, "v2", ("v2", "v3"))
 
     @cached_property
     def _prs(self) -> tuple[Poly, Poly | None]:
@@ -142,10 +150,9 @@ def corank(f: Germ) -> int:
 
 
 def crosscap_number(f: Germ) -> int:
-    minors = [m for m in f.jacobian_minors if not m.is_zero()]
-    if not minors:
+    if all(m.is_zero() for m in f.jacobian_minors):
         raise AnalysisError("all Jacobian minors vanish identically")
-    d = quotient_dim(LocalIdeal(minors))
+    d = quotient_dim(f.jacobian_minors)
     if d == INFINITE:
         raise AnalysisError("not finitely determined along the cross-cap criterion")
     return d
@@ -176,14 +183,8 @@ def multipoint_data(f: Germ) -> MultiPointData:
         raise OverrideRequired("corank-1 route needs coordinates with f1 = u; re-enter "
                                "the germ with f1 = u or supply the double_curve, twist "
                                "and T overrides")
-    P = divided_difference(f2, "v", ("v1", "v2"))
-    Q = divided_difference(f3, "v", ("v1", "v2"))
-    vars4 = ("u", "v1", "v2", "v3")
-    ddP = divided_difference(P, "v2", ("v2", "v3"))
-    ddQ = divided_difference(Q, "v2", ("v2", "v3"))
-    # LocalIdeal leaves out zero generators
-    D3 = LocalIdeal([P.rename({}, vars4), Q.rename({}, vars4), ddP, ddQ])
-    return MultiPointData(P, Q, D3)
+    return MultiPointData(divided_difference(f2, "v", ("v1", "v2")),
+                          divided_difference(f3, "v", ("v1", "v2")))
 
 
 def is_local_unit_multiple(a: Poly, b: Poly) -> bool:
@@ -218,7 +219,7 @@ def double_curve_equation(f: Germ) -> Poly:
 def triple_point_number(f: Germ) -> int:
     if f.overrides.T is not None:
         return f.overrides.T
-    d = quotient_dim(f.multipoint.D3_ideal)
+    d = quotient_dim(f.multipoint.triple_point_generators())
     if d == INFINITE:
         raise AnalysisError("triple-point space is not zero-dimensional")
     if d % 6:

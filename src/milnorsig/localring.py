@@ -29,23 +29,6 @@ class ResourceExceeded(RuntimeError):
     pass
 
 
-class LocalIdeal:
-    def __init__(self, generators):
-        gens = [g for g in generators if not g.is_zero()]
-        if not gens:
-            raise PolyError("ideal needs at least one nonzero generator")
-        vars, field = gens[0].vars, gens[0].field
-        for g in gens:
-            if g.vars != vars or g.field != field:
-                raise PolyError("generators disagree on variables or field")
-        self.generators = gens
-        self.vars = vars
-        self.field = field
-
-    def __repr__(self):
-        return f"LocalIdeal({', '.join(map(str, self.generators))})"
-
-
 class StandardBasis:
     def __init__(self, basis, leading_ideal):
         self.basis = basis
@@ -100,19 +83,19 @@ def _spoly(a: Poly, b: Poly) -> Poly:
     return ma * a - mb * b
 
 
-def standard_basis(I: LocalIdeal) -> StandardBasis:
-    """Standard basis of I by Mora's tangent-cone algorithm.
+def standard_basis(gens: list[Poly]) -> StandardBasis:
+    """Standard basis of (gens), all nonzero, by Mora's tangent-cone algorithm.
 
     If a generator has a nonzero constant term it is a unit of the local
-    ring, so I is the whole ring: the basis is [1] and the leading ideal is
-    generated by (0, ..., 0).  Checking the generators is exact: when none is
-    a unit, every element of I lies in the maximal ideal and the loop below
-    never produces a unit either.
+    ring, so the ideal is the whole ring: the basis is [1] and the leading
+    ideal is generated by (0, ..., 0).  Checking the generators is exact: when
+    none is a unit, every element of the ideal lies in the maximal ideal and
+    the loop below never produces a unit either.
     """
-    if any(g.is_unit_local() for g in I.generators):
-        one = Poly.constant(1, I.vars, I.field)
-        return StandardBasis([one], [(0,) * len(I.vars)])
-    G = [g.normalized() for g in I.generators]
+    if any(g.is_unit_local() for g in gens):
+        one = Poly.constant(1, gens[0].vars, gens[0].field)
+        return StandardBasis([one], [(0,) * len(gens[0].vars)])
+    G = [g.normalized() for g in gens]
     leads = [g.leading()[0] for g in G]     # kept in step with G
     pairs = [(i, j) for i in range(len(G)) for j in range(i)]
     steps = 0
@@ -178,13 +161,23 @@ def linear_pivot(gens):
     return None
 
 
-def quotient_dim(I: LocalIdeal):
-    """dim O/I, or INFINITE: 0 for a unit generator, then the linear
-    variables are eliminated (module docstring) and Mora's standard basis
-    counts what is left."""
-    gens, vars = I.generators, I.vars
-    if any(g.is_unit_local() for g in gens):
-        return 0
+def quotient_dim(generators):
+    """dim O/I, or INFINITE, for I generated by an iterable of polynomials
+    over one ring, read in turn: zeros are left out and the first unit gives
+    0 with nothing after it read.  Then the linear variables are eliminated
+    (module docstring) and Mora's standard basis counts what is left."""
+    gens = []
+    for g in generators:
+        if g.is_zero():
+            continue
+        if gens and (g.vars != gens[0].vars or g.field != gens[0].field):
+            raise PolyError("generators disagree on variables or field")
+        if g.is_unit_local():
+            return 0
+        gens.append(g)
+    if not gens:
+        raise PolyError("ideal needs at least one nonzero generator")
+    vars = gens[0].vars
     while (pivot := linear_pivot(gens)) is not None:
         k, x, root = pivot
         vars = root.vars
@@ -194,20 +187,18 @@ def quotient_dim(I: LocalIdeal):
         return 1
     if not gens:
         return INFINITE
-    return _staircase_count(standard_basis(LocalIdeal(gens)).leading_ideal, len(vars))
+    return _staircase_count(standard_basis(gens).leading_ideal, len(vars))
 
 
 def intersection_multiplicity(h1: Poly, h2: Poly):
     """Local intersection number dim O/(h1, h2); INFINITE for a shared branch."""
-    return quotient_dim(LocalIdeal([h1, h2]))
+    return quotient_dim([h1, h2])
 
 
 def milnor_number(h: Poly):
     """Milnor number at the origin of the curve h = 0, for h reduced there.
     A factor repeated at the origin divides the whole Jacobian ideal, which
     is then not m-primary, so a non-reduced h gives INFINITE."""
-    jac = [h.derivative(v) for v in h.vars]
-    jac = [p for p in jac if not p.is_zero()]
-    if not jac:
+    if h.is_constant():
         raise PolyError("constant polynomial has no Milnor number")
-    return quotient_dim(LocalIdeal(jac))
+    return quotient_dim(h.derivative(v) for v in h.vars)

@@ -21,7 +21,11 @@ min(t_p, t_q) products of two coefficients.  r is the field's
 ``reduction_bits``, what reducing by the minimal polynomial may add to one
 product of two field elements.  A rational factor only scales coordinates,
 so r counts only for a base, or for two factors, with a coefficient
-outside Q.
+outside Q.  Those bounds assume that the products summed into a coefficient
+share a denominator, which rationals need not, so a power or product whose
+operands all have more than one term, and a sum whose terms share an
+exponent, are also refused once built if a coefficient exceeds
+MAX_COEFF_BITS.  A sum checks only the exponents of the term it adds.
 """
 
 from __future__ import annotations
@@ -87,11 +91,15 @@ def _tokenize(src: str) -> list[_Tok]:
     return toks
 
 
-def _coeff_bits(p: Poly) -> int:
-    """The largest bit length among the numerators and denominators of p's
-    coefficients."""
-    return max((x.bit_length() for c in p.terms.values() for x in (*c.num, c.den)),
-               default=0)
+def _coeff_bits(coeffs) -> int:
+    """The largest bit length among the numerators and denominators of the
+    field elements coeffs."""
+    return max((x.bit_length() for c in coeffs for x in (*c.num, c.den)), default=0)
+
+
+def _check_built(coeffs, what: str, pos: int) -> None:
+    if _coeff_bits(coeffs) > MAX_COEFF_BITS:
+        raise ParseError(f"{what} has coefficients above {MAX_COEFF_BITS} bits", pos)
 
 
 def _irrational(p: Poly) -> bool:
@@ -138,9 +146,12 @@ class _Parser:
     def expr(self) -> Poly:
         p = self.signed_term()
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+            t = self.next()
             q = self.signed_term()
-            p = p + q if op == "+" else p - q
+            n = len(p.terms) + len(q.terms)
+            p = p + q if t.kind == "+" else p - q
+            if len(p.terms) < n:  # an exponent of q was in p
+                _check_built((p.terms[e] for e in q.terms if e in p.terms), "sum", t.pos)
         return p
 
     def signed_term(self) -> Poly:
@@ -157,11 +168,13 @@ class _Parser:
             q = self.factor()
             size = min(len(p.terms), len(q.terms))
             reduction = self.field.reduction_bits if _irrational(p) and _irrational(q) else 0
-            if (_coeff_bits(p) + _coeff_bits(q) + (size - 1).bit_length() + reduction
-                    > MAX_COEFF_BITS):
+            if (_coeff_bits(p.terms.values()) + _coeff_bits(q.terms.values())
+                    + (size - 1).bit_length() + reduction > MAX_COEFF_BITS):
                 raise ParseError(f"product may have coefficients above {MAX_COEFF_BITS} "
                                  "bits", t.pos)
             p = p * q
+            if size > 1:  # else each coefficient is one product, as bounded
+                _check_built(p.terms.values(), "product", t.pos)
         return p
 
     def factor(self) -> Poly:
@@ -177,7 +190,7 @@ class _Parser:
             if size > 1 and math.comb(n + size - 1, n) > MAX_POWER_TERMS:
                 raise ParseError(f"power of a {size}-term polynomial may exceed "
                                  f"{MAX_POWER_TERMS} terms", t.pos)
-            bits = _coeff_bits(p)
+            bits = _coeff_bits(p.terms.values())
             reduction = self.field.reduction_bits if _irrational(p) else 0
             # the multinomial coefficients of base^n add up to size^n, and
             # each of its terms is a product of n coefficients
@@ -185,6 +198,8 @@ class _Parser:
                 raise ParseError(f"power may have coefficients above {MAX_COEFF_BITS} "
                                  "bits", t.pos)
             p = p ** n
+            if size > 1:
+                _check_built(p.terms.values(), "power", t.pos)
         return p
 
     def base(self) -> Poly:

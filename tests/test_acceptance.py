@@ -16,7 +16,7 @@ from milnorsig.fields import QQ
 from milnorsig.germs import (AnalysisError, corank, crosscap_number,
                              double_curve_equation, fold_normal_data,
                              multipoint_data, triple_point_number)
-from milnorsig.localring import (INFINITE, LocalIdeal, intersection_multiplicity,
+from milnorsig.localring import (INFINITE, intersection_multiplicity,
                                  milnor_number, quotient_dim)
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
@@ -204,7 +204,7 @@ def test_criterion_6_property_suites():
         want = sum(
             1 for m in product(range(10), repeat=nv)
             if not any(all(a <= b for a, b in zip(e, m)) for e in exps))
-        got = quotient_dim(LocalIdeal(gens))
+        got = quotient_dim(gens)
         if got != want:
             failures.append(f"staircase {exps}: {got} != {want}")
 
@@ -271,7 +271,7 @@ def _minors_dim(f):
     dv = [c.derivative("v") for c in f.components]
     minors = [du[i] * dv[j] - du[j] * dv[i]
               for i in range(3) for j in range(i + 1, 3)]
-    return quotient_dim(LocalIdeal(minors))
+    return quotient_dim(minors)
 
 
 def test_criterion_7_derived_invariants():

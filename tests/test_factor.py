@@ -1,8 +1,10 @@
 import pytest
 
 from milnorsig.arith import try_divide
+from milnorsig.corpus import corpus
 from milnorsig.factor import FactorizationIncomplete, factor_components
 from milnorsig.fields import QQ, parse_field
+from milnorsig.germs import double_curve_equation
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
 
@@ -80,3 +82,40 @@ def test_no_silent_reducible_factor():
     check_multiplies_back(a, factors)
     for f in factors:
         assert try_divide(a, f) is not None
+
+
+def test_factor_components_matches_sympy_on_corpus_curves():
+    # an oracle that shares no code with the factorizer: sympy's factor_list
+    # over the same field, keeping the factors through the origin; the one
+    # corpus germ with override components is left out
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v")
+    # generator value and the extension of Q that sympy factors over
+    extensions = {"i": (sp.I, sp.I), "zeta3": ((sp.sqrt(-3) - 1) / 2, sp.sqrt(-3))}
+
+    def to_sympy(p, gen):
+        return sp.expand(sum(
+            sum(sp.Rational(n, c.den) * gen ** k for k, n in enumerate(c.num))
+            * u ** a * v ** b for (a, b), c in p.terms.items()))
+
+    checked = 0
+    for f in corpus(10):
+        if f.overrides.components is not None:
+            continue
+        if f.field.degree > 1:
+            gen, ext = extensions[f.field.generator_name]
+            domain, kw = sp.QQ.algebraic_field(ext), {"extension": ext}
+        else:
+            gen, domain, kw = 1, sp.QQ, {}
+        curve = double_curve_equation(f)
+        _, theirs = sp.factor_list(to_sympy(curve, gen), u, v, **kw)
+        theirs = [sp.Poly(t, u, v, domain=domain) for t, _ in theirs
+                  if sp.expand(t.subs({u: 0, v: 0})) == 0]
+        ours = [sp.Poly(to_sympy(h, gen), u, v, domain=domain)
+                for h in factor_components(curve)]
+        assert len(ours) == len(theirs), f.name
+        for t in theirs:
+            # proportional polynomials share their leading monomial
+            assert sum((t * h.LC() - h * t.LC()).is_zero for h in ours) == 1, f.name
+        checked += 1
+    assert checked == 38

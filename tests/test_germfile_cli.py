@@ -10,6 +10,7 @@ import milnorsig
 from milnorsig import cli
 from milnorsig.cli import (EXIT_ERROR, EXIT_OK, EXIT_OVERRIDES, main,
                            render_report, run_analyze, run_batch, run_selftest)
+from milnorsig.fields import FieldError
 from milnorsig.germfile import GermFileError, load_germ
 from milnorsig.parser import ParseError
 from milnorsig.poly import PolyError
@@ -348,6 +349,75 @@ def test_product_coefficient_bound_exits_1(tmp_path, capsys):
     _assert_refused(tmp_path, capsys, '"u*v"', '"v^3 + (9^500)^9*(9^500)^9*u^2*v"',
                     ParseError,
                     "product may have coefficients above 14284 bits (at position 15)")
+
+
+def test_sum_coefficient_bound_exits_1(tmp_path, capsys):
+    # the two u^2*v coefficients, of 6,990 and 7,505 bits, add up to one of
+    # 14,495: the CLI exited 1 with Python's own "Exceeds the limit (4300
+    # digits)" while it reported the germ
+    _assert_refused(tmp_path, capsys, '"u*v"',
+                    '"v^3 + ((1/3)^490)^9*u^2*v - ((1/5)^404)^8*u^2*v"', ParseError,
+                    "sum has coefficients above 14284 bits (at position 26)")
+
+
+def test_fuzzed_germ_files_raise_only_documented_errors():
+    """Germ-file text from section headers, every key, literals of each type
+    ast.literal_eval reads and 5,000-digit runs: loading succeeds or raises
+    GermFileError, ParseError, FieldError or PolyError."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    digits = "9" * 5000
+    good = st.sampled_from(["u", "v^2", "u*v", "v^3 + u^2*v", "u^2 + v^2",
+                            "u^2 - v^3"]).map(repr)
+    polys = st.one_of(good, st.sampled_from(["0", "1 + u", "i*u", "a*v", "zeta3*u",
+                                             f"{digits}*u", f"u/{digits}", "(u",
+                                             "u^501", "w", ""]).map(repr))
+    entries = st.sampled_from(["0:twisted", "0:untwisted-with:1", "1:untwisted-with:1",
+                               "0+1:-2", "0:1", f"{digits}:twisted", f"0+1:{digits}",
+                               "x"]).map(repr)
+    fields = st.one_of(
+        st.sampled_from(["Q", "Q(i)", "Q(zeta3)", "Q[a]/(a^2 + 1)"]),
+        st.sampled_from(["Q[u]/(u^2 + 1)", "Q[a]/(a^2 - 1)", "Q[a]/(a^5 + a + 1)", "R",
+                         f"Q[a]/(a^2 + {digits})"])).map(repr)
+    scalars = st.sampled_from(["0", "1", "-1", "3", digits, f"-{digits}", "1.5", "1e999",
+                               "1j", "True", "None", "...", "b'u'", "{1: 2}", "{1}", "()",
+                               "[]", "[1]", '("u", "v^2", "u*v")', "[", "u"])
+    lists = st.lists(st.one_of(polys, entries, scalars), max_size=4).map(
+        lambda xs: "[" + ", ".join(xs) + "]")
+    values = st.one_of(polys, entries, fields, scalars, lists)
+    keys = st.sampled_from(["map", "field", "name", "double_curve", "components", "twist",
+                            "vertical_indices", "T", "signature", "C", "bogus"])
+    overrides = st.lists(st.one_of(
+        st.builds("double_curve = {}".format, polys),
+        st.builds("components = [{}]".format, polys),
+        st.builds("twist = [{}]".format, entries),
+        st.builds("vertical_indices = [{}]".format, entries),
+        st.builds("T = {}".format, scalars)), max_size=4,
+        unique_by=lambda line: line.split(" =")[0]).map(
+            lambda ls: "\n".join(["[overrides]", *ls]))
+    lines = st.one_of(
+        st.sampled_from(["[germ]", "[overrides]", "[expected]", "[other]", "# note", "",
+                         "no value", "= 1"]),
+        st.builds("{} = {}".format, keys, values))
+    germ = st.builds("[germ]\nmap = [{}, {}, {}]\nfield = {}".format,
+                     good, good, good, fields)
+    texts = st.builds(lambda *parts: "\n".join([*parts[:2], *parts[2]]),
+                      st.one_of(germ, st.just("")), st.one_of(overrides, st.just("")),
+                      st.one_of(st.just([]), st.lists(lines, max_size=6)))
+    loaded = []
+
+    def check(text):
+        try:
+            loaded.append(load_germ(text)[0])
+        except (GermFileError, ParseError, FieldError, PolyError):
+            pass
+
+    run = hyp.given(texts)(check)
+    hyp.settings(max_examples=1000, deadline=None, database=None, derandomize=True)(run)()
+    # the text reaches a loaded germ, some with overrides, not only the refusals
+    assert len(loaded) >= 150
+    assert sum(any(v not in (None, {}) for v in vars(g.overrides).values())
+               for g in loaded) >= 5
 
 
 def test_run_analyze_out_file(tmp_path):

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from milnorsig import germs
 from milnorsig.arith import resultant, squarefree_part
 from milnorsig.corpus import B, C_, F4, H, S, corank2, corpus, cross_cap
 from milnorsig.fields import QQ, FieldElem, parse_field
-from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, UV,
+from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, OverrideSet, UV,
                              corank, crosscap_number,
                              double_curve_equation, fold_normal_data,
                              multipoint_data, triple_point_number)
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
+from milnorsig.signature import analyze
 
 
 def G(maps, field=QQ):
@@ -145,29 +147,25 @@ def test_multipoint_divided_difference_identity():
 
 
 def test_triple_point_generators_are_divided_differences():
-    """The triple-point ideal is (P, Q, ddP, ddQ) in (u, v1, v2, v3), zero
-    generators left out, with (v2 - v3) * ddP = P(u, v1, v2) - P(u, v1, v3),
-    and the same for Q."""
+    """The triple-point generators are P, Q, ddP and ddQ in (u, v1, v2, v3),
+    with (v2 - v3) * ddP = P(u, v1, v2) - P(u, v1, v3), and the same for Q."""
     V4 = ("u", "v1", "v2", "v3")
     checked = 0
     for f in corpus(10):
         if corank(f) != 1:
             continue
         mp = multipoint_data(f)
-        gens = list(mp.D3_ideal.generators)
+        gens = list(mp.triple_point_generators())
         assert gens[:2] == [mp.P.rename({}, V4), mp.Q.rename({}, V4)], f.name
-        dds = gens[2:]
         v2, v3 = (Poly.variable(x, V4, f.field) for x in ("v2", "v3"))
-        for g in (mp.P, mp.Q):
-            diff = g.rename({}, V4) - g.rename({"v2": "v3"}, V4)
-            dd = Poly.zero(V4, f.field) if diff.is_zero() else dds.pop(0)
-            assert (v2 - v3) * dd == diff, f.name
-        assert not dds, f.name
+        for g, dd in zip((mp.P, mp.Q), gens[2:]):
+            assert (v2 - v3) * dd == g.rename({}, V4) - g.rename({"v2": "v3"}, V4), f.name
+        assert len(gens) == 4, f.name
         checked += 1
     assert checked == 38
 
 
-def test_multipoint_data_builds_ddP_and_ddQ_in_place(monkeypatch):
+def test_triple_point_generators_build_ddP_and_ddQ_in_place(monkeypatch):
     # only P and Q are re-indexed into (u, v1, v2, v3); the divided
     # differences of P and Q in v2 land there directly
     renamed = []
@@ -181,7 +179,31 @@ def test_multipoint_data_builds_ddP_and_ddQ_in_place(monkeypatch):
     for f in (cross_cap(), S(2), H(3), C_(4)):
         renamed.clear()
         mp = multipoint_data(Germ(f.components, f.field))
+        list(mp.triple_point_generators())
         assert renamed == [mp.P, mp.Q], f.name
+
+
+def test_triple_point_number_builds_only_the_generators_it_reads(monkeypatch):
+    # ddP = 1 on a fold germ ends the count before ddQ is built, and a T
+    # override reads no triple-point generator: only P and Q are built
+    calls = []
+    original = germs.divided_difference
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(germs, "divided_difference", recording)
+    folds = [f for f in corpus(10) if fold_normal_data(f) is not None]
+    assert any(f.name == cross_cap().name for f in folds)
+    for f in folds:
+        calls.clear()
+        analyze(f)
+        assert len(calls) == 3, f.name
+    h2 = H(2)
+    calls.clear()
+    analyze(Germ(h2.components, h2.field, overrides=OverrideSet(T=1)))
+    assert len(calls) == 2
 
 
 def test_multipoint_symmetry():

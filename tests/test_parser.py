@@ -168,6 +168,24 @@ def test_coefficient_bounds_count_the_reduction_by_the_minimal_polynomial():
     assert len(parse_poly("(u + a*v)^61", UV, Qa).terms) == 62
 
 
+def test_built_coefficients_are_refused_at_their_operator():
+    # the bounds before expansion assume the summed products share a
+    # denominator; these passed them and built coefficients of 18,729,
+    # 14,495, 14,495 and 23,451 bits
+    half = "(((1/3)^490)^6*v + ((1/5)^404)^5*u*v + ((1/7)^334)^5*u^2*v)"
+    for src, pos, what in (
+            (f"{half}*{half}", 59, "product"),
+            ("((1/3)^490)^9 + ((1/5)^404)^8", 14, "sum"),
+            ("u + ((1/3)^490)^9*v - ((1/5)^404)^8*v", 20, "sum"),
+            ("(((1/3)^296)^10 + ((1/5)^202)^10*v + ((1/7)^167)^10*v^2)^3", 57, "power")):
+        with pytest.raises(ParseError, match=rf"{what} has coefficients above "
+                                             rf"14284 bits \(at position {pos}\)"):
+            parse_poly(src, UV, QQ)
+    # a sum whose terms have different exponents adds no coefficients
+    p = parse_poly("((1/3)^490)^9*u + ((1/5)^404)^8*v", UV, QQ)
+    assert len(p.terms) == 2
+
+
 def test_long_integer_literals_are_parse_errors():
     # int() refuses more than 4300 digits; the refusal names the literal
     big = "9" * 5000
