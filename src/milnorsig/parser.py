@@ -12,18 +12,19 @@ Rational literals ``p/q`` are accepted in coefficient position.  Identifiers
 must be declared variables or the field generator.  A power is refused before
 it is expanded when its exponent exceeds MAX_EXPONENT, or when its base has t
 terms and C(n + t - 1, t - 1), the number of monomials of degree n in t
-symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS, or
-when n * (b + ceil(log2 t)) + (n - 1) * r, b the largest bit length among
-the base's numerators and denominators, exceeds MAX_COEFF_BITS.  A product
-p * q is refused before it is expanded when b_p + b_q + ceil(log2 min(t_p,
-t_q)) + r exceeds MAX_COEFF_BITS: each of its coefficients sums at most
+symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS.  A
+product p * q is refused before it is expanded when b_p + b_q + ceil(log2
+min(t_p, t_q)) + r exceeds MAX_COEFF_BITS, b the largest bit length among an
+operand's numerators and denominators: each of its coefficients sums at most
 min(t_p, t_q) products of two coefficients.  r is the field's
 ``reduction_bits``, what reducing by the minimal polynomial may add to one
 product of two field elements.  A rational factor only scales coordinates,
-so r counts only for a base, or for two factors, with a coefficient
-outside Q.  Those bounds assume that the products summed into a coefficient
-share a denominator, which rationals need not, so a power or product whose
-operands all have more than one term, and a sum whose terms share an
+so r counts only for two factors with a coefficient outside Q.  A power is
+formed by repeated squaring, and each of its squares and products is checked
+as a product is, so it is refused at the first one that could pass
+MAX_COEFF_BITS.  The bound assumes that the products summed into a
+coefficient share a denominator, which rationals need not, so a product
+whose operands both have more than one term, and a sum whose terms share an
 exponent, are also refused once built if a coefficient exceeds
 MAX_COEFF_BITS.  A sum checks only the exponents of the term it adds.
 """
@@ -34,7 +35,7 @@ import math
 from fractions import Fraction
 
 from .fields import QQ, NumberField
-from .poly import Poly
+from .poly import Poly, power
 
 # Far above the germs in use, whose powers have one-term bases and
 # exponents up to 33; (u + i*v + 1)^61, with 1,953 terms, is within both.
@@ -165,16 +166,21 @@ class _Parser:
         p = self.factor()
         while self.peek().kind == "*":
             t = self.next()
-            q = self.factor()
-            size = min(len(p.terms), len(q.terms))
-            reduction = self.field.reduction_bits if _irrational(p) and _irrational(q) else 0
-            if (_coeff_bits(p.terms.values()) + _coeff_bits(q.terms.values())
-                    + (size - 1).bit_length() + reduction > MAX_COEFF_BITS):
-                raise ParseError(f"product may have coefficients above {MAX_COEFF_BITS} "
-                                 "bits", t.pos)
-            p = p * q
-            if size > 1:  # else each coefficient is one product, as bounded
-                _check_built(p.terms.values(), "product", t.pos)
+            p = self.product(p, self.factor(), "product", t.pos)
+        return p
+
+    def product(self, p: Poly, q: Poly, what: str, pos: int) -> Poly:
+        """p * q, refused as ``what`` at pos when its coefficients may pass,
+        or do pass, MAX_COEFF_BITS."""
+        size = min(len(p.terms), len(q.terms))
+        reduction = self.field.reduction_bits if _irrational(p) and _irrational(q) else 0
+        if (_coeff_bits(p.terms.values()) + _coeff_bits(q.terms.values())
+                + (size - 1).bit_length() + reduction > MAX_COEFF_BITS):
+            raise ParseError(f"{what} may have coefficients above {MAX_COEFF_BITS} "
+                             "bits", pos)
+        p = p * q
+        if size > 1:  # else each coefficient is one product, as bounded
+            _check_built(p.terms.values(), what, pos)
         return p
 
     def factor(self) -> Poly:
@@ -190,16 +196,8 @@ class _Parser:
             if size > 1 and math.comb(n + size - 1, n) > MAX_POWER_TERMS:
                 raise ParseError(f"power of a {size}-term polynomial may exceed "
                                  f"{MAX_POWER_TERMS} terms", t.pos)
-            bits = _coeff_bits(p.terms.values())
-            reduction = self.field.reduction_bits if _irrational(p) else 0
-            # the multinomial coefficients of base^n add up to size^n, and
-            # each of its terms is a product of n coefficients
-            if n * (bits + (size - 1).bit_length()) + (n - 1) * reduction > MAX_COEFF_BITS:
-                raise ParseError(f"power may have coefficients above {MAX_COEFF_BITS} "
-                                 "bits", t.pos)
-            p = p ** n
-            if size > 1:
-                _check_built(p.terms.values(), "power", t.pos)
+            p = (power(p, n, lambda a, b: self.product(a, b, "power", t.pos)) if n
+                 else Poly.constant(1, self.vars, self.field))
         return p
 
     def base(self) -> Poly:

@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials over a number field.
 
 Terms are a map from exponent vectors to nonzero FieldElem coefficients.
-Polynomials are immutable values: every operation returns a fresh Poly.
+Polynomials are immutable values: no operation changes its operands.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .fields import FieldElem, NumberField, format_field_elem
@@ -22,16 +23,17 @@ def local_key(exp: tuple[int, ...]):
     return (sum(exp), exp[::-1])
 
 
-def _field_pow(x: FieldElem, k: int) -> FieldElem:
-    """x^k for k >= 1, by repeated squaring."""
+def power(x, n: int, mul=operator.mul):
+    """x^n for n >= 1 by repeated squaring, each product formed by ``mul``:
+    floor(log2 n) squares and popcount(n) - 1 further products."""
     result = None
     while True:
-        if k & 1:
-            result = x if result is None else result * x
-        k >>= 1
-        if not k:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
             return result
-        x = x * x
+        x = mul(x, x)
 
 
 class Poly:
@@ -142,15 +144,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise PolyError("negative exponent")
-        result = Poly.constant(1, self.vars, self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n) if n else Poly.constant(1, self.vars, self.field)
 
     def __eq__(self, other) -> bool:
         return (
@@ -234,10 +228,10 @@ class Poly:
                 continue
             image = images.get(k)
             if image is None:
-                factor = _field_pow(n, k) if k else None
+                factor = power(n, k) if k else None
                 shift = [k * x for x in a]
                 if m is not None and k < d:
-                    mk = _field_pow(m, d - k)
+                    mk = power(m, d - k)
                     factor = mk if factor is None else factor * mk
                     shift = [s + (d - k) * y for s, y in zip(shift, b)]
                 image = images[k] = shift, factor

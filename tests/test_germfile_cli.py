@@ -15,6 +15,7 @@ from milnorsig.germfile import GermFileError, load_germ
 from milnorsig.parser import ParseError
 from milnorsig.poly import PolyError
 from milnorsig.signature import analyze
+from test_parser import SIX_TERM_POWER
 
 S1_TEXT = """\
 # a simple fold germ
@@ -341,6 +342,11 @@ def test_power_coefficient_bound_exits_1(tmp_path, capsys):
     # factorization refusal formatted the double curve
     _assert_refused(tmp_path, capsys, '"u*v"', '"v^3 + (9^500)^10*u^2*v"', ParseError,
                     "power may have coefficients above 14284 bits (at position 14)")
+
+
+def test_power_refused_at_a_square_exits_1(tmp_path, capsys):
+    _assert_refused(tmp_path, capsys, '"u*v"', f'"{SIX_TERM_POWER}"', ParseError,
+                    "power may have coefficients above 14284 bits (at position 115)")
 
 
 def test_product_coefficient_bound_exits_1(tmp_path, capsys):

@@ -240,3 +240,60 @@ def test_every_corpus_and_workload_germ_parses_within_the_limits(tmp_path):
         for seed in (1, 2, 3):
             for _, path in germgen.generate(workload, seed, tmp_path / f"{workload}-{seed}"):
                 load_germ(pathlib.Path(path).read_text())
+
+
+# six terms with distinct prime denominators: each square's bound trips
+# before it is formed; the power's own bound, n * (b + ceil(log2 t)) =
+# 8 * (892 + 3), let it expand in full for 2 s before refusing it
+SIX_TERM_POWER = ("(((1/3)^280)^2 + ((1/5)^191)^2*u + ((1/7)^158)^2*v"
+                  " + ((1/11)^128)^2*u*v + ((1/13)^120)^2*u^2 + ((1/17)^109)^2*v^2)^8")
+
+
+def test_power_is_refused_at_its_first_square_that_could_pass_the_bound():
+    # ten terms with distinct prime denominators: the first square passes
+    # its bound and is refused by the scan of what it built; the power's own
+    # bound, 4 * (3,518 + 4), let it expand in full for 5 s
+    ten_terms = ("(((1/3)^221)^10 + ((1/5)^151)^10*u + ((1/7)^125)^10*v"
+                 " + ((1/11)^101)^10*u*v + ((1/13)^95)^10*u^2 + ((1/17)^86)^10*v^2"
+                 " + ((1/19)^82)^10*u^2*v + ((1/23)^77)^10*u*v^2 + ((1/29)^72)^10*u^3"
+                 " + ((1/31)^71)^10*v^3)^4")
+    for src, pos, what in ((SIX_TERM_POWER, 115, "power may have"),
+                           (ten_terms, 207, "power has")):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=rf"{what} coefficients above 14284 bits "
+                                             rf"\(at position {pos}\)"):
+            parse_poly(src, UV, QQ)
+        assert time.perf_counter() - start < 0.1, src
+
+
+def test_accepted_powers_equal_the_polynomial_power():
+    """Bases of 1 to 3 terms over Q and Q(i), with coefficients of up to
+    about 2,000 bits: whenever (base)^n parses, it is parse_poly(base) ** n."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    Qi = parse_field("Q(i)")
+    rationals = st.builds("({}*{}/{})".format, st.integers(-9, 9),
+                          st.sampled_from([1, 3 ** 40, 2 ** 700, 7 ** 700]),
+                          st.sampled_from([1, 5, 5 ** 100, 11 ** 500]))
+    terms = st.tuples(rationals, rationals, st.sampled_from(["1", "u", "v", "u*v", "v^3"]))
+    # n within the term bound C(n + t - 1, t - 1) <= 2000 (n <= 1998 and 61
+    # for t = 2 and 3), lower for several terms to keep the products small
+    powers = st.lists(terms, min_size=1, max_size=3).flatmap(
+        lambda ts: st.tuples(st.just(ts), st.integers(0, (500, 60, 24)[len(ts) - 1])))
+    parsed = []
+
+    def check(power, over_i):
+        ts, n = power
+        field = Qi if over_i else QQ
+        base = " + ".join(f"({re} + {im}*i)*{m}" if over_i else f"{re}*{m}"
+                          for re, im, m in ts)
+        try:
+            p = parse_poly(f"({base})^{n}", UV, field)
+        except ParseError:
+            return
+        assert p == parse_poly(base, UV, field) ** n
+        parsed.append(n)
+
+    run = hyp.given(powers, st.booleans())(check)
+    hyp.settings(max_examples=200, deadline=None, database=None, derandomize=True)(run)()
+    assert len(parsed) >= 50

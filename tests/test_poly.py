@@ -5,7 +5,7 @@ import pytest
 
 from milnorsig.fields import QQ, parse_field
 from milnorsig.parser import parse_poly
-from milnorsig.poly import Poly, PolyError, divided_difference
+from milnorsig.poly import Poly, PolyError, divided_difference, power
 
 UV = ("u", "v")
 
@@ -45,6 +45,26 @@ def test_pow_matches_repeated_multiplication():
     for n in range(41):
         assert p ** n == acc, n
         acc = acc * p
+    # field elements, as Poly.substitute raises them
+    Qz, K = parse_field("Q(zeta3)"), parse_field("Q[a]/(a^3 - 2*a + 5)")
+    for x in (Qz.generator() + Fraction(1, 2),
+              K.generator() * K.generator() - 3 * K.generator() + 7):
+        acc = x
+        for n in range(1, 41):
+            assert power(x, n) == acc, (x, n)
+            acc = acc * x
+
+
+def test_power_forms_floor_log2_n_plus_popcount_n_minus_1_products():
+    for n in range(1, 130):
+        products = []
+
+        def mul(a, b):
+            products.append((a, b))
+            return a + b
+
+        assert power(1, n, mul) == n
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, n
 
 
 def test_conjugate_product_over_Qi():
