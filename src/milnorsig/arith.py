@@ -6,7 +6,8 @@ the last nonzero remainder; a resultant follows from the last two remainders
 with the sign convention of the Sylvester determinant (rows of the first
 argument on top), and one run also gives the degree-1 subresultant.  A gcd
 with a one-term input, a constant included, needs no PRS: it is the
-monomial of the least exponents.
+monomial of the least exponents.  Nor does a resultant with an input of
+degree 1 in the variable: it is one substitution of that input's root.
 
 The PRS runs on integral inputs: at its entry each view is multiplied by the
 least common denominator L of the coordinates of its coefficients.  Over
@@ -228,7 +229,8 @@ def resultant(a: Poly, b: Poly, var: str) -> Poly:
 
 
 def resultant_and_s1(a: Poly, b: Poly, var: str) -> tuple[Poly, Poly | None]:
-    """(resultant(a, b, var), S1) from one subresultant PRS.  S1 is the
+    """(resultant(a, b, var), S1) from one subresultant PRS, or from one
+    substitution when an input has degree 1 in var.  S1 is the
     degree-1 subresultant of a and b in var up to a factor: an input of
     degree 1, else the PRS's last remainder of positive degree when it has
     degree 1, else None."""
@@ -242,6 +244,15 @@ def resultant_and_s1(a: Poly, b: Poly, var: str) -> tuple[Poly, Poly | None]:
         return a ** db, s1
     if db <= 0:
         return b ** da, s1
+    # one root: Res(a1*x + a0, b) = a1^deg(b) * b(-a0/a1), and
+    # Res(a, b) = (-1)^(deg a * deg b) * Res(b, a)
+    if da == 1:
+        a0, a1 = _univ_coeffs(a, var)
+        return b.substitute(var, -a0, a1), s1
+    if db == 1:
+        b0, b1 = _univ_coeffs(b, var)
+        res = a.substitute(var, -b0, b1)
+        return (-res if da % 2 else res), s1
     S, R, h, factor = _subresultants(_univ_coeffs(a, var), _univ_coeffs(b, var))
     dS = _udeg(S)
     if s1 is None and dS == 1:

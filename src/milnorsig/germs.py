@@ -216,13 +216,73 @@ def double_curve_equation(f: Germ) -> Poly:
     return f.multipoint.curve
 
 
+def _times_v(col: list[Poly], rem: list[Poly]) -> list[Poly]:
+    """v * (col[0] + col[1]*v + col[2]*v^2), reduced by v^3 = rem[0] +
+    rem[1]*v + rem[2]*v^2."""
+    top = col[2]
+    shifted = [Poly.zero(top.vars, top.field), col[0], col[1]]
+    if top.is_zero():
+        return shifted
+    return [s + r * top for s, r in zip(shifted, rem)]
+
+
+def presented_triple_points(f2: Poly, f3: Poly):
+    """T of the corank-1 germ (u, f2, f3), INFINITE, or None when neither
+    rule below applies, by the first rule that does.
+
+    Multiplicity 2: when f2 or f3 has a v^2 term, the fiber of f over 0,
+    O/(u, f2, f3), has length 2.  The length of a fiber of a finite map is
+    upper semicontinuous, so near 0 no fiber of a stable perturbation has
+    three points, counted with multiplicity: T = 0.  These are exactly the
+    germs whose ddP(0) or ddQ(0) is a unit.
+
+    A monic cubic: when g, f2 or f3, is c*v^3 + a2(u)*v^2 + a1(u)*v + a0(u)
+    with c a constant, Q[u, v] is free over Q[u, Y], Y = g/c, with basis 1,
+    v, v^2, so with h the other component, Z*I - M presents f_*O_2 over
+    O_3, M the matrix of multiplication by h.  Its Fitting ideal F_2,
+    generated by the entries, defines the triple-point scheme, of length T
+    (Mond-Pellikaan, Fitting ideals and multiple points of analytic
+    mappings, LNM 1414, 1989).  Z = M_00 leaves T = dim O/(M_ij for
+    i != j, M_11 - M_00, M_22 - M_00) in (u, Y).  The column h*1 is h
+    reduced by Horner's rule, each product by v reduced once by
+    v^3 = Y - (a2*v^2 + a1*v + a0)/c, and h*v and h*v^2 are one more
+    such product each."""
+    if (0, 2) in f2.terms or (0, 2) in f3.terms:
+        return 0
+    for g, h in ((f2, f3), (f3, f2)):
+        a = _univ_coeffs(g, "v")
+        if len(a) == 4 and a[3].is_constant():
+            break
+    else:
+        return None
+    uy = ("u", "y")
+    scale = -a[3].terms[(0, 0)].inverse()
+    rem = [c.rename({}, uy).scale(scale) for c in a[:3]]
+    rem[0] = rem[0] + Poly.variable("y", uy, g.field)
+    hs = [c.rename({}, uy) for c in _univ_coeffs(h, "v")]
+    zero = Poly.zero(uy, g.field)
+    col = [hs[-1], zero, zero]
+    for hk in reversed(hs[:-1]):
+        col = _times_v(col, rem)
+        col[0] = col[0] + hk
+    M = [col, _times_v(col, rem)]
+    M.append(_times_v(M[1], rem))
+    gens = [M[j][i] for i in range(3) for j in range(3) if i != j]
+    gens += [M[1][1] - M[0][0], M[2][2] - M[0][0]]
+    return quotient_dim(gens) if any(not m.is_zero() for m in gens) else INFINITE
+
+
 def triple_point_number(f: Germ) -> int:
     if f.overrides.T is not None:
         return f.overrides.T
-    d = quotient_dim(f.multipoint.triple_point_generators())
-    if d == INFINITE:
+    mp = f.multipoint  # refuses a germ with no corank-1 route
+    T = presented_triple_points(*f.components[1:])
+    if T is None:
+        # D^3 in (u, v1, v2, v3) holds each triple point in its 6 orders
+        d = quotient_dim(mp.triple_point_generators())
+        if d != INFINITE and d % 6:
+            raise AnalysisError(f"triple-point space dimension {d} is not divisible by 6")
+        T = d if d == INFINITE else d // 6
+    if T == INFINITE:
         raise AnalysisError("triple-point space is not zero-dimensional")
-    if d % 6:
-        raise AnalysisError(f"triple-point space dimension {d} is not divisible by 6")
-    return d // 6
-
+    return T

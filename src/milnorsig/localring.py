@@ -165,7 +165,9 @@ def quotient_dim(generators):
     """dim O/I, or INFINITE, for I generated by an iterable of polynomials
     over one ring, read in turn: zeros are left out and the first unit gives
     0 with nothing after it read.  Then the linear variables are eliminated
-    (module docstring) and Mora's standard basis counts what is left."""
+    (module docstring) and Mora's standard basis counts what is left, unless
+    one variable is left: then I is generated by the generator of least
+    order."""
     gens = []
     for g in generators:
         if g.is_zero():
@@ -187,6 +189,8 @@ def quotient_dim(generators):
         return 1
     if not gens:
         return INFINITE
+    if len(vars) == 1:  # O is a discrete valuation ring: I = (x^(least order))
+        return min(e[0] for g in gens for e in g.terms)
     return _staircase_count(standard_basis(gens).leading_ideal, len(vars))
 
 

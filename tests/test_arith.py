@@ -380,3 +380,33 @@ def test_resultant_matches_sympy(sympy, field):
         else:
             want = A.resultant(B)
         assert sympy_poly(sympy, resultant(a, b, var), rest) == want, (a, b, var)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_degree_1_resultant_matches_the_prs_and_sympy(sympy, field, monkeypatch):
+    # an input of degree 1 in var gives the resultant by one substitution,
+    # with no PRS; with the linear input second, (-1)^deg(a) fixes the sign
+    Q3 = field_parser(field)
+    linear = [Q3("v + u"), Q3("2/3*v - z*u^2 + 1/5"), Q3("(u - z*w)*v + u*w + 7/3"),
+              Q3("u*v")]
+    others = [Q3("v^2 + u"), Q3("11/19*v^3 + z*u*v + 13/17"),
+              Q3("v^4 - (u + w)*v^3 + z*u^2*w"), Q3("(u + 1)*v^5 + v*w + z")]
+    cases = [(a, b) for a in linear for b in linear + others]
+    cases += [(b, a) for a in linear for b in others]
+    want = {}
+    for a, b in cases:
+        A, B = (sympy_poly(sympy, p, ["v", "u", "w"]) for p in (a, b))
+        if A.degree() < B.degree():
+            want[a, b] = B.resultant(A) * (-1) ** (A.degree() * B.degree())
+        else:
+            want[a, b] = A.resultant(B)
+        assert resultant(a, b, "v") == sylvester_resultant(a, b, "v"), (a, b)
+    prs = []
+    original = arith._subresultants
+    monkeypatch.setattr(arith, "_subresultants",
+                        lambda A, B: prs.append(A) or original(A, B))
+    for a, b in cases:
+        res, s1 = arith.resultant_and_s1(a, b, "v")
+        assert sympy_poly(sympy, res, ["u", "w"]) == want[a, b], (a, b)
+        assert s1 == (a if a.degree_in("v") == 1 else b)
+    assert not prs

@@ -10,10 +10,13 @@ from milnorsig.fields import QQ, FieldElem, parse_field
 from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, OverrideSet, UV,
                              corank, crosscap_number,
                              double_curve_equation, fold_normal_data,
-                             multipoint_data, triple_point_number)
+                             multipoint_data, presented_triple_points,
+                             triple_point_number)
+from milnorsig.localring import quotient_dim
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
 from milnorsig.signature import analyze
+from test_curves import target_changed, target_changed_corpus8
 
 
 def G(maps, field=QQ):
@@ -184,8 +187,9 @@ def test_triple_point_generators_build_ddP_and_ddQ_in_place(monkeypatch):
 
 
 def test_triple_point_number_builds_only_the_generators_it_reads(monkeypatch):
-    # ddP = 1 on a fold germ ends the count before ddQ is built, and a T
-    # override reads no triple-point generator: only P and Q are built
+    # every corank-1 germ of the corpus takes T from its multiplicity or a
+    # monic cubic, and a T override reads no triple-point generator: only P
+    # and Q are divided differences.  The fallback builds ddP and ddQ too.
     calls = []
     original = germs.divided_difference
 
@@ -194,16 +198,48 @@ def test_triple_point_number_builds_only_the_generators_it_reads(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(germs, "divided_difference", recording)
-    folds = [f for f in corpus(10) if fold_normal_data(f) is not None]
-    assert any(f.name == cross_cap().name for f in folds)
-    for f in folds:
+    corank1 = [f for f in corpus(10) if f.corank == 1]
+    assert len(corank1) == 38
+    for f in corank1:
         calls.clear()
         analyze(f)
-        assert len(calls) == 3, f.name
+        assert len(calls) == 2, f.name
     h2 = H(2)
     calls.clear()
     analyze(Germ(h2.components, h2.field, overrides=OverrideSet(T=1)))
     assert len(calls) == 2
+    calls.clear()
+    assert triple_point_number(target_changed(h2)[1]) == 1
+    assert len(calls) == 4
+
+
+def test_presented_triple_points_match_the_generators():
+    # the multiplicity and monic-cubic rules against dim O/(P, Q, ddP, ddQ)
+    # = 6T; only the H_k target changes, where no component is a monic
+    # cubic, fall back.  Besides the corpus: monic cubics with lower terms
+    # in u, the last with no isolated triple point (INFINITE both ways), and
+    # H_k under source changes
+    extra = [G(("u", "v^3 - 2*u^2 + u^2*v^2", "v^5 + u^2*v^3 + 3*u*v^3")),
+             G(("u", "v^3 + u^2*v - u^3", "v^5 - 3*u^2*v^3 - u*v^2")),
+             G(("u", "v^3 + u^3 - 3*u^2*v^2", "-v^4 + u*v^3 + 2*u^3")),
+             G(("u", "v^3 + 2*u^3 - u*v^2", "u^2 + 3*u*v - 2*u^3"))]
+    for k in (2, 3, 4):
+        h = H(k)
+        for src in ("2*v + u", "v + u^2"):
+            image = parse_poly(src, UV, h.field)
+            extra.append(Germ(tuple(c.substitute("v", image) for c in h.components),
+                              h.field, f"{h.name} v -> {src}"))
+    applied, fallback = 0, []
+    for f in [f for f in corpus(10) if f.corank == 1] + target_changed_corpus8() + extra:
+        T = presented_triple_points(*f.components[1:])
+        if T is None:
+            fallback.append(f.name)
+            continue
+        assert 6 * T == quotient_dim(f.multipoint.triple_point_generators()), f.name
+        applied += 1
+    assert applied >= 84 + len(extra)
+    assert fallback == [g.name for f in corpus(8) if f.name.startswith("H_")
+                        for g in target_changed(f)]
 
 
 def test_multipoint_symmetry():

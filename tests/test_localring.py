@@ -228,6 +228,23 @@ def test_elimination_edge_cases():
         assert mora_dim(gens) == want, gens
 
 
+def test_one_variable_left_takes_the_least_order(monkeypatch):
+    # Q{x} is a discrete valuation ring: once elimination leaves one
+    # variable, the generator of least order generates the ideal
+    cases = [([P("u + v^4"), P("v^3 + v^5"), P("v^4 - v^3")], 3),
+             ([P("u - v^2"), P("u*v^3 + v^7")], 5),
+             ([P("u + v^2"), P("u^2 + v^3")], 3)]
+    for gens, want in cases:
+        assert mora_dim(gens) == want, gens
+
+    def no_standard_basis(gens):
+        raise AssertionError("standard basis in one variable")
+
+    monkeypatch.setattr(localring, "standard_basis", no_standard_basis)
+    for gens, want in cases:
+        assert quotient_dim(gens) == want, gens
+
+
 def test_elimination_matches_mora_on_ideals_with_a_linear_generator():
     # c*x_i + h(other variables), and one generator for each other variable
     # with a pure power of it, so that most ideals are zero-dimensional
@@ -262,8 +279,9 @@ def test_elimination_matches_mora_on_ideals_with_a_linear_generator():
 
 
 def test_elimination_matches_mora_on_every_corpus_ideal(monkeypatch):
-    # every ideal that analyze hands to quotient_dim over the corpus: triple
-    # points, cross-caps, intersections of branches and Jacobians of D
+    # every ideal that analyze hands to quotient_dim over the corpus (triple
+    # points, cross-caps, intersections of branches, Jacobians of D) and the
+    # ideal of P, Q, ddP and ddQ of every corank-1 germ
     seen = []
 
     def recording(I):
@@ -275,14 +293,20 @@ def test_elimination_matches_mora_on_every_corpus_ideal(monkeypatch):
     monkeypatch.setattr(germs, "quotient_dim", recording)
     for f in corpus(10):
         analyze(f)
-    assert sum(len(I[0].vars) == 4 for I in seen) >= 30      # triple points
+    # the triple-point ideals, which T reads only where no rule of
+    # presented_triple_points applies
+    seen += [list(multipoint_data(f).triple_point_generators())
+             for f in corpus(10) if f.corank == 1]
+    assert sum(len(I[0].vars) == 4 for I in seen) >= 30
     for I in seen:
         assert quotient_dim(I) == mora_dim(I), I
 
 
 def test_elimination_finishes_germs_that_stalled_mora(monkeypatch):
     # A-equivalent to H_3 and H_4, so T = 2 and T = 3; Mora on the
-    # uneliminated triple-point ideals runs far past this budget
+    # uneliminated triple-point ideals runs far past this budget.  T of the
+    # first comes from its monic cubic f3, so the ideals are also asked for
+    # directly
     monkeypatch.setattr(localring, "STEP_CAP", 200)
     h3, h4 = H(3), H(4)
     field = h3.field
@@ -290,8 +314,22 @@ def test_elimination_finishes_germs_that_stalled_mora(monkeypatch):
     moved = Poly.constant(2, UV, field) * v + u
     f = Germ(tuple(c.substitute("v", moved) for c in h3.components), field)
     assert triple_point_number(f) == 2
+    assert quotient_dim(multipoint_data(f).triple_point_generators()) == 12
     X, Y, Z = h4.components
-    assert triple_point_number(Germ((X, Z + Y, Y.scale(3) - Z), field)) == 3
+    g = Germ((X, Z + Y, Y.scale(3) - Z), field)
+    assert triple_point_number(g) == 3
+    assert quotient_dim(multipoint_data(g).triple_point_generators()) == 18
+
+
+def test_monic_cubic_finishes_germs_that_stall_the_generators(monkeypatch):
+    # H_k under v -> 4u - 3v - 2/3 u^2: f3 is -27 v^3 plus lower terms, and
+    # the triple-point ideal ran past 60 s for each k
+    monkeypatch.setattr(localring, "STEP_CAP", 200)
+    for k in range(2, 6):
+        h = H(k)
+        image = parse_poly("4*u - 3*v - 2/3*u^2", UV, h.field)
+        f = Germ(tuple(c.substitute("v", image) for c in h.components), h.field)
+        assert triple_point_number(f) == k - 1
 
 
 def fulton_intersection(F: Poly, G: Poly, budget: int = 100_000):

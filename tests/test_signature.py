@@ -456,7 +456,8 @@ def test_one_resultant_per_analyze_with_a_double_curve_override(monkeypatch):
 
 
 def test_one_prs_of_P_and_Q_per_analyze(monkeypatch):
-    # the double-point resultant and the partner line share one PRS run
+    # the double-point resultant and the partner line share one PRS run,
+    # and none runs when P or Q has degree at most 1 in v2
     runs = []
     original = arith._subresultants
 
@@ -474,8 +475,8 @@ def test_one_prs_of_P_and_Q_per_analyze(monkeypatch):
         on_P_and_Q = sum(1 for A, B in runs if [A, B] in (views, views[::-1]))
         assert on_P_and_Q <= 1, f.name
         prs_germs += on_P_and_Q
-    # every corank-1 germ but the cross-cap, whose Q = u is free of v2
-    assert prs_germs == 37
+    # the nine H_k: every other corank-1 germ has P = v1 + v2
+    assert prs_germs == 9
 
 
 def test_components_override_may_leave_out_units():
