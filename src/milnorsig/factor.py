@@ -28,10 +28,6 @@ def factor_components(s: Poly) -> list[Poly]:
     non-associate and sorted by ``canonical_key``."""
     if s.is_zero() or s.is_constant():
         raise PolyError("cannot factor a constant")
-    return _factor_squarefree(s)
-
-
-def _factor_squarefree(s: Poly) -> list[Poly]:
     factors: list[Poly] = []
     work = [s.normalized()]
     while work:

@@ -12,21 +12,15 @@ Rational literals ``p/q`` are accepted in coefficient position.  Identifiers
 must be declared variables or the field generator.  A power is refused before
 it is expanded when its exponent exceeds MAX_EXPONENT, or when its base has t
 terms and C(n + t - 1, t - 1), the number of monomials of degree n in t
-symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS.  A
-product p * q is refused before it is expanded when b_p + b_q + ceil(log2
-min(t_p, t_q)) + r exceeds MAX_COEFF_BITS, b the largest bit length among an
-operand's numerators and denominators: each of its coefficients sums at most
-min(t_p, t_q) products of two coefficients.  r is the field's
-``reduction_bits``, what reducing by the minimal polynomial may add to one
-product of two field elements.  A rational factor only scales coordinates,
-so r counts only for two factors with a coefficient outside Q.  A power is
-formed by repeated squaring, and each of its squares and products is checked
-as a product is, so it is refused at the first one that could pass
-MAX_COEFF_BITS.  The bound assumes that the products summed into a
-coefficient share a denominator, which rationals need not, so a product
-whose operands both have more than one term, and a sum whose terms share an
-exponent, are also refused once built if a coefficient exceeds
-MAX_COEFF_BITS.  A sum checks only the exponents of the term it adds.
+symbols and so a bound on the terms of base^n, exceeds MAX_POWER_TERMS.
+
+Sums, products and the squares of a power are formed term by term.  Each
+coefficient, a product of two coefficients or a partial sum, is refused at
+its operator as it is formed when a numerator or the denominator has more
+than MAX_COEFF_BITS bits, so no operation acts on much larger numbers.  In a
+field whose ``reduction_bits`` alone pass MAX_COEFF_BITS, reducing a product
+of two coefficients outside Q may run away, so there such a product is
+refused before it is formed.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import QQ, NumberField
+from .fields import QQ, FieldElem, NumberField
 from .poly import Poly, power
 
 # Far above the germs in use, whose powers have one-term bases and
@@ -92,20 +86,13 @@ def _tokenize(src: str) -> list[_Tok]:
     return toks
 
 
-def _coeff_bits(coeffs) -> int:
-    """The largest bit length among the numerators and denominators of the
-    field elements coeffs."""
-    return max((x.bit_length() for c in coeffs for x in (*c.num, c.den)), default=0)
-
-
-def _check_built(coeffs, what: str, pos: int) -> None:
-    if _coeff_bits(coeffs) > MAX_COEFF_BITS:
+def _checked(c: FieldElem, what: str, pos: int) -> FieldElem:
+    """c, refused as ``what`` at pos when a numerator or the denominator has
+    more than MAX_COEFF_BITS bits."""
+    if (c.den.bit_length() > MAX_COEFF_BITS
+            or max(map(int.bit_length, c.num)) > MAX_COEFF_BITS):
         raise ParseError(f"{what} has coefficients above {MAX_COEFF_BITS} bits", pos)
-
-
-def _irrational(p: Poly) -> bool:
-    """Whether some coefficient of p lies outside Q."""
-    return any(any(c.num[1:]) for c in p.terms.values())
+    return c
 
 
 def _literal(t: _Tok) -> int:
@@ -122,6 +109,9 @@ class _Parser:
         self.i = 0
         self.vars = tuple(vars)
         self.field = field
+        # reducing a product of two coefficients outside Q may alone pass
+        # MAX_COEFF_BITS
+        self.runaway = field.reduction_bits > MAX_COEFF_BITS
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -149,10 +139,11 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             t = self.next()
             q = self.signed_term()
-            n = len(p.terms) + len(q.terms)
-            p = p + q if t.kind == "+" else p - q
-            if len(p.terms) < n:  # an exponent of q was in p
-                _check_built((p.terms[e] for e in q.terms if e in p.terms), "sum", t.pos)
+            terms = dict(p.terms)
+            for e, c in (q if t.kind == "+" else -q).terms.items():
+                s = terms.get(e)
+                terms[e] = c if s is None else _checked(s + c, "sum", t.pos)
+            p = Poly(self.vars, terms, self.field)
         return p
 
     def signed_term(self) -> Poly:
@@ -170,18 +161,19 @@ class _Parser:
         return p
 
     def product(self, p: Poly, q: Poly, what: str, pos: int) -> Poly:
-        """p * q, refused as ``what`` at pos when its coefficients may pass,
-        or do pass, MAX_COEFF_BITS."""
-        size = min(len(p.terms), len(q.terms))
-        reduction = self.field.reduction_bits if _irrational(p) and _irrational(q) else 0
-        if (_coeff_bits(p.terms.values()) + _coeff_bits(q.terms.values())
-                + (size - 1).bit_length() + reduction > MAX_COEFF_BITS):
-            raise ParseError(f"{what} may have coefficients above {MAX_COEFF_BITS} "
-                             "bits", pos)
-        p = p * q
-        if size > 1:  # else each coefficient is one product, as bounded
-            _check_built(p.terms.values(), what, pos)
-        return p
+        """p * q, refused as ``what`` at pos by the rule of the module
+        docstring."""
+        terms: dict = {}
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                if self.runaway and not (c1.is_rational() or c2.is_rational()):
+                    raise ParseError(f"{what} may have coefficients above "
+                                     f"{MAX_COEFF_BITS} bits", pos)
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                c = _checked(c1 * c2, what, pos)
+                s = terms.get(e)
+                terms[e] = c if s is None else _checked(s + c, what, pos)
+        return Poly(self.vars, terms, self.field)
 
     def factor(self) -> Poly:
         p = self.base()

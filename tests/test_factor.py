@@ -84,6 +84,14 @@ def test_no_silent_reducible_factor():
         assert try_divide(a, f) is not None
 
 
+def test_degree_1_edge_root_splits_off_its_factor():
+    # degree 2 in u; the hull edge (0, 4)-(1, 1) has one step in u, so its
+    # edge polynomial has degree 1 and its root gives u - v^3
+    a = parse_poly("(u - v)*(u - v^3)", UV, QQ)
+    assert factor_components(a) == [parse_poly("u - v", UV, QQ),
+                                    parse_poly("u - v^3", UV, QQ)]
+
+
 def test_factor_components_matches_sympy_on_corpus_curves():
     # an oracle that shares no code with the factorizer: sympy's factor_list
     # over the same field, keeping the factors through the origin; the one

@@ -307,6 +307,33 @@ def test_resultant_route_overrides_checked_by_the_route(tmp_path, capsys):
         assert message in capsys.readouterr().err, text
 
 
+def test_failed_sum_rule_is_reported_and_exits_1(tmp_path):
+    path, out = tmp_path / "g.germ", tmp_path / "report.json"
+    path.write_text(H2_HEAD + 'vertical_indices = ["0+1:-6"]\n')
+    assert run_analyze(str(path), "json", out=str(out)) == EXIT_ERROR
+    checks = json.loads(out.read_text())["checks"]
+    assert {"name": "sum-rule", "status": "fail",
+            "detail": "sum of vertical indices -6 != -7"} in checks
+
+
+# S_2 under v -> 2v + u: the factorizer cannot certify its one branch
+S2_MOVED = ('[germ]\nmap = ["u", "u^2 + 4*u*v + 4*v^2", '
+            '"u^4 + 2*u^3*v + u^3 + 6*u^2*v + 12*u*v^2 + 8*v^3"]\nfield = "Q(i)"\n')
+
+
+def test_uncertified_factorization_asks_for_components(tmp_path, capsys):
+    path = tmp_path / "g.germ"
+    path.write_text(S2_MOVED)
+    assert run_analyze(str(path)) == EXIT_OVERRIDES
+    assert ("overrides required: cannot certify a factorization of "
+            "u^2 + 4*u*v + 4*v^2 + u^3") in capsys.readouterr().err
+    path.write_text(S2_MOVED + '[overrides]\ncomponents = ["u^2 + 4*u*v + 4*v^2 + u^3"]\n')
+    assert run_analyze(str(path), "json") == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert ({k: report[k] for k in ("sigma_F", "C", "T", "mu_D", "mu_I", "b2")}
+            == {"sigma_F": -3, "C": 3, "T": 0, "mu_D": 2, "mu_I": 2, "b2": 7})
+
+
 @pytest.mark.parametrize("text, message", [
     # asked for "double_curve/T overrides", although it had both
     pytest.param(CORANK2_TEXT.replace(
@@ -341,12 +368,12 @@ def test_power_coefficient_bound_exits_1(tmp_path, capsys):
     # exited 1 with Python's own "Exceeds the limit (4300 digits)" while the
     # factorization refusal formatted the double curve
     _assert_refused(tmp_path, capsys, '"u*v"', '"v^3 + (9^500)^10*u^2*v"', ParseError,
-                    "power may have coefficients above 14284 bits (at position 14)")
+                    "power has coefficients above 14284 bits (at position 14)")
 
 
 def test_power_refused_at_a_square_exits_1(tmp_path, capsys):
     _assert_refused(tmp_path, capsys, '"u*v"', f'"{SIX_TERM_POWER}"', ParseError,
-                    "power may have coefficients above 14284 bits (at position 115)")
+                    "power has coefficients above 14284 bits (at position 115)")
 
 
 def test_product_coefficient_bound_exits_1(tmp_path, capsys):
@@ -354,7 +381,7 @@ def test_product_coefficient_bound_exits_1(tmp_path, capsys):
     # made the CLI exit 1 with Python's own "Exceeds the limit (4300 digits)"
     _assert_refused(tmp_path, capsys, '"u*v"', '"v^3 + (9^500)^9*(9^500)^9*u^2*v"',
                     ParseError,
-                    "product may have coefficients above 14284 bits (at position 15)")
+                    "product has coefficients above 14284 bits (at position 15)")
 
 
 def test_sum_coefficient_bound_exits_1(tmp_path, capsys):

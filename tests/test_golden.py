@@ -94,8 +94,14 @@ def test_override_germs_match_snapshot():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
+    if sys.argv[1:] not in (["--record"], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py --record | --check")
+    differ = []
     for path, render in ((SNAPSHOT, render_corpus), (OVERRIDE_SNAPSHOT, render_overrides)):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render())
+        if sys.argv[1] == "--record":
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render())
+        elif render() != _read(path):
+            differ.append(os.path.basename(path))
+    if differ:
+        sys.exit("reports differ from " + " and ".join(differ))

@@ -1,5 +1,7 @@
 import importlib.util
+import math
 import pathlib
+import random
 import time
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ from milnorsig.corpus import corpus
 from milnorsig.fields import QQ, FieldError, parse_field
 from milnorsig.germfile import load_germ
 from milnorsig.parser import ParseError, parse_poly
-from milnorsig.poly import PolyError, format_poly
+from milnorsig.poly import Poly, PolyError, format_poly
 from test_golden import OVERRIDE_GERMS
 
 UV = ("u", "v")
@@ -125,38 +127,44 @@ def test_power_coefficient_bits_are_bounded_before_expanding():
 
 
 def test_product_coefficient_bits_are_bounded_before_expanding():
-    # (9^500)^9 has 14,265 bits and passes the power bound; a product of two
-    # has up to 28,530.  The bound is b_p + b_q + ceil(log2 min(t_p, t_q)).
+    # (9^500)^9 has 14,265 bits and passes the bound; a product of two has
+    # 28,530, refused as that coefficient is formed
     Qi = parse_field("Q(i)")
     for src, pos in (("(9^500)^9*(9^500)^9", 9), ("u*(9^500)^9*u*(9^500)^9*v", 13),
                      ("(9^500)^9*(u + v)*(9^500)^9", 17)):
         start = time.perf_counter()
-        with pytest.raises(ParseError, match=rf"product may have coefficients above "
+        with pytest.raises(ParseError, match=rf"product has coefficients above "
                                              rf"14284 bits \(at position {pos}\)"):
             parse_poly(src, UV, Qi)
         assert time.perf_counter() - start < 0.1, src
-    # 7,132 + 7,132 bits plus 2 for min(3, 3) terms is 14,266: accepted
     half = f"({2 ** 7131}*u + v + 1)"
     p = parse_poly(f"{half}*{half}", UV, QQ)
     assert max(c.num[0].bit_length() for c in p.terms.values()) == 14263
-    # 7,142 + 7,142 bits plus 1 for min(2, 2) terms is 14,285: refused
+    # the coefficient of u^2 is 2^14282, of 14,283 bits: accepted, although
+    # a bound of 7,142 + 7,142 bits plus 1 for min(2, 2) terms, 14,285,
+    # refused it before it was formed
     half = f"({2 ** 7141}*u + v)"
-    with pytest.raises(ParseError, match="product may have coefficients above"):
+    p = parse_poly(f"{half}*{half}", UV, QQ)
+    assert p == parse_poly(half, UV, QQ) * parse_poly(half, UV, QQ)
+    assert max(c.num[0].bit_length() for c in p.terms.values()) == 14283
+    # 2^14284 has 14,285 bits: refused
+    half = f"({2 ** 7142}*u + v)"
+    with pytest.raises(ParseError, match=rf"product has coefficients above 14284 bits "
+                                         rf"\(at position {len(half)}\)"):
         parse_poly(f"{half}*{half}", UV, QQ)
 
 
 def test_coefficient_bounds_count_the_reduction_by_the_minimal_polynomial():
     # a^2 = 2*10^100 adds up to 336 bits per product of irrational
-    # coefficients: (u + a*v)^200 had coefficients of 33,320 bits against a
-    # bound of 200 * (1 + 1)
+    # coefficients: (u + a*v)^200 had coefficients of 33,320 bits
     F = parse_field("Q[a]/(a^2 - 2*10^100)")
     assert F.reduction_bits == 2 + (2 * 10 ** 100).bit_length()
-    for src, pos, what in (("(u + a*v)^200", 10, "power"),
-                           ("(u + a*v)^42*(u + a*v)^42", 12, "product")):
-        with pytest.raises(ParseError, match=rf"{what} may have coefficients above "
-                                             rf"14284 bits \(at position {pos}\)"):
-            parse_poly(src, UV, F)
-    # 43 * 2 + 42 * 336 = 14,198 bits: accepted, with 7,003
+    with pytest.raises(ParseError, match=r"power has coefficients above "
+                                         r"14284 bits \(at position 10\)"):
+        parse_poly("(u + a*v)^200", UV, F)
+    p = parse_poly("(u + a*v)^42*(u + a*v)^42", UV, F)
+    assert max(x.bit_length() for c in p.terms.values() for x in (*c.num, c.den)) == 13995
+    assert p == parse_poly("u + a*v", UV, F) ** 84
     p = parse_poly("(u + a*v)^43", UV, F)
     assert max(x.bit_length() for c in p.terms.values() for x in (*c.num, c.den)) == 7003
     # a rational factor only scales coordinates: no reduction is counted
@@ -164,14 +172,24 @@ def test_coefficient_bounds_count_the_reduction_by_the_minimal_polynomial():
     assert QQ.reduction_bits == 0
     assert parse_field("Q(i)").reduction_bits == 3
     Qa = parse_field("Q[a]/(a^2 - 2)")
-    # 61 * 2 + 60 * 4 bits
     assert len(parse_poly("(u + a*v)^61", UV, Qa).terms) == 62
+    # reducing by a^3 = 3^5000 may add 15,854 bits to one product, more than
+    # the bound: two coefficients outside Q are refused before their product
+    # is formed, and a product with a rational one is formed as usual
+    F = parse_field("Q[a]/(a^3 - (3^500)^10)")
+    assert F.reduction_bits == 15854
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=r"product may have coefficients above "
+                                         r"14284 bits \(at position 1\)"):
+        parse_poly("a*a*u", UV, F)
+    assert time.perf_counter() - start < 0.1
+    assert parse_poly("a*u + v", UV, F) == (parse_poly("u", UV, F).scale(F.generator())
+                                            + parse_poly("v", UV, F))
 
 
 def test_built_coefficients_are_refused_at_their_operator():
-    # the bounds before expansion assume the summed products share a
-    # denominator; these passed them and built coefficients of 18,729,
-    # 14,495, 14,495 and 23,451 bits
+    # sums of coefficients with different denominators: built in full,
+    # these had coefficients of 18,729, 14,495, 14,495 and 23,451 bits
     half = "(((1/3)^490)^6*v + ((1/5)^404)^5*u*v + ((1/7)^334)^5*u^2*v)"
     for src, pos, what in (
             (f"{half}*{half}", 59, "product"),
@@ -184,6 +202,85 @@ def test_built_coefficients_are_refused_at_their_operator():
     # a sum whose terms have different exponents adds no coefficients
     p = parse_poly("((1/3)^490)^9*u + ((1/5)^404)^8*v", UV, QQ)
     assert len(p.terms) == 2
+
+
+def _odd_primes(n):
+    primes = []
+    k = 3
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 2
+    return primes
+
+
+def test_product_is_refused_at_its_first_partial_sum_over_the_bound():
+    # t = 20 terms ((1/p)^a)^20*u^i, p the first odd primes, of at most
+    # 7,000 bits: a bound of 7,000 + 7,000 + ceil(log2 20) bits let
+    # half*half expand in full for 3.3 s before a scan refused it
+    half = " + ".join(f"((1/{p})^{int(7000 / (20 * math.log2(p)))})^20*u^{i}"
+                      for i, p in enumerate(_odd_primes(20)))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=r"product has coefficients above 14284 bits "
+                                         rf"\(at position {len(half) + 2}\)"):
+        parse_poly(f"({half})*({half})", UV, QQ)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_partial_sum_over_the_bound_is_refused_although_it_cancels():
+    # the coefficient of u*v is 1/3^5000 + 1/5^5000 - 1/5^5000 = 1/3^5000,
+    # of 7,925 bits, but its first two products sum to 19,535 bits.  The
+    # product has at most 11,610 bits, and a scan of the built product
+    # accepted it; refusing each coefficient as it is formed is what keeps
+    # every operation of the parser on numbers of bounded size
+    a, b = 3 ** 5000, 5 ** 5000
+    p, q = f"(1/{a} + 1/{b}*u - 1/{b}*v)", "(u*v + v + u)"
+    expected = parse_poly(p, UV, QQ) * parse_poly(q, UV, QQ)
+    assert max(x.bit_length() for c in expected.terms.values()
+               for x in (*c.num, c.den)) == 11610
+    with pytest.raises(ParseError, match=r"product has coefficients above 14284 bits "
+                                         rf"\(at position {len(p)}\)"):
+        parse_poly(f"{p}*{q}", UV, QQ)
+
+
+def test_products_are_accepted_exactly_when_their_coefficients_fit():
+    """2,000 seeded products of two operands of 2 or 3 terms, each
+    coefficient a signed prime power of 200 to 7,200 bits over another, the
+    primes distinct across terms: a product parses exactly when the Poly
+    product of its operands has no numerator or denominator above 14,284
+    bits, and then equals it.  Such summands share no prime, so the
+    denominators of the partial sums only grow, and no partial sum here
+    passes the bound only to be cancelled by a later term.  Every input
+    that a bound before the product with a scan after it accepted has a
+    product within the bound, so it is accepted here too."""
+    rng = random.Random(26)
+    primes = _odd_primes(30)
+    refused = 0
+    for _ in range(2000):
+        pool = rng.sample(primes, 12)
+        texts, operands = [], []
+        for _ in range(2):
+            text, terms = [], {}
+            for e in rng.sample([(i, j) for i in range(3) for j in range(3)],
+                                rng.randint(2, 3)):
+                num, den = (p ** round(rng.randint(200, 7200) / math.log2(p))
+                            for p in (pool.pop(), pool.pop()))
+                c = Fraction(rng.choice((1, -1)) * num, den)
+                terms[e] = QQ.from_rational(c)
+                text.append(f"{'+-'[c < 0]} {num}/{den}*u^{e[0]}*v^{e[1]}")
+            texts.append(f"(0 {' '.join(text)})")
+            operands.append(Poly(UV, terms, QQ))
+        expected = operands[0] * operands[1]
+        src = "*".join(texts)
+        if max(x.bit_length() for c in expected.terms.values()
+               for x in (*c.num, c.den)) > 14284:
+            refused += 1
+            with pytest.raises(ParseError, match=r"product has coefficients above 14284 "
+                                                 rf"bits \(at position {len(texts[0])}\)"):
+                parse_poly(src, UV, QQ)
+        else:
+            assert parse_poly(src, UV, QQ) == expected, src
+    assert 500 < refused < 1500
 
 
 def test_long_integer_literals_are_parse_errors():
@@ -242,22 +339,21 @@ def test_every_corpus_and_workload_germ_parses_within_the_limits(tmp_path):
                 load_germ(pathlib.Path(path).read_text())
 
 
-# six terms with distinct prime denominators: each square's bound trips
-# before it is formed; the power's own bound, n * (b + ceil(log2 t)) =
-# 8 * (892 + 3), let it expand in full for 2 s before refusing it
+# six terms with distinct prime denominators: a bound on the power,
+# n * (b + ceil(log2 t)) = 8 * (892 + 3), let it expand in full for 2 s
+# before refusing it
 SIX_TERM_POWER = ("(((1/3)^280)^2 + ((1/5)^191)^2*u + ((1/7)^158)^2*v"
                   " + ((1/11)^128)^2*u*v + ((1/13)^120)^2*u^2 + ((1/17)^109)^2*v^2)^8")
 
 
 def test_power_is_refused_at_its_first_square_that_could_pass_the_bound():
-    # ten terms with distinct prime denominators: the first square passes
-    # its bound and is refused by the scan of what it built; the power's own
-    # bound, 4 * (3,518 + 4), let it expand in full for 5 s
+    # ten terms with distinct prime denominators: a bound on the power,
+    # 4 * (3,518 + 4), let it expand in full for 5 s
     ten_terms = ("(((1/3)^221)^10 + ((1/5)^151)^10*u + ((1/7)^125)^10*v"
                  " + ((1/11)^101)^10*u*v + ((1/13)^95)^10*u^2 + ((1/17)^86)^10*v^2"
                  " + ((1/19)^82)^10*u^2*v + ((1/23)^77)^10*u*v^2 + ((1/29)^72)^10*u^3"
                  " + ((1/31)^71)^10*v^3)^4")
-    for src, pos, what in ((SIX_TERM_POWER, 115, "power may have"),
+    for src, pos, what in ((SIX_TERM_POWER, 115, "power has"),
                            (ten_terms, 207, "power has")):
         start = time.perf_counter()
         with pytest.raises(ParseError, match=rf"{what} coefficients above 14284 bits "
