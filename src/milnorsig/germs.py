@@ -36,8 +36,9 @@ class Germ:
     analysis context: the Jacobian minors, the corank, the fold data and the
     multiple-point data depend only on the components and the field, which
     never change, so each is computed on first use and kept; the corank and
-    C read the same minors.  Overrides are read afresh.  The field's
-    generator may not be named u or v."""
+    C read the same minors.  Refusals are not kept: a germ with no
+    multiple-point data raises ``OverrideRequired`` on each read.  Overrides
+    are read afresh.  The field's generator may not be named u or v."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -72,20 +73,8 @@ class Germ:
         return fold_normal_data(self)
 
     @cached_property
-    def _multipoint(self) -> MultiPointData | OverrideRequired:
-        try:
-            return multipoint_data(self)
-        except OverrideRequired as exc:
-            return exc
-
-    @property
     def multipoint(self) -> MultiPointData:
-        """Raises, on each use, the ``OverrideRequired`` of a germ with no
-        multiple-point data."""
-        mp = self._multipoint
-        if isinstance(mp, OverrideRequired):
-            raise mp.with_traceback(None)
-        return mp
+        return multipoint_data(self)
 
 
 class MultiPointData:
@@ -100,7 +89,9 @@ class MultiPointData:
 
     def triple_point_generators(self):
         """P, Q, ddP and ddQ (divided differences in v2) in (u, v1, v2, v3),
-        each built when read: a fold germ's ddP = 1 ends the count before ddQ."""
+        each built when read.  Only the fallback of ``triple_point_number``
+        and the tests read them: the multiplicity-2 rule settles every fold
+        germ first."""
         vars4 = ("u", "v1", "v2", "v3")
         yield self.P.rename({}, vars4)
         yield self.Q.rename({}, vars4)

@@ -84,17 +84,7 @@ def _spoly(a: Poly, b: Poly) -> Poly:
 
 
 def standard_basis(gens: list[Poly]) -> StandardBasis:
-    """Standard basis of (gens), all nonzero, by Mora's tangent-cone algorithm.
-
-    If a generator has a nonzero constant term it is a unit of the local
-    ring, so the ideal is the whole ring: the basis is [1] and the leading
-    ideal is generated by (0, ..., 0).  Checking the generators is exact: when
-    none is a unit, every element of the ideal lies in the maximal ideal and
-    the loop below never produces a unit either.
-    """
-    if any(g.is_unit_local() for g in gens):
-        one = Poly.constant(1, gens[0].vars, gens[0].field)
-        return StandardBasis([one], [(0,) * len(gens[0].vars)])
+    """Mora's tangent-cone standard basis of (gens), nonzero non-units."""
     G = [g.normalized() for g in gens]
     leads = [g.leading()[0] for g in G]     # kept in step with G
     pairs = [(i, j) for i in range(len(G)) for j in range(i)]
@@ -123,8 +113,6 @@ def standard_basis(gens: list[Poly]) -> StandardBasis:
 
 def _staircase_count(leading, nvars):
     """Number of monomials outside the monomial ideal, or INFINITE."""
-    if any(all(x == 0 for x in e) for e in leading):
-        return 0
     bounds = []
     for i in range(nvars):
         pure = [e[i] for e in leading if sum(e) == e[i]]
@@ -164,10 +152,10 @@ def linear_pivot(gens):
 def quotient_dim(generators):
     """dim O/I, or INFINITE, for I generated by an iterable of polynomials
     over one ring, read in turn: zeros are left out and the first unit gives
-    0 with nothing after it read.  Then the linear variables are eliminated
-    (module docstring) and Mora's standard basis counts what is left, unless
-    one variable is left: then I is generated by the generator of least
-    order."""
+    0 with nothing after it read.  This is the one place where units are
+    decided.  Then the linear variables are eliminated (module docstring)
+    and Mora's standard basis counts what is left, unless one variable is
+    left: then I is generated by the generator of least order."""
     gens = []
     for g in generators:
         if g.is_zero():

@@ -18,9 +18,11 @@ Sums, products and the squares of a power are formed term by term.  Each
 coefficient, a product of two coefficients or a partial sum, is refused at
 its operator as it is formed when a numerator or the denominator has more
 than MAX_COEFF_BITS bits, so no operation acts on much larger numbers.  In a
-field whose ``reduction_bits`` alone pass MAX_COEFF_BITS, reducing a product
-of two coefficients outside Q may run away, so there such a product is
-refused before it is formed.
+field of degree d whose ``reduction_bits`` alone pass MAX_COEFF_BITS,
+reducing a product by the minimal polynomial may run away.  There a product
+of two coefficients of degrees k and l in the generator is refused before it
+is formed when k + l >= d, exactly when it reaches the d-th power and a
+reduction step would run; a rational coefficient has degree 0.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ def _checked(c: FieldElem, what: str, pos: int) -> FieldElem:
     return c
 
 
+def _degree(c: FieldElem) -> int:
+    """The highest power of the field generator with a nonzero coordinate in c."""
+    return max((i for i, n in enumerate(c.num) if n), default=0)
+
+
 def _literal(t: _Tok) -> int:
     try:
         return int(t.text)
@@ -109,7 +116,7 @@ class _Parser:
         self.i = 0
         self.vars = tuple(vars)
         self.field = field
-        # reducing a product of two coefficients outside Q may alone pass
+        # reducing a product by the minimal polynomial may alone pass
         # MAX_COEFF_BITS
         self.runaway = field.reduction_bits > MAX_COEFF_BITS
 
@@ -166,7 +173,7 @@ class _Parser:
         terms: dict = {}
         for e1, c1 in p.terms.items():
             for e2, c2 in q.terms.items():
-                if self.runaway and not (c1.is_rational() or c2.is_rational()):
+                if self.runaway and _degree(c1) + _degree(c2) >= self.field.degree:
                     raise ParseError(f"{what} may have coefficients above "
                                      f"{MAX_COEFF_BITS} bits", pos)
                 e = tuple([a + b for a, b in zip(e1, e2)])

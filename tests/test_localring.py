@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,16 +11,19 @@ from milnorsig import germs, localring
 from milnorsig.corpus import H, corpus
 from milnorsig.curves import decompose
 from milnorsig.fields import QQ, parse_field
-from milnorsig.germs import (Germ, double_curve_equation, fold_normal_data,
-                             multipoint_data, triple_point_number)
+from milnorsig.germfile import load_germ
+from milnorsig.germs import (Germ, OverrideRequired, double_curve_equation,
+                             fold_normal_data, multipoint_data, triple_point_number)
 from milnorsig.localring import (INFINITE, _staircase_count,
                                  intersection_multiplicity, milnor_number,
                                  mora_normal_form, quotient_dim, standard_basis)
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly, PolyError
 from milnorsig.signature import analyze
+from test_curves import target_changed_corpus8
 
 UV = ("u", "v")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def P(src, field=QQ):
@@ -169,11 +174,12 @@ def test_milnor_number_branch_oracle():
 
 
 def test_unit_generator_gives_whole_ring():
-    # 1 + v is a unit of the local ring, so the ideal is all of O
+    # 1 + v is a unit of the local ring, so the ideal is all of O; only
+    # quotient_dim decides units, and the general staircase count of the
+    # leading ideal {0} is 0 because every bound is 0
     I = [P("u"), P("1 + v"), P("v^2")]
-    sb = standard_basis(I)
-    assert sb.leading_ideal == [(0, 0)]
-    assert len(sb.basis) == 1 and sb.basis[0].is_unit_local()
+    assert standard_basis(I).leading_ideal == [(0, 0)]
+    assert _staircase_count([(0, 0)], 2) == 0
     assert quotient_dim(I) == 0
 
 
@@ -203,6 +209,34 @@ def test_fold_triple_point_ideal_is_whole_ring():
         gens = multipoint_data(f).triple_point_generators()
         assert any(g.is_unit_local() and g.total_degree() == 0 for g in gens), f.name
         assert triple_point_number(f) == 0, f.name
+
+
+def test_no_caller_hands_mora_a_unit(monkeypatch, tmp_path):
+    # standard_basis has no unit exit: quotient_dim returns 0 at the first
+    # unit, elimination keeps every constant term, and Mora's normal forms
+    # of a proper ideal stay inside it
+    received, original = [], localring.standard_basis
+
+    def checked(gens):
+        assert not any(g.is_unit_local() for g in gens), gens
+        sb = original(gens)
+        assert not any(sum(e) == 0 for e in sb.leading_ideal), gens
+        received.append(gens)
+        return sb
+    monkeypatch.setattr(localring, "standard_basis", checked)
+    spec = importlib.util.spec_from_file_location("germgen", PERFBENCH / "germgen.py")
+    germgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(germgen)
+    workload_germs = [load_germ(pathlib.Path(path).read_text())[0]
+                      for workload in germgen.WORKLOADS
+                      for _, path in germgen.generate(workload, 5, tmp_path / workload)]
+    for f in corpus(10) + target_changed_corpus8() + workload_germs:
+        try:
+            analyze(f)
+        except OverrideRequired:  # target-changed germs with no overrides
+            pass
+    # 2 on corpus(10), 38 on the target changes, 2 on small-germs
+    assert len(received) >= 40
 
 
 def mora_dim(I):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from milnorsig.corpus import corpus
-from milnorsig.fields import QQ, FieldError, parse_field
+from milnorsig.fields import QQ, FieldElem, FieldError, parse_field
 from milnorsig.germfile import load_germ
 from milnorsig.parser import ParseError, parse_poly
 from milnorsig.poly import Poly, PolyError, format_poly
@@ -174,17 +174,24 @@ def test_coefficient_bounds_count_the_reduction_by_the_minimal_polynomial():
     Qa = parse_field("Q[a]/(a^2 - 2)")
     assert len(parse_poly("(u + a*v)^61", UV, Qa).terms) == 62
     # reducing by a^3 = 3^5000 may add 15,854 bits to one product, more than
-    # the bound: two coefficients outside Q are refused before their product
-    # is formed, and a product with a rational one is formed as usual
+    # the bound: a product that reaches a^3 is refused before it is formed,
+    # and one below a^3, which needs no reduction, is formed as usual
     F = parse_field("Q[a]/(a^3 - (3^500)^10)")
     assert F.reduction_bits == 15854
-    start = time.perf_counter()
-    with pytest.raises(ParseError, match=r"product may have coefficients above "
-                                         r"14284 bits \(at position 1\)"):
-        parse_poly("a*a*u", UV, F)
-    assert time.perf_counter() - start < 0.1
-    assert parse_poly("a*u + v", UV, F) == (parse_poly("u", UV, F).scale(F.generator())
-                                            + parse_poly("v", UV, F))
+    for src, pos, what in (("a*a*a*u", 3, "product"), ("a^3*u", 2, "power")):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=rf"{what} may have coefficients above "
+                                             rf"14284 bits \(at position {pos}\)"):
+            parse_poly(src, UV, F)
+        assert time.perf_counter() - start < 0.1, src
+    a, u, v = (parse_poly(x, UV, F) for x in ("a", "u", "v"))
+    a2 = FieldElem(F, (0, 0, 1))
+    a2u = Poly(UV, {(1, 0): a2}, F)
+    assert parse_poly("a*a*u", UV, F) == a2u
+    assert parse_poly("a^2*u", UV, F) == a2u
+    assert parse_poly("(a*u)*(a*v)", UV, F) == Poly(UV, {(1, 1): a2}, F)
+    assert parse_poly("a*u + v", UV, F) == u.scale(F.generator()) + v
+    assert parse_poly("(u + a*v)^2", UV, F) == u * u + (a * u * v).scale(2) + a * a * v * v
 
 
 def test_built_coefficients_are_refused_at_their_operator():
@@ -346,20 +353,30 @@ SIX_TERM_POWER = ("(((1/3)^280)^2 + ((1/5)^191)^2*u + ((1/7)^158)^2*v"
                   " + ((1/11)^128)^2*u*v + ((1/13)^120)^2*u^2 + ((1/17)^109)^2*v^2)^8")
 
 
-def test_power_is_refused_at_its_first_square_that_could_pass_the_bound():
+def test_power_is_refused_at_its_first_square_that_could_pass_the_bound(monkeypatch):
     # ten terms with distinct prime denominators: a bound on the power,
     # 4 * (3,518 + 4), let it expand in full for 5 s
     ten_terms = ("(((1/3)^221)^10 + ((1/5)^151)^10*u + ((1/7)^125)^10*v"
                  " + ((1/11)^101)^10*u*v + ((1/13)^95)^10*u^2 + ((1/17)^86)^10*v^2"
                  " + ((1/19)^82)^10*u^2*v + ((1/23)^77)^10*u*v^2 + ((1/29)^72)^10*u^3"
                  " + ((1/31)^71)^10*v^3)^4")
-    for src, pos, what in ((SIX_TERM_POWER, 115, "power has"),
-                           (ten_terms, 207, "power has")):
-        start = time.perf_counter()
+    # the work is counted in coefficient products, not in seconds: the two
+    # are refused after 486 and 180 products, and expanded in full they
+    # form 2,360 and 1,040
+    products = 0
+
+    def counted(self, other, _mul=FieldElem.__mul__):
+        nonlocal products
+        products += 1
+        assert products < limit, f"{products} coefficient products"
+        return _mul(self, other)
+    monkeypatch.setattr(FieldElem, "__mul__", counted)
+    for src, pos, what, limit in ((SIX_TERM_POWER, 115, "power has", 1000),
+                                  (ten_terms, 207, "power has", 500)):
+        products = 0
         with pytest.raises(ParseError, match=rf"{what} coefficients above 14284 bits "
                                              rf"\(at position {pos}\)"):
             parse_poly(src, UV, QQ)
-        assert time.perf_counter() - start < 0.1, src
 
 
 def test_accepted_powers_equal_the_polynomial_power():
