@@ -8,6 +8,13 @@ argument on top), and one run also gives the degree-1 subresultant.  A gcd
 with a one-term input, a constant included, needs no PRS: it is the
 monomial of the least exponents.  Nor does a resultant with an input of
 degree 1 in the variable: it is one substitution of that input's root.
+Nor does a gcd whose primitive parts one image proves coprime: with every
+other variable put equal to the first c in 1, 2, 3 at which neither leading
+coefficient in the main variable vanishes, their images' univariate PRS
+ends in a nonzero constant.  A common factor g of positive degree would
+have survived, since lc(g) divides both leading coefficients and so
+deg g(c) = deg g (Brown, J. ACM 18, 1971); the gcd is then the gcd of the
+contents.  Only pairs that fail this test run the multivariate PRS.
 
 The PRS runs on integral inputs: at its entry each view is multiplied by the
 least common denominator L of the coordinates of its coefficients.  Over
@@ -180,8 +187,40 @@ def _subresultants(A: list[Poly], B: list[Poly]):
             return A, B, h, Fraction(sign, unscale)
 
 
+def _at(p: Poly, c: int):
+    """p with every variable put equal to c."""
+    x = p.field.zero()
+    for e, k in p.terms.items():
+        x = x + k * c ** sum(e)
+    return x
+
+
+def _coprime_image(A: list[Poly], B: list[Poly]) -> bool:
+    """Whether one image proves the primitive univariate views A and B
+    coprime: with the other variables put equal to the first c in 1, 2, 3
+    at which neither leading coefficient vanishes, the images' PRS ends in a
+    nonzero constant.  A common factor g of positive degree would survive:
+    lc(g) divides lc(A), so g(c) keeps the degree of g.  False when there
+    are no other variables, or no such c."""
+    if all(x.is_constant() for x in A + B):
+        return False
+    for c in (1, 2, 3):
+        if not (_at(A[-1], c).is_zero() or _at(B[-1], c).is_zero()):
+            zero = (0,) * len(A[0].vars)
+            a, b = ([Poly(x.vars, {zero: _at(x, c)}, x.field) for x in X] for X in (A, B))
+            return _udeg(_subresultants(a, b)[1]) == 0
+    return False
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """gcd normalized to leading coefficient 1 under the local order."""
+    """gcd normalized to leading coefficient 1 under the local order.
+
+    The contents in the main variable are split off first.  When one image
+    proves the primitive parts coprime (``_coprime_image``: a common factor
+    g has lc(g) dividing both leading coefficients, so it keeps its degree
+    at a point where they do not vanish) the gcd is the gcd of the
+    contents, the value the PRS would give; only otherwise does the PRS of
+    the primitive parts run."""
     if a.is_zero() and b.is_zero():
         raise PolyError("gcd(0, 0) is undefined")
     if a.is_zero():
@@ -199,7 +238,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ca, pa = _primitive(_univ_coeffs(a, var))
     cb, pb = _primitive(_univ_coeffs(b, var))
     cont = poly_gcd(ca, cb)
-    if _udeg(pa) > 0 and _udeg(pb) > 0:
+    if _udeg(pa) > 0 and _udeg(pb) > 0 and not _coprime_image(pa, pb):
         S, R, _, _ = _subresultants(pa, pb)
         if _udeg(R) < 0:
             g = _from_univ(_primitive(S)[1], var, a.vars, a.field)

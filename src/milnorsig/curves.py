@@ -12,7 +12,7 @@ from .factor import FactorizationIncomplete, factor_components
 from .germs import (AnalysisError, Germ, OverrideRequired, double_curve_equation,
                     is_local_unit_multiple)
 from .localring import INFINITE, intersection_multiplicity, linear_pivot, milnor_number
-from .poly import Poly
+from .poly import Poly, product
 
 
 class ComponentSet:
@@ -51,10 +51,7 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
     # curve_eq is reduced, so components whose product divides it with a
     # unit of the local ring as quotient are squarefree, pairwise coprime
     # and hold every branch through the origin
-    prod = Poly.constant(1, curve_eq.vars, curve_eq.field)
-    for h in comps:
-        prod = prod * h
-    if not is_local_unit_multiple(curve_eq, prod):
+    if not is_local_unit_multiple(curve_eq, product(comps, curve_eq.vars, curve_eq.field)):
         source = "override components" if override is not None else "factors"
         raise AnalysisError(f"{source} do not multiply to the curve")
     return comps
@@ -178,8 +175,15 @@ def curve_milnor(h: Poly) -> int:
 
 
 def component_set(f: Germ) -> ComponentSet:
-    """The component set of f's double curve ``double_curve_equation(f)``."""
+    """The component set of f's double curve ``double_curve_equation(f)``:
+    with no override for the curve or its components, the resultant's own
+    branches when they certified it as the curve, else ``decompose``."""
     ov = f.overrides
-    comps = decompose(double_curve_equation(f), ov.components)
+    curve = double_curve_equation(f)
+    comps = None
+    if ov.double_curve is None and ov.components is None:
+        comps = f.multipoint.branches  # read by double_curve_equation
+    if comps is None:
+        comps = decompose(curve, ov.components)
     pairing = classify_twist(f, comps, ov.twist)
     return ComponentSet(comps, pairing, intersection_table(comps))

@@ -75,6 +75,16 @@ def factor_components(s: Poly) -> list[Poly]:
     return sorted(set(factors), key=canonical_key)
 
 
+def is_prime_factor(h: Poly) -> bool:
+    """Whether a factor from ``factor_components`` is irreducible as a
+    polynomial too, not only as a germ at the origin: a variable, a piece
+    linear in a variable (split off primitive), or a Newton-certified
+    binomial c*x^a + y^b with gcd(a, b) = 1.  A Newton-certified piece of
+    more terms may carry a factor that is a unit of the local ring, even a
+    square: (u - v^2)*(1 + u + v^2)^2 is certified whole."""
+    return len(h.terms) <= 2 or any(h.degree_in(x) == 1 for x in h.vars)
+
+
 def canonical_key(p: Poly):
     items = sorted(p.terms.items(), key=lambda t: local_key(t[0]))
     return tuple((e, c.coeffs) for e, c in items)

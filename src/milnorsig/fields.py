@@ -7,7 +7,8 @@ positive denominator, in lowest terms (Cohen, *A Course in Computational
 Algebraic Number Theory*, 4.2), so products run on Python ints.  Degree 2
 has a closed-form product and a norm inverse.  Higher degrees reduce the
 schoolbook product from the top by q alpha^d = -(p_0 + ... + p_(d-1)
-alpha^(d-1)), with q * minimal_poly = p_0 + ... + q x^d integral, and invert
+alpha^(d-1)), with q * minimal_poly = p_0 + ... + q x^d integral, one step
+for each nonzero coordinate above alpha^(d-1), and invert
 by Cayley-Hamilton on the ``charpoly`` of multiplication by x.  ``Fraction``
 appears only in ``charpoly``'s result and at the boundary:
 ``FieldElem(field, coeffs)``, ``from_rational``, ``.coeffs`` and ``as_rational``.
@@ -330,14 +331,16 @@ class FieldElem:
                 if a:
                     for j, b in enumerate(o.num):
                         prod[i + j] += a * b
-            # reduce from the top by q alpha^d = -(p_0 + ... + p_(d-1) alpha^(d-1))
+            # reduce from the top by q alpha^d = -(p_0 + ... + p_(d-1) alpha^(d-1));
+            # a zero coordinate needs no step, and lowest terms drop the q's
             q, p = F._q, F._p
             for k in range(2 * d - 2, d - 1, -1):
                 c = prod.pop()
-                prod = [x * q for x in prod]
-                for i in range(d):
-                    prod[k - d + i] -= c * p[i]
-                den *= q
+                if c:
+                    prod = [x * q for x in prod]
+                    for i in range(d):
+                        prod[k - d + i] -= c * p[i]
+                    den *= q
             num = tuple(prod)
         return _reduced(F, num, den)
 

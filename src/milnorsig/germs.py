@@ -7,8 +7,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arith import _univ_coeffs, resultant_and_s1, squarefree_part, try_divide
+from .factor import FactorizationIncomplete, factor_components, is_prime_factor
 from .localring import INFINITE, quotient_dim
-from .poly import Poly, PolyError, divided_difference
+from .poly import Poly, PolyError, divided_difference, product
 
 UV = ("u", "v")
 
@@ -125,8 +126,31 @@ class MultiPointData:
 
     @cached_property
     def curve(self) -> Poly:
-        """The reduced double curve, the squarefree part of ``resultant``."""
+        """The reduced double curve, the squarefree part of ``resultant``,
+        unless ``branches`` has found ``resultant`` reduced and set it."""
         return squarefree_part(self.resultant)
+
+    @cached_property
+    def branches(self) -> list[Poly] | None:
+        """The factors of ``resultant`` by ``factor_components`` when each
+        is irreducible as a polynomial (``is_prime_factor``) and they
+        multiply to it up to a nonzero constant, else None.  Being
+        normalized, they are pairwise distinct, so then ``resultant`` is
+        reduced, the double curve itself (Mond-Pellikaan), and ``curve`` is
+        set to it normalized, which is what its squarefree part would
+        return."""
+        r = self.resultant
+        try:
+            factors = factor_components(r)
+        except FactorizationIncomplete:
+            return None
+        if not all(map(is_prime_factor, factors)):
+            return None
+        rest = try_divide(r, product(factors, r.vars, r.field))
+        if rest is None or not rest.is_constant():
+            return None
+        self.curve = r.normalized()
+        return factors
 
 
 def corank(f: Germ) -> int:
@@ -188,7 +212,11 @@ def is_local_unit_multiple(a: Poly, b: Poly) -> bool:
 def double_curve_equation(f: Germ) -> Poly:
     """The reduced double curve D, normalized; the one place that decides
     the route: the ``double_curve`` override or the divided-difference
-    resultant."""
+    resultant R.  When D's branches are to be factored (no override for
+    either), R is factored first: if its factors certify it
+    (``MultiPointData.branches``), D is R itself and they are D's branches;
+    otherwise, and under a ``components`` override, D is the squarefree
+    part of R."""
     ov = f.overrides
     if ov.double_curve is not None:
         d = ov.double_curve
@@ -204,7 +232,10 @@ def double_curve_equation(f: Germ) -> Poly:
             raise AnalysisError("double_curve override is not the divided-difference "
                                 "curve up to factors that miss the origin")
         return d.normalized()
-    return f.multipoint.curve
+    mp = f.multipoint
+    if ov.components is None:
+        mp.branches  # sets mp.curve to R when R's factors certify it
+    return mp.curve
 
 
 def _times_v(col: list[Poly], rem: list[Poly]) -> list[Poly]:

@@ -36,6 +36,14 @@ def power(x, n: int, mul=operator.mul):
         x = mul(x, x)
 
 
+def product(factors, vars, field) -> "Poly":
+    """The product of factors, polynomials in vars over field; 1 for none."""
+    prod = Poly.constant(1, vars, field)
+    for h in factors:
+        prod = prod * h
+    return prod
+
+
 class Poly:
     __slots__ = ("vars", "terms", "field")
 

@@ -348,6 +348,51 @@ def test_one_term_gcd_runs_no_prs(monkeypatch):
         poly_gcd(P("u^2 + v"), P("u + v"))
 
 
+def image_certificate_cases(field):
+    """(a, b) pairs over field for the image certificate of ``poly_gcd``."""
+    Q3 = field_parser(field)
+    return [
+        # main variable u (a tie in degree): at v = 1 both images are u,
+        # so the certificate fails, and the PRS finds the gcd 1
+        (Q3("u + v - 1"), Q3("u - v + 1")),
+        # main variable v: the leading coefficient u - 1 vanishes at u = 1,
+        # so the images are taken at u = 2: v + 2*z and v + 4, coprime
+        (Q3("(u - 1)*v + z*u"), Q3("v + u^2")),
+        # the common factor (u - 1)*v + 1 is the constant 1 at u = 1, where
+        # the images v + z and v + 3 would be coprime; at u = 2 both images
+        # keep v + 1
+        (Q3("((u - 1)*v + 1)*(v + z*u^2)"), Q3("((u - 1)*v + 1)*(v + 2 + u^2)")),
+        # a true common factor: the images share it, the PRS finds it
+        (Q3("(v + z*u)*(v - u + 1)"), Q3("(v + z*u)*(v + u - 1)*(u + 2)")),
+        # three variables, coprime and with a common factor
+        (Q3("v*w + u + z"), Q3("v + w^2 + u*w")),
+        (Q3("(w + z*u*v)*(v*w + u + 1)"), Q3("(w + z*u*v)*(v + w^2 + u*w)")),
+    ]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_image_certificate_gcds_match_sympy(sympy, field):
+    for a, b in image_certificate_cases(field):
+        want = sympy.gcd(sympy_poly(sympy, a, UVW), sympy_poly(sympy, b, UVW)).monic()
+        for x, y in ((a, b), (b, a)):
+            assert sympy_poly(sympy, poly_gcd(x, y), UVW).monic() == want, (x, y)
+
+
+def test_image_certificate_proves_a_coprime_pair(monkeypatch):
+    # u^2 + u*v + v^3 and u + v^2 + 1 have contents 1 in u; at v = 1 the
+    # images u^2 + u + 1 and u + 2 are coprime, and that one univariate PRS
+    # is the only one: the bivariate PRS does not run
+    runs = []
+    original = arith._subresultants
+
+    def recording(A, B):
+        runs.append(A + B)
+        return original(A, B)
+    monkeypatch.setattr(arith, "_subresultants", recording)
+    assert poly_gcd(P("u^2 + u*v + v^3"), P("u + v^2 + 1")) == P("1")
+    assert len(runs) == 1 and all(c.is_constant() for c in runs[0])
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
 def test_squarefree_part_matches_sympy(sympy, field):
     # small inputs: sympy's sqf_part over Q(i) took 56 s on a*a*b of the

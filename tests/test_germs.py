@@ -297,6 +297,10 @@ def test_double_curve_routes_agree_on_folds():
         p = fold_normal_data(f)
         assert f.multipoint.resultant in (p, -p)
         assert f.multipoint.curve == squarefree_part(p)
+        # the resultant certified by its own branches is that curve too
+        twin = Germ((u, v * v, f3), field)
+        if twin.multipoint.branches is not None:
+            assert twin.multipoint.curve == squarefree_part(p)
 
     run = hyp.given(st.dictionaries(exps, coords, min_size=1, max_size=4))(check)
     hyp.settings(max_examples=30, deadline=None, database=None, derandomize=True)(run)()

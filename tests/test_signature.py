@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import pathlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -16,8 +19,11 @@ from milnorsig.germs import AnalysisError, OverrideRequired, corank, crosscap_nu
 from milnorsig.localring import milnor_number
 from milnorsig.signature import (analyze, derived_invariants, intersection_form,
                                  signature_of_form, vertical_indices)
+from milnorsig.poly import Poly
 from test_curves import target_changed
 from test_golden import OVERRIDE_GERMS
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # --- Sturm-sequence oracle for the signature of a symmetric matrix ----------
@@ -358,10 +364,10 @@ def test_germ_data_computed_once_per_analyze(monkeypatch):
         for module in (arith, factor, localring, germs, curves, signature):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    # squarefree_part: the resultant curve on cross-cap, S_2 and H_3 (the
-    # fold-vs-resultant check compares the resultant itself), the
-    # double_curve override check on the corank-2 germ
-    reductions = {"cross-cap": 1, "S_2": 1, "H_3": 1, "corank-2": 1}
+    # squarefree_part: none where the resultant's own factors certify it as
+    # the curve (cross-cap, S_2 and H_3), the double_curve override check on
+    # the corank-2 germ
+    reductions = {"cross-cap": 0, "S_2": 0, "H_3": 0, "corank-2": 1}
     for germ in (cross_cap(), S(2), H(3), corank2()):
         calls.clear()
         analyze(germ)
@@ -374,6 +380,87 @@ def test_germ_data_computed_once_per_analyze(monkeypatch):
         assert max(calls[n] for n in once) == 1, (germ.name, calls)
         assert calls["factor_components"] <= 1, (germ.name, calls)
         assert calls["squarefree_part"] == reductions[germ.name], (germ.name, calls)
+
+
+def _count_squarefree_parts(monkeypatch):
+    calls = Counter()
+    original = arith.squarefree_part
+
+    def counted(*args):
+        calls["squarefree_part"] += 1
+        return original(*args)
+    for module in (arith, factor, localring, germs, curves, signature):
+        if getattr(module, "squarefree_part", None) is original:
+            monkeypatch.setattr(module, "squarefree_part", counted)
+    return calls
+
+
+def _workload_germs(tmp_path):
+    spec = importlib.util.spec_from_file_location("germgen", PERFBENCH / "germgen.py")
+    germgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(germgen)
+    return [load_germ(pathlib.Path(path).read_text())[0]
+            for workload in germgen.WORKLOADS
+            for _, path in germgen.generate(workload, 5, tmp_path / workload)]
+
+
+def test_no_squarefree_part_without_a_double_curve_override(monkeypatch, tmp_path):
+    # the resultant's own factors certify it as the double curve on every
+    # corpus and workload germ; only a double_curve override is checked by
+    # a squarefree part
+    calls = _count_squarefree_parts(monkeypatch)
+    checked = 0
+    for f in corpus(10) + _workload_germs(tmp_path):
+        calls.clear()
+        analyze(f)
+        if f.overrides.double_curve is None:
+            assert calls["squarefree_part"] == 0, f.name
+            checked += 1
+    assert checked == len(corpus(10)) - 1 + 57 - 1   # all but the corank-2 germs
+
+
+def test_a_resultant_that_is_not_reduced_takes_the_squarefree_route(monkeypatch):
+    # under (X, Z + Y, 3Y - Z) the resultant of C_3 and C_5 has the square
+    # u^2 and is not reduced: its squarefree part is the curve, and the
+    # germ ends where it did when every curve went that way, asking for the
+    # vertical indices
+    calls = _count_squarefree_parts(monkeypatch)
+    for f in (target_changed(C_(3))[1], target_changed(C_(5))[1]):
+        u = Poly.variable("u", germs.UV, f.field)
+        assert arith.try_divide(f.multipoint.resultant, u * u) is not None, f.name
+        calls.clear()
+        with pytest.raises(OverrideRequired, match="^vertical indices of untwisted "
+                           "pairs unknown and more than one entry missing; supply "
+                           "vertical_indices overrides$"):
+            analyze(f)
+        assert f.multipoint.branches is None, f.name
+        assert calls["squarefree_part"] == 1, f.name
+
+
+def test_a_resultant_with_a_squared_unit_factor_is_not_taken_as_the_curve():
+    # Res_v2(P, Q) = (u - v^2)*(1 + u + v^2)^2 is one Newton-certified
+    # factor, a germ branch, but not reduced as a polynomial: the curve is
+    # its squarefree part, whose branch through the origin is u - v^2
+    f = load_germ(_germ_text(("u", "v^2", "v*(u - v^2)*(1 + u + v^2)^2"), "Q(i)"))[0]
+    report = analyze(f).to_dict()
+    assert f.multipoint.branches is None
+    assert [c["equation"] for c in report["components"]] == ["u - v^2"]
+    assert {"name": "fold-vs-resultant", "status": "pass",
+            "detail": "resultant route gives u + u^2 - v^2 - v^4"} in report["checks"]
+
+
+def test_source_changed_H5_is_refused_quickly():
+    # H_5 under v -> 4u - 3v - (2/3)u^2: Res_v2(P, Q) has 481 terms, is
+    # squarefree, and has no factorization the factorizer certifies; its
+    # squarefree part took 17-37 s by the bivariate PRS and takes well under
+    # 1 s once one image proves the gcds trivial
+    w = "(4*u - 3*v - 2/3*u^2)"
+    f = load_germ(_germ_text(("u", f"u*{w} + {w}^14", f"{w}^3"), "Q(zeta3)"))[0]
+    start = time.perf_counter()
+    with pytest.raises(OverrideRequired, match="cannot certify a factorization"):
+        analyze(f)
+    assert time.perf_counter() - start < 10
+    assert len(f.multipoint.resultant.terms) == 481
 
 
 def _without_check_details(report):
