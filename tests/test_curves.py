@@ -9,11 +9,12 @@ from milnorsig.curves import (_partners, classify_twist, component_set, curve_mi
                               decompose, intersection_table, v_axis_multiplicities)
 from milnorsig.fields import QQ
 from milnorsig.germfile import load_germ
-from milnorsig.germs import (AnalysisError, Germ, MultiPointData, OverrideRequired, UV,
+from milnorsig.germs import (AnalysisError, MultiPointData, OverrideRequired, UV,
                              double_curve_equation, multipoint_data)
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
 from milnorsig.signature import analyze
+from test_golden import target_changed, target_changed_corpus8
 
 UVV = ("u", "v1", "v2")
 
@@ -52,14 +53,6 @@ def gcd_route_partner(h, mp, comps_v2):
 
 def in_v2(comps):
     return [h.rename({"v": "v2"}, UVV).normalized() for h in comps]
-
-
-def target_changed(f):
-    """f under the target changes (X, Y, Z) -> (X, Y + X^2, Z + XY) and
-    (X, Y, Z) -> (X, Z + Y, 3Y - Z); its double curve stays the same."""
-    X, Y, Z = f.components
-    return [Germ((X, Y + X * X, Z + X * Y), f.field, f"{f.name} (X, Y + X^2, Z + XY)"),
-            Germ((X, Z + Y, Y.scale(3) - Z), f.field, f"{f.name} (X, Z + Y, 3Y - Z)")]
 
 
 def test_decompose_examples():
@@ -188,10 +181,6 @@ def test_general_partner_needs_both_resultants():
     comps_v2 = in_v2([parse_poly(s, UV, QQ) for s in
                       ("u - v", "u + v", "u + 2*v", "(u - v)*(u + v)", "(u - v)*(u + 2*v)")])
     assert _general_partner(h, mp, comps_v2) == gcd_route_partner(h, mp, comps_v2) == [0]
-
-
-def target_changed_corpus8():
-    return [g for f in corpus(8) if f.corank == 1 for g in target_changed(f)]
 
 
 def test_partners_match_general_partner():

@@ -1,6 +1,10 @@
 """Golden-output tests: ``analyze(g).to_dict()`` must match the checked-in
-snapshots byte for byte, for every germ of ``corpus(10)`` and for the germ
-files in ``OVERRIDE_GERMS``, which take the override paths.
+snapshots byte for byte, for every germ of ``corpus(10)``, for the germ
+files in ``OVERRIDE_GERMS``, which take the override paths, and for the
+target changes of ``corpus(8)`` and the ``FALLBACK_GERMS``, whose double
+curve is a squarefree part, whose twist takes the involution step or whose
+T takes the fallback; there a germ that is refused records the exception's
+class and message instead of a report.
 
 A change that is meant to leave every report unchanged (a refactor or a
 speed-up) is checked against these files.  To re-record the snapshots after
@@ -15,11 +19,13 @@ import sys
 
 from milnorsig.corpus import corpus
 from milnorsig.germfile import load_germ
+from milnorsig.germs import AnalysisError, Germ, OverrideRequired
 from milnorsig.signature import analyze
 
 HERE = os.path.dirname(__file__)
 SNAPSHOT = os.path.join(HERE, "golden_corpus10.json")
 OVERRIDE_SNAPSHOT = os.path.join(HERE, "golden_overrides.json")
+TARGET_CHANGED_SNAPSHOT = os.path.join(HERE, "golden_target_changed.json")
 
 OVERRIDE_GERMS = [
     # components and twist overrides; the pairs are listed out of index
@@ -67,9 +73,38 @@ twist = ["0:untwisted-with:1"]
 """,
 ]
 
+# fold germs whose resultant R is not certified by its own factors: R with a
+# squared unit factor, one reduced branch of three terms, a unit factor, and
+# a squared unit factor with two branches
+FALLBACK_GERMS = [
+    ("sextic-squared-unit", "v*(u - v^2)*(1 + u + v^2)^2", "Q(i)"),
+    ("three-term-branch", "v*(u^3 + u^2*v^2 + v^4)", "Q"),
+    ("unit-factor", "v*(u + v^2)*(1 + u)", "Q"),
+    ("two-branches-squared-unit", "v*(u^2 + v^2)*(1 - u)^2", "Q(i)"),
+]
+
+
+def target_changed(f):
+    """f under the target changes (X, Y, Z) -> (X, Y + X^2, Z + XY) and
+    (X, Y, Z) -> (X, Z + Y, 3Y - Z); its double curve stays the same."""
+    X, Y, Z = f.components
+    return [Germ((X, Y + X * X, Z + X * Y), f.field, f"{f.name} (X, Y + X^2, Z + XY)"),
+            Germ((X, Z + Y, Y.scale(3) - Z), f.field, f"{f.name} (X, Z + Y, 3Y - Z)")]
+
+
+def target_changed_corpus8():
+    return [g for f in corpus(8) if f.corank == 1 for g in target_changed(f)]
+
 
 def _render(germs) -> str:
     return json.dumps([analyze(g).to_dict() for g in germs], indent=2) + "\n"
+
+
+def _report_or_refusal(g):
+    try:
+        return analyze(g).to_dict()
+    except (AnalysisError, OverrideRequired) as exc:
+        return {"name": g.name, "error": type(exc).__name__, "message": str(exc)}
 
 
 def render_corpus() -> str:
@@ -78,6 +113,13 @@ def render_corpus() -> str:
 
 def render_overrides() -> str:
     return _render(load_germ(text)[0] for text in OVERRIDE_GERMS)
+
+
+def render_target_changed() -> str:
+    germs = target_changed_corpus8() + [
+        load_germ(f'[germ]\nname = "{name}"\nmap = ["u", "v^2", "{f3}"]\n'
+                  f'field = "{field}"\n')[0] for name, f3, field in FALLBACK_GERMS]
+    return json.dumps([_report_or_refusal(g) for g in germs], indent=2) + "\n"
 
 
 def _read(path) -> str:
@@ -93,11 +135,16 @@ def test_override_germs_match_snapshot():
     assert render_overrides() == _read(OVERRIDE_SNAPSHOT)
 
 
+def test_target_changed_and_fallback_germs_match_snapshot():
+    assert render_target_changed() == _read(TARGET_CHANGED_SNAPSHOT)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] not in (["--record"], ["--check"]):
         sys.exit("usage: python tests/test_golden.py --record | --check")
     differ = []
-    for path, render in ((SNAPSHOT, render_corpus), (OVERRIDE_SNAPSHOT, render_overrides)):
+    for path, render in ((SNAPSHOT, render_corpus), (OVERRIDE_SNAPSHOT, render_overrides),
+                         (TARGET_CHANGED_SNAPSHOT, render_target_changed)):
         if sys.argv[1] == "--record":
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(render())
