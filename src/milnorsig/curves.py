@@ -30,12 +30,13 @@ class ComponentSet:
             self.partner[i], self.partner[j] = j, i
 
 
-def decompose(curve_eq: Poly, override=None) -> list[Poly]:
+def decompose(curve_eq: Poly, override=None, factor=None) -> list[Poly]:
     """The branches through the origin of the reduced curve ``curve_eq``:
-    the ``components`` override, or else its irreducible factors that pass
-    through the origin, sorted by ``canonical_key``.  Either list must
-    multiply to ``curve_eq`` up to a unit of the local ring, and every
-    override component must pass through the origin, as the factors do."""
+    the ``components`` override, or else its irreducible factors through
+    the origin by ``factor`` (``factor_components``), sorted by
+    ``canonical_key``.  Either list must multiply to ``curve_eq`` up to a
+    unit of the local ring, and override components must pass through the
+    origin, as the factors do."""
     if override is not None:
         comps = [h.normalized() for h in override]
         units = [i for i, h in enumerate(comps) if h.is_unit_local()]
@@ -43,7 +44,7 @@ def decompose(curve_eq: Poly, override=None) -> list[Poly]:
             raise AnalysisError(f"override components {units} miss the origin")
     else:
         try:
-            comps = factor_components(curve_eq)
+            comps = (factor or factor_components)(curve_eq)
         except FactorizationIncomplete as exc:
             raise OverrideRequired(str(exc)) from exc
         if not comps:
@@ -176,14 +177,13 @@ def curve_milnor(h: Poly) -> int:
 
 def component_set(f: Germ) -> ComponentSet:
     """The component set of f's double curve ``double_curve_equation(f)``:
-    with no override for the curve or its components, the resultant's own
-    branches when they certified it as the curve, else ``decompose``."""
+    with no override for the curve or its components, R's own ``branches``
+    when they certify it, else ``decompose`` by ``MultiPointData.factor``."""
     ov = f.overrides
     curve = double_curve_equation(f)
-    comps = None
     if ov.double_curve is None and ov.components is None:
-        comps = f.multipoint.branches  # read by double_curve_equation
-    if comps is None:
+        comps = f.multipoint.branches or decompose(curve, factor=f.multipoint.factor)
+    else:
         comps = decompose(curve, ov.components)
     pairing = classify_twist(f, comps, ov.twist)
     return ComponentSet(comps, pairing, intersection_table(comps))

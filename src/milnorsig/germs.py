@@ -37,9 +37,10 @@ class Germ:
     analysis context: the Jacobian minors, the corank, the fold data and the
     multiple-point data depend only on the components and the field, which
     never change, so each is computed on first use and kept; the corank and
-    C read the same minors.  Refusals are not kept: a germ with no
-    multiple-point data raises ``OverrideRequired`` on each read.  Overrides
-    are read afresh.  The field's generator may not be named u or v."""
+    C read the same minors.  A germ with no multiple-point data raises
+    ``OverrideRequired`` on each read; the data keeps R's one factorization,
+    a refusal included.  Overrides are read afresh.  The field's generator
+    may not be named u or v."""
 
     def __init__(self, components, field, name="", overrides=None):
         f1, f2, f3 = components
@@ -125,32 +126,39 @@ class MultiPointData:
         return a, b
 
     @cached_property
-    def curve(self) -> Poly:
-        """The reduced double curve, the squarefree part of ``resultant``,
-        unless ``branches`` has found ``resultant`` reduced and set it."""
-        return squarefree_part(self.resultant)
+    def factorization(self) -> list[Poly] | FactorizationIncomplete:
+        """``factor_components(resultant)``, or its refusal kept as a value."""
+        try:
+            return factor_components(self.resultant)
+        except FactorizationIncomplete as exc:
+            return exc
 
     @cached_property
     def branches(self) -> list[Poly] | None:
-        """The factors of ``resultant`` by ``factor_components`` when each
-        is irreducible as a polynomial (``is_prime_factor``) and they
-        multiply to it up to a nonzero constant, else None.  Being
-        normalized, they are pairwise distinct, so then ``resultant`` is
-        reduced, the double curve itself (Mond-Pellikaan), and ``curve`` is
-        set to it normalized, which is what its squarefree part would
-        return."""
-        r = self.resultant
-        try:
-            factors = factor_components(r)
-        except FactorizationIncomplete:
-            return None
-        if not all(map(is_prime_factor, factors)):
+        """``factorization`` when its factors are prime polynomials
+        (``is_prime_factor``) and multiply to R up to a constant, else None:
+        being distinct, they make R reduced, the curve itself (Mond-Pellikaan)."""
+        r, factors = self.resultant, self.factorization
+        if not isinstance(factors, list) or not all(map(is_prime_factor, factors)):
             return None
         rest = try_divide(r, product(factors, r.vars, r.field))
-        if rest is None or not rest.is_constant():
-            return None
-        self.curve = r.normalized()
-        return factors
+        return factors if rest is not None and rest.is_constant() else None
+
+    @cached_property
+    def curve(self) -> Poly:
+        """The reduced double curve: ``resultant`` normalized when ``branches``
+        certifies it, else ``squarefree_part(resultant)``."""
+        r = self.resultant
+        return r.normalized() if self.branches is not None else squarefree_part(r)
+
+    def factor(self, s: Poly) -> list[Poly]:
+        """``factor_components(s)``; for s = R normalized, the kept
+        ``factorization`` (a refusal raised again), as it normalizes first."""
+        if s != self.resultant.normalized():
+            return factor_components(s)
+        if not isinstance(self.factorization, list):
+            raise self.factorization
+        return self.factorization
 
 
 def corank(f: Germ) -> int:
@@ -210,32 +218,24 @@ def is_local_unit_multiple(a: Poly, b: Poly) -> bool:
 
 
 def double_curve_equation(f: Germ) -> Poly:
-    """The reduced double curve D, normalized; the one place that decides
-    the route: the ``double_curve`` override or the divided-difference
-    resultant R.  When D's branches are to be factored (no override for
-    either), R is factored first: if its factors certify it
-    (``MultiPointData.branches``), D is R itself and they are D's branches;
-    otherwise, and under a ``components`` override, D is the squarefree
-    part of R."""
-    ov = f.overrides
-    if ov.double_curve is not None:
-        d = ov.double_curve
-        if squarefree_part(d) != d.normalized():
-            raise AnalysisError("double_curve override is not squarefree")
-        try:
-            computed = f.multipoint.curve
-        except OverrideRequired:  # f.multipoint: no multiple-point data
-            return d.normalized()
-        # the same rule as for components: d holds every branch of the
-        # computed curve, and what it leaves out misses the origin
-        if not is_local_unit_multiple(computed, d):
-            raise AnalysisError("double_curve override is not the divided-difference "
-                                "curve up to factors that miss the origin")
+    """The reduced double curve D, normalized: the germ's
+    ``MultiPointData.curve``, or else the ``double_curve`` override,
+    checked against that curve when the germ has one."""
+    d = f.overrides.double_curve
+    if d is None:
+        return f.multipoint.curve
+    if squarefree_part(d) != d.normalized():
+        raise AnalysisError("double_curve override is not squarefree")
+    try:
+        computed = f.multipoint.curve
+    except OverrideRequired:  # f.multipoint: no multiple-point data
         return d.normalized()
-    mp = f.multipoint
-    if ov.components is None:
-        mp.branches  # sets mp.curve to R when R's factors certify it
-    return mp.curve
+    # the same rule as for components: d holds every branch of the
+    # computed curve, and what it leaves out misses the origin
+    if not is_local_unit_multiple(computed, d):
+        raise AnalysisError("double_curve override is not the divided-difference "
+                            "curve up to factors that miss the origin")
+    return d.normalized()
 
 
 def _times_v(col: list[Poly], rem: list[Poly]) -> list[Poly]:

@@ -285,6 +285,7 @@ def test_double_curve_routes_agree_on_folds():
     V3 = ("u", "v1", "v2")
     exps = st.tuples(st.integers(0, 3), st.integers(0, 2)).filter(any)
     coords = st.tuples(*[st.fractions(-5, 5, max_denominator=4)] * 2).filter(any)
+    routes = set()
 
     def check(p):
         coeffs = {e: FieldElem(field, c) for e, c in p.items()}
@@ -296,14 +297,14 @@ def test_double_curve_routes_agree_on_folds():
         assert resultant(mp.P, mp.Q, "v2") in (p_v1, -p_v1)
         p = fold_normal_data(f)
         assert f.multipoint.resultant in (p, -p)
+        # the curve is R normalized when R's own branches certify it, and
+        # its squarefree part otherwise: either way the squarefree part
         assert f.multipoint.curve == squarefree_part(p)
-        # the resultant certified by its own branches is that curve too
-        twin = Germ((u, v * v, f3), field)
-        if twin.multipoint.branches is not None:
-            assert twin.multipoint.curve == squarefree_part(p)
+        routes.add(f.multipoint.branches is not None)
 
     run = hyp.given(st.dictionaries(exps, coords, min_size=1, max_size=4))(check)
     hyp.settings(max_examples=30, deadline=None, database=None, derandomize=True)(run)()
+    assert routes == {True, False}
 
 
 def test_eliminating_v1_or_v2_gives_one_curve():

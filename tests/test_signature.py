@@ -21,7 +21,7 @@ from milnorsig.signature import (analyze, derived_invariants, intersection_form,
                                  signature_of_form, vertical_indices)
 from milnorsig.poly import Poly
 from test_curves import target_changed
-from test_golden import OVERRIDE_GERMS
+from test_golden import FALLBACK_GERMS, OVERRIDE_GERMS
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -366,9 +366,13 @@ def test_germ_data_computed_once_per_analyze(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     # squarefree_part: none where the resultant's own factors certify it as
     # the curve (cross-cap, S_2 and H_3), the double_curve override check on
-    # the corank-2 germ
-    reductions = {"cross-cap": 0, "S_2": 0, "H_3": 0, "corank-2": 1}
-    for germ in (cross_cap(), S(2), H(3), corank2()):
+    # the corank-2 germ, and the curve of a resultant that is one reduced
+    # branch of three terms, which is_prime_factor declines; the component
+    # route then reuses the resultant's factorization
+    reductions = {"cross-cap": 0, "S_2": 0, "H_3": 0, "corank-2": 1, "three-term": 1}
+    three_term = load_germ(_germ_text(("u", "v^2", "v*(u^3 + u^2*v^2 + v^4)"), "Q"))[0]
+    three_term.name = "three-term"
+    for germ in (cross_cap(), S(2), H(3), corank2(), three_term):
         calls.clear()
         analyze(germ)
         once = ["corank", "fold_normal_data", "multipoint_data"]
@@ -380,18 +384,20 @@ def test_germ_data_computed_once_per_analyze(monkeypatch):
         assert max(calls[n] for n in once) == 1, (germ.name, calls)
         assert calls["factor_components"] <= 1, (germ.name, calls)
         assert calls["squarefree_part"] == reductions[germ.name], (germ.name, calls)
+    assert three_term.multipoint.branches is None
+    assert calls["factor_components"] == 1
 
 
-def _count_squarefree_parts(monkeypatch):
+def _count_calls(monkeypatch, home=arith, name="squarefree_part"):
     calls = Counter()
-    original = arith.squarefree_part
+    original = getattr(home, name)
 
     def counted(*args):
-        calls["squarefree_part"] += 1
+        calls[name] += 1
         return original(*args)
     for module in (arith, factor, localring, germs, curves, signature):
-        if getattr(module, "squarefree_part", None) is original:
-            monkeypatch.setattr(module, "squarefree_part", counted)
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -407,11 +413,13 @@ def _workload_germs(tmp_path):
 def test_no_squarefree_part_without_a_double_curve_override(monkeypatch, tmp_path):
     # the resultant's own factors certify it as the double curve on every
     # corpus and workload germ; only a double_curve override is checked by
-    # a squarefree part
-    calls = _count_squarefree_parts(monkeypatch)
+    # a squarefree part, and reading the curve first changes nothing
+    calls = _count_calls(monkeypatch)
     checked = 0
     for f in corpus(10) + _workload_germs(tmp_path):
         calls.clear()
+        if f.corank == 1:
+            f.multipoint.curve
         analyze(f)
         if f.overrides.double_curve is None:
             assert calls["squarefree_part"] == 0, f.name
@@ -424,7 +432,7 @@ def test_a_resultant_that_is_not_reduced_takes_the_squarefree_route(monkeypatch)
     # u^2 and is not reduced: its squarefree part is the curve, and the
     # germ ends where it did when every curve went that way, asking for the
     # vertical indices
-    calls = _count_squarefree_parts(monkeypatch)
+    calls = _count_calls(monkeypatch)
     for f in (target_changed(C_(3))[1], target_changed(C_(5))[1]):
         u = Poly.variable("u", germs.UV, f.field)
         assert arith.try_divide(f.multipoint.resultant, u * u) is not None, f.name
@@ -435,6 +443,23 @@ def test_a_resultant_that_is_not_reduced_takes_the_squarefree_route(monkeypatch)
             analyze(f)
         assert f.multipoint.branches is None, f.name
         assert calls["squarefree_part"] == 1, f.name
+
+
+def test_curve_does_not_depend_on_read_order(monkeypatch):
+    # curve and branches are pure functions of R's one factorization, so
+    # reading branches first changes neither the curve nor the number of
+    # squarefree parts, on the certified route (S_2) and on the fallback
+    calls = _count_calls(monkeypatch)
+    texts = [_germ_text(("u", "v^2", f3), field) for _, f3, field in FALLBACK_GERMS]
+    for make in [lambda: S(2)] + [lambda text=text: load_germ(text)[0] for text in texts]:
+        seen = []
+        for branches_first in (False, True):
+            f = make()
+            calls.clear()
+            if branches_first:
+                f.multipoint.branches
+            seen.append((f.multipoint.curve, calls["squarefree_part"]))
+        assert seen[0] == seen[1], seen
 
 
 def test_a_resultant_with_a_squared_unit_factor_is_not_taken_as_the_curve():
@@ -449,17 +474,20 @@ def test_a_resultant_with_a_squared_unit_factor_is_not_taken_as_the_curve():
             "detail": "resultant route gives u + u^2 - v^2 - v^4"} in report["checks"]
 
 
-def test_source_changed_H5_is_refused_quickly():
+def test_source_changed_H5_is_refused_quickly(monkeypatch):
     # H_5 under v -> 4u - 3v - (2/3)u^2: Res_v2(P, Q) has 481 terms, is
     # squarefree, and has no factorization the factorizer certifies; its
     # squarefree part took 17-37 s by the bivariate PRS and takes well under
-    # 1 s once one image proves the gcds trivial
+    # 1 s once one image proves the gcds trivial.  The squarefree part is R
+    # itself, so the component route reuses the factorizer's one refusal
+    calls = _count_calls(monkeypatch, factor, "factor_components")
     w = "(4*u - 3*v - 2/3*u^2)"
     f = load_germ(_germ_text(("u", f"u*{w} + {w}^14", f"{w}^3"), "Q(zeta3)"))[0]
     start = time.perf_counter()
     with pytest.raises(OverrideRequired, match="cannot certify a factorization"):
         analyze(f)
     assert time.perf_counter() - start < 10
+    assert calls["factor_components"] == 1
     assert len(f.multipoint.resultant.terms) == 481
 
 
