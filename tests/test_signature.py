@@ -384,6 +384,7 @@ def test_germ_data_computed_once_per_analyze(monkeypatch):
         assert max(calls[n] for n in once) == 1, (germ.name, calls)
         assert calls["factor_components"] <= 1, (germ.name, calls)
         assert calls["squarefree_part"] == reductions[germ.name], (germ.name, calls)
+    # the counts of the last germ: the fallback factored R once
     assert three_term.multipoint.branches is None
     assert calls["factor_components"] == 1
 
