@@ -8,7 +8,7 @@ from functools import cache
 
 # poly_gcd is unused here; the perfbench tracer self-test reads curves.poly_gcd.
 from .arith import poly_gcd, try_divide  # noqa: F401
-from .factor import FactorizationIncomplete, factor_components
+from .factor import factor_components
 from .germs import (AnalysisError, Germ, OverrideRequired, double_curve_equation,
                     is_local_unit_multiple)
 from .localring import INFINITE, intersection_multiplicity, linear_pivot, milnor_number
@@ -43,10 +43,7 @@ def decompose(curve_eq: Poly, override=None, factor=None) -> list[Poly]:
         if units:
             raise AnalysisError(f"override components {units} miss the origin")
     else:
-        try:
-            comps = (factor or factor_components)(curve_eq)
-        except FactorizationIncomplete as exc:
-            raise OverrideRequired(str(exc)) from exc
+        comps = (factor or factor_components)(curve_eq)  # read here, so tracers see it
         if not comps:
             raise AnalysisError("no double-curve component passes through the origin")
     # curve_eq is reduced, so components whose product divides it with a
@@ -177,12 +174,12 @@ def curve_milnor(h: Poly) -> int:
 
 def component_set(f: Germ) -> ComponentSet:
     """The component set of f's double curve ``double_curve_equation(f)``:
-    with no override for the curve or its components, R's own ``branches``
-    when they certify it, else ``decompose`` by ``MultiPointData.factor``."""
+    with no override for the curve or its components, the branches from
+    ``MultiPointData.factor``, checked by ``decompose`` as on every route."""
     ov = f.overrides
     curve = double_curve_equation(f)
     if ov.double_curve is None and ov.components is None:
-        comps = f.multipoint.branches or decompose(curve, factor=f.multipoint.factor)
+        comps = decompose(curve, factor=f.multipoint.factor)
     else:
         comps = decompose(curve, ov.components)
     pairing = classify_twist(f, comps, ov.twist)

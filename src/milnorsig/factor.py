@@ -5,8 +5,8 @@ Not a general bivariate factorizer: the strategy is variable/content
 extraction, Newton-polygon edge roots x = c*y^m for factors of degree <= 2 in
 some variable, and a single-edge Newton-polygon irreducibility certificate.
 A piece that is a unit of the local ring has no branch through the origin and
-is dropped unsplit.  Anything it cannot certify raises FactorizationIncomplete
-so the caller can supply components explicitly.  The factors are not
+is dropped unsplit.  Anything it cannot certify raises OverrideRequired, so
+the germ file can supply components explicitly.  The factors are not
 multiplied back here: ``curves.decompose`` checks them against the curve.
 """
 
@@ -19,8 +19,8 @@ from .fields import quadratic_roots
 from .poly import Poly, PolyError, local_key
 
 
-class FactorizationIncomplete(ValueError):
-    pass
+class OverrideRequired(ValueError):
+    """The automatic route does not apply; the germ file must supply data."""
 
 
 def factor_components(s: Poly) -> list[Poly]:
@@ -51,7 +51,7 @@ def factor_components(s: Poly) -> list[Poly]:
             work.extend((cont, exact_divide(h, cont)))
             continue
         if len(active) > 2:
-            raise FactorizationIncomplete(f"more than two variables in {h}")
+            raise OverrideRequired(f"more than two variables in {h}")
         x, y = active
         if h.degree_in(y) < h.degree_in(x):
             x, y = y, x
@@ -67,7 +67,7 @@ def factor_components(s: Poly) -> list[Poly]:
         if _newton_certificate(h, x, y):
             factors.append(h.normalized())
             continue
-        raise FactorizationIncomplete(
+        raise OverrideRequired(
             f"cannot certify a factorization of {h}; supply components explicitly"
         )
     # every factor is normalized, so a repeated factor of a non-squarefree

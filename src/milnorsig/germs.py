@@ -7,19 +7,15 @@ from __future__ import annotations
 from functools import cached_property
 
 from .arith import _univ_coeffs, resultant_and_s1, squarefree_part, try_divide
-from .factor import FactorizationIncomplete, factor_components, is_prime_factor
+from .factor import OverrideRequired, factor_components, is_prime_factor
 from .localring import INFINITE, quotient_dim
-from .poly import Poly, PolyError, divided_difference, product
+from .poly import Poly, PolyError, divided_difference
 
 UV = ("u", "v")
 
 
 class AnalysisError(ValueError):
     """A computation failed in a way no override can fix."""
-
-
-class OverrideRequired(ValueError):
-    """The automatic route does not apply; the germ file must supply data."""
 
 
 class OverrideSet:
@@ -126,34 +122,38 @@ class MultiPointData:
         return a, b
 
     @cached_property
-    def factorization(self) -> list[Poly] | FactorizationIncomplete:
+    def factorization(self) -> list[Poly] | OverrideRequired:
         """``factor_components(resultant)``, or its refusal kept as a value."""
         try:
             return factor_components(self.resultant)
-        except FactorizationIncomplete as exc:
+        except OverrideRequired as exc:
             return exc
 
     @cached_property
     def branches(self) -> list[Poly] | None:
         """``factorization`` when its factors are prime polynomials
-        (``is_prime_factor``) and multiply to R up to a constant, else None:
-        being distinct, they make R reduced, the curve itself (Mond-Pellikaan)."""
-        r, factors = self.resultant, self.factorization
-        if not isinstance(factors, list) or not all(map(is_prime_factor, factors)):
-            return None
-        rest = try_divide(r, product(factors, r.vars, r.field))
-        return factors if rest is not None and rest.is_constant() else None
+        (``is_prime_factor``), else None: distinct primes dividing R, they
+        are the branches of every squarefree part of R."""
+        factors = self.factorization
+        if isinstance(factors, list) and all(map(is_prime_factor, factors)):
+            return factors
+        return None
 
     @cached_property
     def curve(self) -> Poly:
-        """The reduced double curve: ``resultant`` normalized when ``branches``
-        certifies it, else ``squarefree_part(resultant)``."""
-        r = self.resultant
-        return r.normalized() if self.branches is not None else squarefree_part(r)
+        """The reduced double curve: ``resultant`` normalized when the total
+        degrees of ``branches`` add up to its own, so that R is their product
+        times a constant, else ``squarefree_part(resultant)``."""
+        r, factors = self.resultant, self.branches
+        if factors and sum(h.total_degree() for h in factors) == r.total_degree():
+            return r.normalized()
+        return squarefree_part(r)
 
     def factor(self, s: Poly) -> list[Poly]:
-        """``factor_components(s)``; for s = R normalized, the kept
-        ``factorization`` (a refusal raised again), as it normalizes first."""
+        """``branches`` when they exist; else, for s = R normalized, the kept
+        ``factorization`` (a refusal raised again), else ``factor_components(s)``."""
+        if self.branches is not None:
+            return self.branches
         if s != self.resultant.normalized():
             return factor_components(s)
         if not isinstance(self.factorization, list):

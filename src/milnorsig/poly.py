@@ -192,6 +192,8 @@ class Poly:
             raise PolyError("substitution cannot change the coefficient field")
         if den is not None and (den.vars, den.field) != (tvars, field):
             raise PolyError("num and den disagree on variables or field")
+        if den is not None and den == Poly.constant(1, tvars, field):
+            den = None  # no powers of 1 to form
         if var not in self.vars:
             raise PolyError(f"{var} is not a variable of this polynomial")
         if any(v != var and v not in tvars for v in self.vars):

@@ -1,8 +1,9 @@
 import pytest
 
+from milnorsig import factor, germs
 from milnorsig.arith import try_divide
 from milnorsig.corpus import corpus
-from milnorsig.factor import FactorizationIncomplete, factor_components
+from milnorsig.factor import OverrideRequired, factor_components
 from milnorsig.fields import QQ, parse_field
 from milnorsig.germs import double_curve_equation
 from milnorsig.parser import parse_poly
@@ -70,8 +71,10 @@ def test_incomplete_factorization_raises():
     # (v^2+u^3+u^2)*(v^2-u^3-u^2) has a two-edge Newton polygon and quadratic
     # v-degree roots outside the strategy: must refuse, not guess
     a = parse_poly("(v^2 + u^3 + u^2)*(v^2 + u^5 + 2*u^2)", UV, QQ)
-    with pytest.raises(FactorizationIncomplete):
+    with pytest.raises(OverrideRequired, match="cannot certify a factorization"):
         factor_components(a)
+    # one refusal type for "the germ file must supply data"
+    assert factor.OverrideRequired is germs.OverrideRequired
 
 
 def test_no_silent_reducible_factor():

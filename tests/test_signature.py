@@ -429,21 +429,29 @@ def test_no_squarefree_part_without_a_double_curve_override(monkeypatch, tmp_pat
 
 
 def test_a_resultant_that_is_not_reduced_takes_the_squarefree_route(monkeypatch):
-    # under (X, Z + Y, 3Y - Z) the resultant of C_3 and C_5 has the square
-    # u^2 and is not reduced: its squarefree part is the curve, and the
-    # germ ends where it did when every curve went that way, asking for the
+    # under (X, Z + Y, 3Y - Z) the resultant of C_k, k = 3..8, has the
+    # square u^2 and is not reduced: its squarefree part is the curve, whose
+    # branches are R's own prime factors, so R is factored once.  The odd
+    # C_k end where they did when every curve went that way, asking for the
     # vertical indices
     calls = _count_calls(monkeypatch)
-    for f in (target_changed(C_(3))[1], target_changed(C_(5))[1]):
+    factorizations = _count_calls(monkeypatch, factor, "factor_components")
+    for k in range(3, 9):
+        f = target_changed(C_(k))[1]
         u = Poly.variable("u", germs.UV, f.field)
         assert arith.try_divide(f.multipoint.resultant, u * u) is not None, f.name
         calls.clear()
-        with pytest.raises(OverrideRequired, match="^vertical indices of untwisted "
-                           "pairs unknown and more than one entry missing; supply "
-                           "vertical_indices overrides$"):
+        factorizations.clear()
+        if k % 2:
+            with pytest.raises(OverrideRequired, match="^vertical indices of untwisted "
+                               "pairs unknown and more than one entry missing; supply "
+                               "vertical_indices overrides$"):
+                analyze(f)
+        else:
             analyze(f)
-        assert f.multipoint.branches is None, f.name
+        assert f.multipoint.curve != f.multipoint.resultant.normalized(), f.name
         assert calls["squarefree_part"] == 1, f.name
+        assert factorizations["factor_components"] == 1, f.name
 
 
 def test_curve_does_not_depend_on_read_order(monkeypatch):
@@ -490,6 +498,25 @@ def test_source_changed_H5_is_refused_quickly(monkeypatch):
     assert time.perf_counter() - start < 10
     assert calls["factor_components"] == 1
     assert len(f.multipoint.resultant.terms) == 481
+
+
+def test_a_factorizer_refusal_is_not_missing_multiple_point_data(monkeypatch):
+    # Res_v2(P, Q) = (u - v^2)^3, which the factorizer refuses with the same
+    # OverrideRequired that a germ with no multiple-point data raises; the
+    # germ has that data, so a double_curve override is checked against
+    # the squarefree part, not trusted, and with no override that part is
+    # factored on its own
+    calls = _count_calls(monkeypatch, factor, "factor_components")
+    maps = ("u", "v^2 + u^2", "v*(u - v^2)^3")
+    wrong = load_germ(_germ_text(maps, "Q", 'double_curve = "u + v^2"\n'))[0]
+    with pytest.raises(AnalysisError, match="^double_curve override is not the "
+                       "divided-difference curve up to factors that miss the origin$"):
+        analyze(wrong)
+    assert isinstance(wrong.multipoint.factorization, OverrideRequired)
+    for overrides in ('double_curve = "u - v^2"\n', ""):
+        calls.clear()
+        assert analyze(load_germ(_germ_text(maps, "Q", overrides))[0]).sigma_F == -3
+        assert calls["factor_components"] == 2, overrides
 
 
 def _without_check_details(report):
