@@ -132,6 +132,8 @@ def _content(coeffs: list[Poly]) -> Poly:
     for c in coeffs:
         if not c.is_zero():
             g = poly_gcd(g, c)
+            if g.is_constant():
+                break  # normalized: 1, and every later gcd is 1
     return g
 
 

@@ -12,6 +12,7 @@ multiplied back here: ``curves.decompose`` checks them against the curve.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 from .arith import _content, _univ_coeffs, exact_divide, try_divide
@@ -44,8 +45,10 @@ def factor_components(s: Poly) -> list[Poly]:
             factors.append(var)
             work.append(exact_divide(h, var))
             continue
-        # content with respect to a variable
-        cont = next((c for c in (_content(_univ_coeffs(h, v)) for v in active)
+        # content with respect to a variable; a one-term coefficient in v
+        # makes the content in v a monomial, and no variable divides h now
+        cont = next((c for c in (_content(_univ_coeffs(h, v)) for v in active
+                                 if not _has_one_term_coefficient(h, v))
                      if not c.is_constant()), None)
         if cont is not None:
             work.extend((cont, exact_divide(h, cont)))
@@ -62,7 +65,9 @@ def factor_components(s: Poly) -> list[Poly]:
         if h.degree_in(x) == 2:
             pair = _split_by_edge_root(h, x, y)
             if pair is not None:
-                work.extend(pair)
+                # both pieces are linear in x and, by Gauss's lemma, primitive
+                # as h is: irreducible, so final unless a unit
+                factors.extend(p.normalized() for p in pair if not p.is_unit_local())
                 continue
         if _newton_certificate(h, x, y):
             factors.append(h.normalized())
@@ -73,6 +78,12 @@ def factor_components(s: Poly) -> list[Poly]:
     # every factor is normalized, so a repeated factor of a non-squarefree
     # input is kept once, and the product check in curves.decompose rejects it
     return sorted(set(factors), key=canonical_key)
+
+
+def _has_one_term_coefficient(h: Poly, v: str) -> bool:
+    """Whether some coefficient of h, seen as univariate in v, is one term."""
+    i = h.vars.index(v)
+    return 1 in Counter(e[i] for e in h.terms).values()
 
 
 def is_prime_factor(h: Poly) -> bool:
@@ -146,7 +157,7 @@ def _split_by_edge_root(h: Poly, x: str, y: str):
             ).scale(c)
             q = try_divide(h, cand)
             if q is not None:
-                return cand.normalized(), q
+                return cand, q
     return None
 
 

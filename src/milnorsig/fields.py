@@ -176,6 +176,8 @@ class NumberField:
         # d - 1 reduction steps (x -> q*x - c*p_i), h the bit length of max |p_i|
         h = max(map(abs, self._p)).bit_length()
         self.reduction_bits = (d - 1).bit_length() + (d - 1) * (h + 1)
+        # fields are immutable, and every element and polynomial hash reads this
+        self._hash = hash((generator_name, self.minimal_poly))
 
     def _check_irreducible(self) -> None:
         d = self.degree
@@ -193,7 +195,7 @@ class NumberField:
         )
 
     def __hash__(self):
-        return hash((self.generator_name, self.minimal_poly))
+        return self._hash
 
     def __repr__(self):
         if self.degree == 1:

@@ -226,7 +226,8 @@ class Poly:
         """``substitute`` for num = n*X^a or 0, and den = m*X^b if given:
         the term c*var^k*Y, Y re-keyed by ``kept``, maps to the one term
         c*n^k*m^(d-k)*X^(k*a + (d-k)*b)*Y, or to 0 when num = 0 and k > 0.
-        The factor and the shift of each degree k are computed once."""
+        The factor and the shift of each degree k are computed once, and a
+        coefficient n or m of +-1 adds a sign, not a product."""
         (a, n), = num.terms.items() or (((0,) * len(num.vars), None),)
         (b, m), = den.terms.items() if den is not None else ((None, None),)
         d = max(e[i] for e in self.terms)
@@ -238,19 +239,27 @@ class Poly:
                 continue
             image = images.get(k)
             if image is None:
-                factor = power(n, k) if k else None
-                shift = [k * x for x in a]
-                if m is not None and k < d:
-                    mk = power(m, d - k)
-                    factor = mk if factor is None else factor * mk
+                shift, factor, sign = [k * x for x in a], None, 1
+                if m is not None:
                     shift = [s + (d - k) * y for s, y in zip(shift, b)]
-                image = images[k] = shift, factor
-            key, factor = list(image[0]), image[1]
+                for x, j in ((n, k), (m, d - k)):
+                    if x is None or not j:
+                        continue
+                    if x.den == 1 and abs(x.num[0]) == 1 and not any(x.num[1:]):
+                        sign *= x.num[0] ** j
+                    else:
+                        xj = power(x, j)
+                        factor = xj if factor is None else factor * xj
+                image = images[k] = shift, factor, sign
+            shift, factor, sign = image
+            key = list(shift)
             for src, j in kept:
                 key[j] += e[src]
             key = tuple(key)
             if factor is not None:
                 c = c * factor
+            if sign < 0:
+                c = -c
             s = terms.get(key)
             terms[key] = c if s is None else s + c
         return Poly(num.vars, terms, num.field)

@@ -6,12 +6,14 @@ import pytest
 from milnorsig import arith
 from milnorsig.arith import (_subresultants, _udeg, _univ_coeffs, exact_divide,
                              poly_gcd, resultant, squarefree_part, try_divide)
+from milnorsig.corpus import corpus
 from milnorsig.curves import decompose
-from milnorsig.fields import QQ, parse_field
+from milnorsig.fields import QQ, FieldElem, parse_field
 from milnorsig.germfile import load_germ
 from milnorsig.germs import double_curve_equation
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly, PolyError, divided_difference
+from test_poly import _expand_termwise
 
 UV = ("u", "v")
 
@@ -79,6 +81,16 @@ def test_gcd_examples():
     assert poly_gcd(P("u"), P("v")).is_constant()
     with pytest.raises(PolyError):
         poly_gcd(Poly.zero(UV, QQ), Poly.zero(UV, QQ))
+
+
+def test_content_stops_at_a_constant_gcd(monkeypatch):
+    # gcds are normalized, so once the running gcd is 1 every later one is 1
+    view = _univ_coeffs(P("3 + u*v + u^2*v^2 + u^3*v^3"), "v")
+    calls = []
+    original = arith.poly_gcd
+    monkeypatch.setattr(arith, "poly_gcd", lambda a, b: calls.append(1) or original(a, b))
+    assert arith._content(view) == P("1")
+    assert len(calls) == 1
 
 
 def test_gcd_divides_both_random():
@@ -455,3 +467,26 @@ def test_degree_1_resultant_matches_the_prs_and_sympy(sympy, field, monkeypatch)
         assert sympy_poly(sympy, res, ["u", "w"]) == want[a, b], (a, b)
         assert s1 == (a if a.degree_in("v") == 1 else b)
     assert not prs
+
+
+def test_fold_resultant_forms_no_field_product(monkeypatch):
+    # on a fold germ P = v1 + v2, so Res_v2(P, Q) = Q(v2 = -v1): each term
+    # maps to one term, and the coefficient -1 adds a sign, not a product
+    folds = [f.multipoint for f in corpus(10)
+             if f.corank == 1 and not f.name.startswith("H_")]
+    assert len(folds) == 29
+    products = []
+    original = FieldElem.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return original(a, b)
+    monkeypatch.setattr(FieldElem, "__mul__", counted)
+    monkeypatch.setattr(FieldElem, "__rmul__", counted)
+    results = [arith.resultant_and_s1(m.P, m.Q, "v2") for m in folds]
+    monkeypatch.undo()
+    assert not products
+    for m, (res, _) in zip(folds, results):
+        assert m.P == Poly.variable("v1", m.P.vars, m.P.field) + Poly.variable(
+            "v2", m.P.vars, m.P.field)
+        assert res == _expand_termwise(m.Q, "v2", -Poly.variable("v1", m.P.vars, m.P.field))

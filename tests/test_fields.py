@@ -29,6 +29,15 @@ def test_custom_field_descriptor():
     assert (1 / a) * a == 1
 
 
+def test_equal_fields_hash_alike():
+    # fields are values: one built twice is equal, and so are the hashes
+    # of its elements, whichever copy they belong to
+    F, G = parse_field("Q[a]/(a^2 - 2)"), parse_field("Q[a]/(a^2 - 2)")
+    assert F is not G and F == G and hash(F) == hash(G)
+    assert hash(F.generator()) == hash(G.generator())
+    assert parse_field("Q[a]/(a^2 - 3)") != F
+
+
 def test_reducible_minimal_poly_rejected():
     with pytest.raises(FieldError):
         NumberField("a", (Fraction(-1), Fraction(0), Fraction(1)))  # a^2 - 1

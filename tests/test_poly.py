@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from milnorsig.fields import QQ, parse_field
+from milnorsig.fields import QQ, FieldElem, parse_field
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly, PolyError, divided_difference, power
 
@@ -167,6 +167,28 @@ def test_one_term_substitution_matches_termwise_expansion(monkeypatch):
     assert not products
     assert got == want
     assert got[-1].is_zero()
+    # a num or den coefficient of +-1 adds the sign (-1)^k of each degree k,
+    # and no product of coefficients
+    cases = []
+    for field in (QQ, Qz):
+        for sn, sm in ((1, -1), (-1, 1), (-1, -1)):
+            a = rand3(V3, field, rng.randint(2, 6))
+            for var, tvars in (("u", V3), ("v1", V3), ("u", V3[1:]), ("v2", V3[:2])):
+                num, den = (rand3(tvars, field, 1, 2).normalized().scale(sign)
+                            for sign in (sn, sm))
+                cases += [(a, var, num, None), (a, var, num, den)]
+    want = [_expand_termwise(*case) for case in cases]
+    original = FieldElem.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return original(x, y)
+    monkeypatch.setattr(FieldElem, "__mul__", counted)
+    monkeypatch.setattr(FieldElem, "__rmul__", counted)
+    got = [p.substitute(var, num, den) for p, var, num, den in cases]
+    monkeypatch.undo()
+    assert not products
+    assert got == want
 
 
 def test_fold_substitution_example():
