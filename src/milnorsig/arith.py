@@ -8,13 +8,19 @@ argument on top), and one run also gives the degree-1 subresultant.  A gcd
 with a one-term input, a constant included, needs no PRS: it is the
 monomial of the least exponents.  Nor does a resultant with an input of
 degree 1 in the variable: it is one substitution of that input's root.
+Nor does a resultant with an input y whose leading coefficient in the
+variable is a constant c, against an input x of no smaller degree: with
+r = x mod y (``monic_remainder``, one pass over x's terms),
+Res(y, x) = c^(deg x - deg r) * Res(y, r), and the pair (y, r) goes on by
+these rules, the PRS only when none applies.
 Nor does a gcd whose primitive parts one image proves coprime: with every
 other variable put equal to the first c in 1, 2, 3 at which neither leading
-coefficient in the main variable vanishes, their images' univariate PRS
-ends in a nonzero constant.  A common factor g of positive degree would
-have survived, since lc(g) divides both leading coefficients and so
-deg g(c) = deg g (Brown, J. ACM 18, 1971); the gcd is then the gcd of the
-contents.  Only pairs that fail this test run the multivariate PRS.
+coefficient in the main variable vanishes, Euclid's algorithm on their
+univariate images, each step a ``monic_remainder``, ends in a nonzero
+constant.  A common factor g of positive degree would have survived, since
+lc(g) divides both leading coefficients and so deg g(c) = deg g (Brown,
+J. ACM 18, 1971); the gcd is then the gcd of the contents.  Only pairs that
+fail this test run the multivariate PRS.
 
 The PRS runs on integral inputs: at its entry each view is multiplied by the
 least common denominator L of the coordinates of its coefficients.  Over
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Poly, PolyError, local_key
+from .poly import Poly, PolyError, local_key, power
 
 
 def try_divide(a: Poly, b: Poly) -> Poly | None:
@@ -74,6 +80,63 @@ def exact_divide(a: Poly, b: Poly) -> Poly:
     if q is None:
         raise PolyError("inexact polynomial division")
     return q
+
+
+def _constant_lead(p: Poly, var: str):
+    """p's coefficient of var^deg_var(p) when it is a nonzero constant, else
+    None (p = 0 included)."""
+    i = p.vars.index(var)
+    d = p.degree_in(var)
+    lead = [(e, c) for e, c in p.terms.items() if e[i] == d]
+    if len(lead) == 1 and sum(lead[0][0]) == d:
+        return lead[0][1]
+    return None
+
+
+def monic_remainder(a: Poly, b: Poly, var: str) -> Poly:
+    """The remainder of a by b in var, for b whose coefficient of
+    var^deg_var(b) is a nonzero constant c; PolyError otherwise.
+
+    The terms of a are bucketed by their degree in var and reduced from the
+    highest degree down, in place: a term x*m of degree k >= deg_var(b) is
+    replaced by x*m/var^deg_var(b) times -(b - c*var^deg_var(b))/c, whose
+    terms all have degree below k.  The multipliers -b_j/c are formed once,
+    with no inverse when c = 1, and one of +-1 costs a sign, not a product."""
+    a._check_compat(b)
+    c = _constant_lead(b, var)
+    if c is None:
+        raise PolyError(f"divisor's leading coefficient in {var} is not a constant")
+    i = a.vars.index(var)
+    db = b.degree_in(var)
+    one = a.field.one()
+    inv = None if c == one else c.inverse()
+    rest = []
+    for e, x in b.terms.items():
+        if e[i] == db:
+            continue
+        y = -x if inv is None else -(x * inv)
+        rest.append((e, y, 1 if y == one else -1 if -y == one else 0))
+    buckets: dict = {}
+    for e, x in a.terms.items():
+        buckets.setdefault(e[i], {})[e] = x
+    for k in range(max(buckets, default=-1), db - 1, -1):
+        for e, x in buckets.pop(k, {}).items():
+            shift = e[:i] + (k - db,) + e[i + 1:]
+            for f, y, sign in rest:
+                key = tuple([s + t for s, t in zip(shift, f)])
+                t = x * y if not sign else x if sign > 0 else -x
+                bucket = buckets.setdefault(key[i], {})
+                s = bucket.get(key)
+                if s is None:
+                    bucket[key] = t
+                else:
+                    s = s + t
+                    if s.is_zero():
+                        del bucket[key]
+                    else:
+                        bucket[key] = s
+    return Poly(a.vars, {e: x for bucket in buckets.values() for e, x in bucket.items()},
+                a.field)
 
 
 # -- univariate views ----------------------------------------------------------
@@ -197,20 +260,23 @@ def _at(p: Poly, c: int):
     return x
 
 
-def _coprime_image(A: list[Poly], B: list[Poly]) -> bool:
-    """Whether one image proves the primitive univariate views A and B
+def _coprime_image(A: list[Poly], B: list[Poly], var: str) -> bool:
+    """Whether one image proves the primitive univariate views A and B in var
     coprime: with the other variables put equal to the first c in 1, 2, 3
-    at which neither leading coefficient vanishes, the images' PRS ends in a
-    nonzero constant.  A common factor g of positive degree would survive:
-    lc(g) divides lc(A), so g(c) keeps the degree of g.  False when there
-    are no other variables, or no such c."""
+    at which neither leading coefficient vanishes, Euclid's algorithm on the
+    images (``monic_remainder``: their leading coefficients are constants)
+    ends in a nonzero constant.  A common factor g of positive degree would
+    survive: lc(g) divides lc(A), so g(c) keeps the degree of g.  False when
+    there are no other variables, or no such c."""
     if all(x.is_constant() for x in A + B):
         return False
     for c in (1, 2, 3):
         if not (_at(A[-1], c).is_zero() or _at(B[-1], c).is_zero()):
-            zero = (0,) * len(A[0].vars)
-            a, b = ([Poly(x.vars, {zero: _at(x, c)}, x.field) for x in X] for X in (A, B))
-            return _udeg(_subresultants(a, b)[1]) == 0
+            a, b = (Poly((var,), {(k,): _at(x, c) for k, x in enumerate(X)}, X[0].field)
+                    for X in (A, B))
+            while not b.is_zero():
+                a, b = b, monic_remainder(a, b, var)
+            return a.is_constant()
     return False
 
 
@@ -240,7 +306,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ca, pa = _primitive(_univ_coeffs(a, var))
     cb, pb = _primitive(_univ_coeffs(b, var))
     cont = poly_gcd(ca, cb)
-    if _udeg(pa) > 0 and _udeg(pb) > 0 and not _coprime_image(pa, pb):
+    if _udeg(pa) > 0 and _udeg(pb) > 0 and not _coprime_image(pa, pb, var):
         S, R, _, _ = _subresultants(pa, pb)
         if _udeg(R) < 0:
             g = _from_univ(_primitive(S)[1], var, a.vars, a.field)
@@ -270,11 +336,16 @@ def resultant(a: Poly, b: Poly, var: str) -> Poly:
 
 
 def resultant_and_s1(a: Poly, b: Poly, var: str) -> tuple[Poly, Poly | None]:
-    """(resultant(a, b, var), S1) from one subresultant PRS, or from one
-    substitution when an input has degree 1 in var.  S1 is the
-    degree-1 subresultant of a and b in var up to a factor: an input of
-    degree 1, else the PRS's last remainder of positive degree when it has
-    degree 1, else None."""
+    """(resultant(a, b, var), S1).  An input of degree 1 in var gives both
+    by one substitution.  Else an input y whose leading coefficient in var
+    is a constant c, against the other input x with deg x >= deg y, gives
+    them from r = x mod y (``monic_remainder``): Res(y, x) = c^(dx - dr) *
+    Res(y, r), 0 for r = 0 and r^dy for r free of var, and the pair (y, r)
+    goes on by these rules or the PRS.  Otherwise one subresultant PRS
+    gives both.  S1 is the degree-1 subresultant of a and b in var up to a
+    constant factor, or None when there is none: an input of degree 1,
+    else the first remainder of degree 1, its denominators cleared when it
+    is x mod y."""
     if a.is_zero() or b.is_zero():
         raise PolyError("resultant of zero polynomial")
     da, db = a.degree_in(var), b.degree_in(var)
@@ -294,9 +365,20 @@ def resultant_and_s1(a: Poly, b: Poly, var: str) -> tuple[Poly, Poly | None]:
         b0, b1 = _univ_coeffs(b, var)
         res = a.substitute(var, -b0, b1)
         return (-res if da % 2 else res), s1
+    for x, y, dx, dy, sign in ((a, b, da, db, -1 if da & db & 1 else 1), (b, a, db, da, 1)):
+        c = _constant_lead(y, var) if dx >= dy else None
+        if c is not None:
+            r = monic_remainder(x, y, var)
+            if r.is_zero():
+                return Poly.zero(a.vars, a.field), None
+            res, s1 = resultant_and_s1(y, r, var)
+            factor = sign * power(c, dx - r.degree_in(var))
+            if factor != 1:
+                res = res.scale(factor)
+            return res, None if s1 is None else _cleared([s1])[1][0]
     S, R, h, factor = _subresultants(_univ_coeffs(a, var), _univ_coeffs(b, var))
     dS = _udeg(S)
-    if s1 is None and dS == 1:
+    if dS == 1:
         s1 = _from_univ(S, var, a.vars, a.field)
     if _udeg(R) < 0:
         return Poly.zero(a.vars, a.field), s1

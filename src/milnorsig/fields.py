@@ -428,51 +428,78 @@ def format_field_elem(x: FieldElem) -> str:
     return out
 
 
+def _ratio_sqrt(n: int, d: int) -> tuple[int, int] | None:
+    """(s, t) with s >= 0, t > 0 and (s/t)^2 = n/d in lowest terms, for
+    integers n and d != 0, or None when n/d is not a rational square."""
+    if d < 0:
+        n, d = -n, -d
+    if n < 0:
+        return None
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    s, t = math.isqrt(n), math.isqrt(d)
+    return (s, t) if s * s == n and t * t == d else None
+
+
+def _scaled(x: FieldElem, n: int, d: int) -> FieldElem:
+    """x * n / d for integers n and d > 0."""
+    return _reduced(x.field, tuple([k * n for k in x.num]), x.den * d)
+
+
 def sqrt_in_field(field: NumberField, x: FieldElem) -> FieldElem | None:
     """A square root of x in the field, or None.
 
     Complete for degree <= 2; degree-1 fields reduce to the rational test.
-    """
+    Works on the integer coordinates of x: with q * minimal_poly = p_0 +
+    p_1 alpha + q alpha^2 integral, every test below is whether a ratio of
+    integers is a rational square."""
     if x.field != field:
         raise FieldError("element of a different field")
     if field.degree == 1:
-        r = rational_sqrt(x.coeffs[0])
-        return None if r is None else field.from_rational(r)
+        r = _ratio_sqrt(x.num[0], x.den)
+        return None if r is None else _elem(field, (r[0],), r[1])
     if field.degree != 2:
         return None  # unsupported; caller falls back to overrides
-    c0, c1 = field.minimal_poly[:2]
-    if x.is_rational():
-        d = x.as_rational()
-        r = rational_sqrt(d)
+    q, (p0, p1, _) = field._q, field._p
+    (n0, n1), den = x.num, x.den
+    if not n1:
+        r = _ratio_sqrt(n0, den)
         if r is not None:
-            return field.from_rational(r)
-        # y = b * (alpha + c1/2) has trace 0 and squares to b^2 (c1^2 - 4 c0) / 4
-        b = rational_sqrt(4 * d / (c1 * c1 - 4 * c0))
-        return None if b is None else b * (field.generator() + c1 / 2)
+            return _elem(field, (r[0], 0), r[1])
+        # y = b * (alpha + p1/(2q)) has trace 0 and squares to b^2 D / (4 q^2),
+        # D = p1^2 - 4 q p0 the discriminant scaled by q^2
+        b = _ratio_sqrt(4 * q * q * n0, den * (p1 * p1 - 4 * q * p0))
+        if b is None:
+            return None
+        s, t = b
+        return _reduced(field, (s * p1, 2 * q * s), 2 * q * t)
     # A root y of an irrational x has Tr(y) != 0, as y^2 = Tr(y) y - N(y).
     # y^2 = x gives N(y)^2 = N(x) and Tr(y)^2 = Tr(x) + 2 N(y); conversely,
     # n^2 = N(x) and t^2 = Tr(x) + 2n != 0 give ((x + n) / t)^2 = x, since
-    # x^2 = Tr(x) x - N(x).  Tr(d0 + d1 alpha) = 2 d0 - c1 d1.
-    d0, d1 = x.coeffs
-    r = rational_sqrt(d0 * d0 - c1 * d0 * d1 + c0 * d1 * d1)
+    # x^2 = Tr(x) x - N(x).  With x = (n0 + n1 alpha) / den,
+    # N(x) = (q n0^2 - p1 n0 n1 + p0 n1^2) / (q den^2) and
+    # Tr(x) = (2 q n0 - p1 n1) / (q den).
+    r = _ratio_sqrt(q * n0 * n0 - p1 * n0 * n1 + p0 * n1 * n1, q * den * den)
     if r is None:
         return None
-    for n in (r, -r):
-        t = rational_sqrt(2 * d0 - c1 * d1 + 2 * n)
-        if t:
-            return (x + n) * (1 / t)
+    rs, rt = r
+    for sign in (1, -1):
+        t = _ratio_sqrt((2 * q * n0 - p1 * n1) * rt + 2 * sign * rs * q * den, q * den * rt)
+        if t is not None and t[0]:
+            ts, tt = t
+            return _reduced(field, ((n0 * rt + sign * rs * den) * tt, n1 * rt * tt),
+                            den * rt * ts)
     return None
 
 
 def quadratic_roots(field: NumberField, p: FieldElem, q: FieldElem) -> list[FieldElem]:
-    """Roots in the field of x^2 + p x + q."""
-    disc = p * p - 4 * q
-    s = sqrt_in_field(field, disc)
+    """Roots in the field of x^2 + p x + q: (-p + s) / 2 and then (-p - s) / 2
+    for s = ``sqrt_in_field`` of the discriminant, one root when s = 0."""
+    s = sqrt_in_field(field, p * p - _scaled(q, 4, 1))
     if s is None:
         return []
-    half = Fraction(1, 2)
-    r1 = (-p + s) * half
-    r2 = (-p - s) * half
+    r1 = _scaled(s - p, 1, 2)
+    r2 = _scaled(-p - s, 1, 2)
     return [r1] if r1 == r2 else [r1, r2]
 
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import _univ_coeffs, resultant_and_s1, squarefree_part, try_divide
+from .arith import (_constant_lead, _univ_coeffs, monic_remainder, resultant_and_s1,
+                    squarefree_part, try_divide)
 from .factor import OverrideRequired, factor_components, is_prime_factor
 from .localring import INFINITE, quotient_dim
 from .poly import Poly, PolyError, divided_difference
@@ -77,7 +78,8 @@ class Germ:
 
 class MultiPointData:
     """Divided-difference presentation of the double and triple point spaces,
-    and what one PRS of P and Q in v2 gives, read in (u, v) with v1 as v.
+    and what one elimination of v2 from P and Q gives
+    (``arith.resultant_and_s1``), read in (u, v) with v1 as v.
     P and Q are symmetric in v1 <-> v2, so eliminating v1 instead gives the
     same polynomial with v2 read as v: one elimination is enough."""
 
@@ -97,13 +99,13 @@ class MultiPointData:
         yield divided_difference(self.Q, "v2", ("v2", "v3"))
 
     @cached_property
-    def _prs(self) -> tuple[Poly, Poly | None]:
+    def _elimination(self) -> tuple[Poly, Poly | None]:
         return resultant_and_s1(self.P, self.Q, "v2")
 
     @cached_property
     def resultant(self) -> Poly:
         """Res_v2(P, Q); on a fold germ P = v1 + v2, so this is +-p(u, v^2)."""
-        r = self._prs[0]
+        r = self._elimination[0]
         if r.is_zero():
             raise AnalysisError("divided-difference resultant vanishes identically; "
                                 "the germ is not finitely determined")
@@ -111,9 +113,12 @@ class MultiPointData:
 
     @cached_property
     def line(self) -> tuple[Poly | None, Poly] | None:
-        """(a, b) with a*v2 + b the degree-1 subresultant of P and Q in v2,
-        or (None, b/a) when a is a constant; None with no such subresultant."""
-        s1 = self._prs[1]
+        """(a, b) with a*v2 + b the degree-1 subresultant of P and Q in v2
+        up to a constant factor, or (None, b/a) when a is a constant; None
+        with no such subresultant.  The partner rule reads only -b/a and
+        which branches divide a and the pullbacks, and a constant factor
+        changes neither."""
+        s1 = self._elimination[1]
         if s1 is None:
             return None
         b, a = (c.rename({"v1": "v"}, UV) for c in _univ_coeffs(s1, "v2"))
@@ -238,16 +243,6 @@ def double_curve_equation(f: Germ) -> Poly:
     return d.normalized()
 
 
-def _times_v(col: list[Poly], rem: list[Poly]) -> list[Poly]:
-    """v * (col[0] + col[1]*v + col[2]*v^2), reduced by v^3 = rem[0] +
-    rem[1]*v + rem[2]*v^2."""
-    top = col[2]
-    shifted = [Poly.zero(top.vars, top.field), col[0], col[1]]
-    if top.is_zero():
-        return shifted
-    return [s + r * top for s, r in zip(shifted, rem)]
-
-
 def presented_triple_points(f2: Poly, f3: Poly):
     """T of the corank-1 germ (u, f2, f3), INFINITE, or None when neither
     rule below applies, by the first rule that does.
@@ -265,30 +260,30 @@ def presented_triple_points(f2: Poly, f3: Poly):
     generated by the entries, defines the triple-point scheme, of length T
     (Mond-Pellikaan, Fitting ideals and multiple points of analytic
     mappings, LNM 1414, 1989).  Z = M_00 leaves T = dim O/(M_ij for
-    i != j, M_11 - M_00, M_22 - M_00) in (u, Y).  The column h*1 is h
-    reduced by Horner's rule, each product by v reduced once by
-    v^3 = Y - (a2*v^2 + a1*v + a0)/c, and h*v and h*v^2 are one more
-    such product each."""
+    i != j, M_11 - M_00, M_22 - M_00) in (u, Y).  The columns of M, h*1,
+    h*v and h*v^2 in the basis 1, v, v^2, are remainders by g - c*Y in
+    (u, v, Y) (``monic_remainder``): h's, then v times the column before."""
     if (0, 2) in f2.terms or (0, 2) in f3.terms:
         return 0
     for g, h in ((f2, f3), (f3, f2)):
-        a = _univ_coeffs(g, "v")
-        if len(a) == 4 and a[3].is_constant():
+        c = _constant_lead(g, "v") if g.degree_in("v") == 3 else None
+        if c is not None:
             break
     else:
         return None
-    uy = ("u", "y")
-    scale = -a[3].terms[(0, 0)].inverse()
-    rem = [c.rename({}, uy).scale(scale) for c in a[:3]]
-    rem[0] = rem[0] + Poly.variable("y", uy, g.field)
-    hs = [c.rename({}, uy) for c in _univ_coeffs(h, "v")]
-    zero = Poly.zero(uy, g.field)
-    col = [hs[-1], zero, zero]
-    for hk in reversed(hs[:-1]):
-        col = _times_v(col, rem)
-        col[0] = col[0] + hk
-    M = [col, _times_v(col, rem)]
-    M.append(_times_v(M[1], rem))
+    uvy, uy, field = ("u", "v", "y"), ("u", "y"), g.field
+    divisor = {(a, b, 0): x for (a, b), x in g.terms.items()}
+    divisor[0, 0, 1] = -c
+    divisor = Poly(uvy, divisor, field)
+    lifted = {(a, b, 0): x for (a, b), x in h.terms.items()}
+    M = []
+    for _ in range(3):
+        col = monic_remainder(Poly(uvy, lifted, field), divisor, "v")
+        entries = [{}, {}, {}]
+        for (a, b, y), x in col.terms.items():
+            entries[b][a, y] = x
+        M.append([Poly(uy, t, field) for t in entries])
+        lifted = {(a, b + 1, y): x for (a, b, y), x in col.terms.items()}
     gens = [M[j][i] for i in range(3) for j in range(3) if i != j]
     gens += [M[1][1] - M[0][0], M[2][2] - M[0][0]]
     return quotient_dim(gens) if any(not m.is_zero() for m in gens) else INFINITE

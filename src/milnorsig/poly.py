@@ -106,10 +106,13 @@ class Poly:
         return e, self.terms[e]
 
     def normalized(self) -> "Poly":
-        """Scaled so the leading coefficient is 1."""
+        """Scaled so the leading coefficient is 1; self when it already is,
+        or when self is zero."""
         if not self.terms:
             return self
         _, c = self.leading()
+        if c == self.field.one():
+            return self
         inv = c.inverse()
         return Poly(self.vars, {e: k * inv for e, k in self.terms.items()}, self.field)
 

@@ -392,8 +392,8 @@ def test_image_certificate_gcds_match_sympy(sympy, field):
 
 def test_image_certificate_proves_a_coprime_pair(monkeypatch):
     # u^2 + u*v + v^3 and u + v^2 + 1 have contents 1 in u; at v = 1 the
-    # images u^2 + u + 1 and u + 2 are coprime, and that one univariate PRS
-    # is the only one: the bivariate PRS does not run
+    # images u^2 + u + 1 and u + 2 are coprime, and Euclid on them by
+    # ``monic_remainder`` proves it: no PRS runs at all, univariate or not
     runs = []
     original = arith._subresultants
 
@@ -402,7 +402,11 @@ def test_image_certificate_proves_a_coprime_pair(monkeypatch):
         return original(A, B)
     monkeypatch.setattr(arith, "_subresultants", recording)
     assert poly_gcd(P("u^2 + u*v + v^3"), P("u + v^2 + 1")) == P("1")
-    assert len(runs) == 1 and all(c.is_constant() for c in runs[0])
+    assert not runs
+    # the recorder is live: at v = 1 the images of u + v - 1 and u - v + 1
+    # are both u, so the certificate fails and the bivariate PRS runs
+    assert poly_gcd(P("u + v - 1"), P("u - v + 1")) == P("1")
+    assert runs
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
@@ -418,6 +422,85 @@ def test_squarefree_part_matches_sympy(sympy, field):
         assert sympy_poly(sympy, squarefree_part(p), UVW).monic() == want.monic(), p
 
 
+# (y, x) with y's leading coefficient in v a constant and x's not, deg x >=
+# deg y: the resultant reduces x by y (``monic_remainder``) and goes on with
+# (y, x mod y)
+CONSTANT_LEAD_PAIRS = [
+    # both degrees odd, leading coefficient 3; x mod y has degree 2 and a
+    # leading coefficient in u, so the PRS runs on (y, x mod y)
+    ("3*v^3 + u*v^2 + z*u^2", "(u + 1)*v^5 + (u - z)*v^2 + u*w"),
+    # leading coefficient 2/5: x mod y has degree 1
+    ("2/5*v^2 + z*u*v + w", "u*v^4 + v^3 - z*w^2 + 1/3"),
+    # leading coefficient z (1 over Q)
+    ("z*v^3 + u*v + 1", "(u - w)*v^4 + v + u^2"),
+    # a shared factor: x mod y = 0
+    ("(v^2 + z*u)*(2*v + w)", "(v^2 + z*u)*(2*v + w)*(u*v^2 + 1)"),
+    # x mod y = u^3 + z is free of v
+    ("v^2 + u", "(v^2 + u)*(u*v + w) + u^3 + z"),
+    # a cubic divisor and a remainder (u + 1)*v^2 + w*v + 1 of degree 2
+    ("v^3 + u*v + z", "(u*v^2 + w)*(v^3 + u*v + z) + (u + 1)*v^2 + w*v + 1"),
+]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS + (HALF_SQRT_FIELD,))
+def test_monic_remainder_divides(field):
+    Q3 = field_parser(field)
+    for y_src, x_src in CONSTANT_LEAD_PAIRS:
+        y, x = Q3(y_src), Q3(x_src)
+        r = arith.monic_remainder(x, y, "v")
+        assert r.degree_in("v") < y.degree_in("v"), (x, y)
+        assert try_divide(x - r, y) is not None, (x, y)
+        assert arith.monic_remainder(y, y, "v").is_zero()
+        # x's leading coefficient u + 1, u, u - w or 2*u is not a constant
+        with pytest.raises(PolyError, match="not a constant"):
+            arith.monic_remainder(y, x, "v")
+    assert arith.monic_remainder(Q3("u*w + z"), Q3("v^2 + u"), "v") == Q3("u*w + z")
+    with pytest.raises(PolyError, match="not a constant"):
+        arith.monic_remainder(Q3("v"), Q3("0"), "v")
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS + (HALF_SQRT_FIELD,))
+def test_constant_lead_s1_matches_the_prs(field):
+    # S1 by the remainder rule is the PRS's degree-1 subresultant up to a
+    # constant factor, and exists exactly when the PRS's does
+    Q3 = field_parser(field)
+    found = 0
+    for y_src, x_src in CONSTANT_LEAD_PAIRS:
+        for a, b in ((Q3(y_src), Q3(x_src)), (Q3(x_src), Q3(y_src))):
+            s1 = arith.resultant_and_s1(a, b, "v")[1]
+            S, _, _, _ = _subresultants(_univ_coeffs(a, "v"), _univ_coeffs(b, "v"))
+            if _udeg(S) != 1:
+                assert s1 is None, (a, b)
+                continue
+            found += 1
+            ratio = try_divide(arith._from_univ(S, "v", a.vars, a.field), s1)
+            assert ratio is not None and ratio.is_constant(), (a, b)
+    assert found == 8
+
+
+def test_twist_resultants_run_no_prs(monkeypatch):
+    # Q = v1^2 + v1*v2 + v2^2 of H_k has the constant leading coefficient 1
+    # in v2, so Res_v2(P, Q) and S1 come from P mod Q with no PRS
+    def refuse(*args):
+        raise AssertionError("PRS run")
+    monkeypatch.setattr(arith, "_subresultants", refuse)
+    germs = [f for f in corpus(10) if f.name.startswith("H_")] + [scaled_h3()]
+    assert len(germs) == 10
+    for f in germs:
+        P, Q = f.multipoint.P, f.multipoint.Q
+        res, s1 = arith.resultant_and_s1(P, Q, "v2")
+        # Q = (v2 - z*v1)*(v2 - z^2*v1) with z = zeta3, so the resultant
+        # is P(v2 = z*v1) * P(v2 = z^2*v1)
+        z = Poly.constant(f.field.generator(), P.vars, f.field)
+        v1 = Poly.variable("v1", P.vars, f.field)
+        assert res == P.substitute("v2", z * v1) * P.substitute("v2", z * z * v1), f.name
+        assert s1.degree_in("v2") == 1
+        # the remainder is cleared to integer coordinates, although P of
+        # the scaled H_3 has a rational coefficient 19/11*(13/17)^7
+        assert all(x.den == 1 for x in s1.terms.values()), f.name
+    assert any(x.den > 1 for x in germs[-1].multipoint.P.terms.values())
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
 def test_resultant_matches_sympy(sympy, field):
     Q3 = field_parser(field)
@@ -425,7 +508,8 @@ def test_resultant_matches_sympy(sympy, field):
         # deg a < deg b, both odd: the swap changes the sign
         (Q3("v^3 + u*v + z"), Q3("v^5 + (u - z)*v^2 + u^2"), "v"),
         (Q3("w^2 + z*u*v + 1"), Q3("w^3 - v*w + u"), "w"),
-    ] + [(Q3(x), Q3(y), "v") for a, b in RATIONAL_PAIRS for x, y in ((a, b), (b, a))]
+    ] + [(Q3(x), Q3(y), "v") for a, b in RATIONAL_PAIRS for x, y in ((a, b), (b, a))
+          ] + [(Q3(x), Q3(y), "v") for a, b in CONSTANT_LEAD_PAIRS for x, y in ((a, b), (b, a))]
     for a, b, var in cases:
         rest = [x for x in UVW if x != var]
         # sympy takes the resultant in the first generator

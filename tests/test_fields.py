@@ -118,6 +118,71 @@ def test_sqrt_of_a_square_is_found(desc):
             assert sqrt_in_field(F, y * y * F.generator()) is None, y
 
 
+def _fraction_sqrt(field, x):
+    """Reference: the square root of x in a field of degree <= 2 worked out
+    in Fractions from the coordinates, the route sqrt_in_field took before it
+    moved to integer coordinates; its root and sign are the ones kept."""
+    if field.degree == 1:
+        r = rational_sqrt(x.coeffs[0])
+        return None if r is None else field.from_rational(r)
+    c0, c1 = field.minimal_poly[:2]
+    d0, d1 = x.coeffs
+    if d1 == 0:
+        r = rational_sqrt(d0)
+        if r is not None:
+            return field.from_rational(r)
+        b = rational_sqrt(4 * d0 / (c1 * c1 - 4 * c0))
+        return None if b is None else b * (field.generator() + c1 / 2)
+    r = rational_sqrt(d0 * d0 - c1 * d0 * d1 + c0 * d1 * d1)
+    if r is None:
+        return None
+    for n in (r, -r):
+        t = rational_sqrt(2 * d0 - c1 * d1 + 2 * n)
+        if t:
+            return (x + n) * (1 / t)
+    return None
+
+
+def _fraction_quadratic_roots(field, p, q):
+    s = _fraction_sqrt(field, p * p - 4 * q)
+    if s is None:
+        return []
+    r1, r2 = (-p + s) * Fraction(1, 2), (-p - s) * Fraction(1, 2)
+    return [r1] if r1 == r2 else [r1, r2]
+
+
+ROOT_FIELDS = ("Q", "Q(i)", "Q(zeta3)", "Q[a]/(a^2 - 2)", "Q[a]/(a^2 - 1/2*a + 1/3)")
+
+
+@pytest.mark.parametrize("desc", ROOT_FIELDS)
+def test_integer_roots_match_the_fraction_reference(desc):
+    # squares of sampled elements, their products with the generator (no
+    # square in Q(i) or Q[a]/(a^2 - 2)) and x^2 + p x + q with chosen roots:
+    # the same root, sign and order as the Fraction reference
+    F = parse_field(desc)
+    rng = random.Random(desc)
+
+    def sample():
+        return FieldElem(F, tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                                  * rng.randint(0, 1) for _ in range(F.degree)))
+    found = {"square": 0, "none": 0, "roots": 0, "no roots": 0}
+    for _ in range(150):
+        y, r1, r2 = sample(), sample(), sample()
+        for x in (y * y, y * y * (F.generator() if F.degree > 1 else 2), y):
+            s = sqrt_in_field(F, x)
+            assert s == _fraction_sqrt(F, x), x
+            assert s is None or s * s == x, x
+            found["square" if s is not None else "none"] += 1
+        for p, q in ((-(r1 + r2), r1 * r2), (r1, r2)):
+            roots = quadratic_roots(F, p, q)
+            assert roots == _fraction_quadratic_roots(F, p, q), (p, q)
+            assert all((x * x + p * x + q).is_zero() for x in roots)
+            found["roots" if roots else "no roots"] += 1
+        assert sorted(map(repr, quadratic_roots(F, -(r1 + r2), r1 * r2))) == \
+            sorted({repr(r1), repr(r2)})
+    assert all(found.values()), found
+
+
 def test_charpoly_of_companion_matrix():
     # the companion matrix of t^n + a_(n-1) t^(n-1) + ... + a_0 has that
     # characteristic polynomial

@@ -7,8 +7,13 @@ T takes the fallback; there a germ that is refused records the exception's
 class and message instead of a report.
 
 A change that is meant to leave every report unchanged (a refactor or a
-speed-up) is checked against these files.  To re-record the snapshots after
-a deliberate change of output, run from the repository root:
+speed-up) is checked against these files.  From the repository root,
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+exits non-zero when a snapshot differs, naming for each such file the first
+germ whose report differs and its first differing key.  To re-record the
+snapshots after a deliberate change of output, run
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -139,16 +144,42 @@ def test_target_changed_and_fallback_germs_match_snapshot():
     assert render_target_changed() == _read(TARGET_CHANGED_SNAPSHOT)
 
 
+def first_difference(rendered: str, stored: str) -> str:
+    """Where two snapshots first differ: the first germ whose report
+    differs, by index and name, and its first differing key."""
+    new, old = json.loads(rendered), json.loads(stored)
+    for i, (a, b) in enumerate(zip(new, old)):
+        if a != b:
+            key = next(k for k in list(a) + list(b) if a.get(k) != b.get(k))
+            return f"germ {i} ({a.get('name', b.get('name'))!r}), key {key!r}"
+    if len(new) != len(old):
+        return f"{len(new)} reports instead of {len(old)}"
+    return "formatting only"
+
+
+def test_first_difference_names_the_germ_and_key():
+    stored = _read(OVERRIDE_SNAPSHOT)
+    reports = json.loads(stored)
+    key = list(reports[2])[-1]
+    reports[2][key] = "changed"
+    assert first_difference(json.dumps(reports, indent=2) + "\n", stored) == \
+        f"germ 2 ('H_2-curve'), key {key!r}"
+    assert first_difference(json.dumps(reports[:2]), stored) == "2 reports instead of 4"
+    assert first_difference(json.dumps(json.loads(stored)), stored) == "formatting only"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] not in (["--record"], ["--check"]):
         sys.exit("usage: python tests/test_golden.py --record | --check")
     differ = []
     for path, render in ((SNAPSHOT, render_corpus), (OVERRIDE_SNAPSHOT, render_overrides),
                          (TARGET_CHANGED_SNAPSHOT, render_target_changed)):
+        rendered = render()
         if sys.argv[1] == "--record":
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(render())
-        elif render() != _read(path):
-            differ.append(os.path.basename(path))
+                fh.write(rendered)
+        elif rendered != _read(path):
+            differ.append(f"{os.path.basename(path)}: "
+                          f"{first_difference(rendered, _read(path))}")
     if differ:
-        sys.exit("reports differ from " + " and ".join(differ))
+        sys.exit("reports differ from " + "; ".join(differ))

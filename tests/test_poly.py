@@ -245,3 +245,26 @@ def test_rename():
     p = P("u^2 + v^3")
     q = p.rename({"v": "y", "u": "x"}, ("x", "y", "z"))
     assert q == parse_poly("x^2 + y^3", ("x", "y", "z"), QQ)
+
+
+def test_normalized_with_leading_coefficient_1_forms_no_product(monkeypatch):
+    # the leading term under the local order is the one of least total
+    # degree: u here, with coefficient 1 in the first two polynomials
+    Qz = parse_field("Q(zeta3)")
+    ones = [P("u + 2/3*v^2 - u*v"), parse_poly("u - zeta3*v^3 + (1 + zeta3)*u^2", UV, Qz)]
+    other = parse_poly("(2 + zeta3)*u - v^2", UV, Qz)
+    counts = []
+
+    def refuse(*args):
+        counts.append(1)
+        raise AssertionError("field product or inverse formed")
+    monkeypatch.setattr(FieldElem, "__mul__", refuse)
+    monkeypatch.setattr(FieldElem, "__rmul__", refuse)
+    monkeypatch.setattr(FieldElem, "inverse", refuse)
+    assert all(p.normalized() is p for p in ones)
+    assert Poly.zero(UV, QQ).normalized().is_zero()
+    with pytest.raises(AssertionError, match="field product or inverse"):
+        other.normalized()
+    monkeypatch.undo()
+    assert other.normalized().leading() == ((1, 0), Qz.one())
+    assert other.normalized().scale(other.leading()[1]) == other

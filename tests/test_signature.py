@@ -603,28 +603,38 @@ def test_one_resultant_per_analyze_with_a_double_curve_override(monkeypatch):
     assert calls["resultant"] == 1
 
 
-def test_one_prs_of_P_and_Q_per_analyze(monkeypatch):
-    # the double-point resultant and the partner line share one PRS run,
-    # and none runs when P or Q has degree at most 1 in v2
-    runs = []
-    original = arith._subresultants
+def test_one_elimination_of_P_and_Q_per_analyze(monkeypatch):
+    # the double-point resultant and the partner line come from one
+    # elimination of v2, and no PRS runs on (P, Q): P has degree 1 in v2
+    # (every germ but the H_k), or Q = v1^2 + v1*v2 + v2^2 has the constant
+    # leading coefficient 1 in v2, and P is reduced by Q exactly once
+    runs, divisions = [], []
+    original_prs, original_rem = arith._subresultants, arith.monic_remainder
 
-    def recording(A, B):
+    def recording_prs(A, B):
         runs.append((A, B))
-        return original(A, B)
-    monkeypatch.setattr(arith, "_subresultants", recording)
-    prs_germs = 0
+        return original_prs(A, B)
+
+    def recording_rem(a, b, var):
+        divisions.append((a, b, var))
+        return original_rem(a, b, var)
+    monkeypatch.setattr(arith, "_subresultants", recording_prs)
+    monkeypatch.setattr(arith, "monic_remainder", recording_rem)
+    reduced = []
     for f in corpus(10):
         runs.clear()
+        divisions.clear()
         analyze(f)
         if f.corank != 1:
             continue
-        views = [arith._univ_coeffs(g, "v2") for g in (f.multipoint.P, f.multipoint.Q)]
-        on_P_and_Q = sum(1 for A, B in runs if [A, B] in (views, views[::-1]))
-        assert on_P_and_Q <= 1, f.name
-        prs_germs += on_P_and_Q
+        P, Q = f.multipoint.P, f.multipoint.Q
+        views = [arith._univ_coeffs(g, "v2") for g in (P, Q)]
+        assert not [1 for A, B in runs if [A, B] in (views, views[::-1])], f.name
+        if divisions.count((P, Q, "v2")):
+            assert divisions.count((P, Q, "v2")) == 1, f.name
+            reduced.append(f.name)
     # the nine H_k: every other corank-1 germ has P = v1 + v2
-    assert prs_germs == 9
+    assert reduced == [f"H_{k}" for k in range(2, 11)]
 
 
 def test_components_override_may_leave_out_units():
