@@ -94,15 +94,17 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             if _eval(monic, y) == 0]
 
 
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if x is not a square."""
-    if x < 0:
+def _ratio_sqrt(n: int, d: int) -> tuple[int, int] | None:
+    """(s, t) with s >= 0, t > 0 and (s/t)^2 = n/d in lowest terms, for
+    integers n and d != 0, or None when n/d is not a rational square."""
+    if d < 0:
+        n, d = -n, -d
+    if n < 0:
         return None
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    s, t = math.isqrt(n), math.isqrt(d)
+    return (s, t) if s * s == n and t * t == d else None
 
 
 def charpoly(matrix) -> list[Fraction]:
@@ -122,34 +124,22 @@ def charpoly(matrix) -> list[Fraction]:
     return [Fraction(ck, L ** (n - k)) for k, ck in enumerate(c)]
 
 
-def _quartic_is_reducible(c: list[Fraction]) -> bool:
-    """Reducibility over Q of a monic quartic with no rational roots.
+def _quartic_is_reducible(m: list[Fraction]) -> bool:
+    """Whether a monic quartic x^4 + a x^3 + b x^2 + c x + d with no rational
+    root is a product (x^2 + p x + q)(x^2 + r x + s) of rational quadratics.
 
-    Checks for a split into two rational quadratics via the resolvent cubic.
+    A split makes y = q + s a rational root of the resolvent cubic
+    y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2), with p, r = (a +- e)/2
+    for e^2 = a^2 - 4(b - y) and q, s = (y +- f)/2 for f^2 = y^2 - 4d, so both
+    are rational squares.  Conversely such p, r, q, s give p + r = a,
+    pr + q + s = b and qs = d, and ps + qr = (ay -+ ef)/2 is c in one of the
+    two orders of q and s: the resolvent equation says (ay - 2c)^2 = e^2 f^2.
     """
-    a, b, cc, d = c[3], c[2], c[1], c[0]
-    # resolvent cubic for (x^2+px+q)(x^2+rx+s)
-    res = [-(a * a * d - 4 * b * d + cc * cc), a * cc - 4 * d, -b, Fraction(1)]
-    for y in _rational_roots(list(res)):
-        p2 = a * a - 4 * b + 4 * y
-        p = rational_sqrt(p2)
-        if p is None:
-            continue
-        for sign in (1, -1):
-            pp = sign * p
-            rr = a - pp
-            # q + s = y, ps + qr = cc
-            if pp != rr:
-                q = (pp * y - cc) / (pp - rr)
-                s = y - q
-            else:
-                disc = rational_sqrt(y * y - 4 * d)
-                if disc is None:
-                    continue
-                q, s = (y + disc) / 2, (y - disc) / 2
-            if q * s == d and q + s + pp * rr == b and pp * s + q * rr == cc:
-                return True
-    return False
+    d, c, b, a = m[:4]
+    resolvent = [4 * b * d - a * a * d - c * c, a * c - 4 * d, -b, Fraction(1)]
+    return any(all(_ratio_sqrt(z.numerator, z.denominator)
+                   for z in (a * a - 4 * (b - y), y * y - 4 * d))
+               for y in _rational_roots(resolvent))
 
 
 class NumberField:
@@ -428,19 +418,6 @@ def format_field_elem(x: FieldElem) -> str:
     return out
 
 
-def _ratio_sqrt(n: int, d: int) -> tuple[int, int] | None:
-    """(s, t) with s >= 0, t > 0 and (s/t)^2 = n/d in lowest terms, for
-    integers n and d != 0, or None when n/d is not a rational square."""
-    if d < 0:
-        n, d = -n, -d
-    if n < 0:
-        return None
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    s, t = math.isqrt(n), math.isqrt(d)
-    return (s, t) if s * s == n and t * t == d else None
-
-
 def _scaled(x: FieldElem, n: int, d: int) -> FieldElem:
     """x * n / d for integers n and d > 0."""
     return _reduced(x.field, tuple([k * n for k in x.num]), x.den * d)
@@ -463,19 +440,17 @@ def sqrt_in_field(field: NumberField, x: FieldElem) -> FieldElem | None:
     q, (p0, p1, _) = field._q, field._p
     (n0, n1), den = x.num, x.den
     if not n1:
-        r = _ratio_sqrt(n0, den)
-        if r is not None:
-            return _elem(field, (r[0], 0), r[1])
         # y = b * (alpha + p1/(2q)) has trace 0 and squares to b^2 D / (4 q^2),
         # D = p1^2 - 4 q p0 the discriminant scaled by q^2
         b = _ratio_sqrt(4 * q * q * n0, den * (p1 * p1 - 4 * q * p0))
-        if b is None:
-            return None
-        s, t = b
-        return _reduced(field, (s * p1, 2 * q * s), 2 * q * t)
-    # A root y of an irrational x has Tr(y) != 0, as y^2 = Tr(y) y - N(y).
-    # y^2 = x gives N(y)^2 = N(x) and Tr(y)^2 = Tr(x) + 2 N(y); conversely,
-    # n^2 = N(x) and t^2 = Tr(x) + 2n != 0 give ((x + n) / t)^2 = x, since
+        if b is not None:
+            s, t = b
+            return _reduced(field, (s * p1, 2 * q * s), 2 * q * t)
+    # As y^2 = Tr(y) y - N(y), a root y with Tr(y) = 0 squares to a rational
+    # and is found above; any other has Tr(y) != 0, +sqrt(x) for a rational
+    # square x > 0 coming at the sign +1 below.  y^2 = x gives N(y)^2 = N(x)
+    # and Tr(y)^2 = Tr(x) + 2 N(y); conversely, n^2 = N(x) and
+    # t^2 = Tr(x) + 2n != 0 give ((x + n) / t)^2 = x, since
     # x^2 = Tr(x) x - N(x).  With x = (n0 + n1 alpha) / den,
     # N(x) = (q n0^2 - p1 n0 n1 + p0 n1^2) / (q den^2) and
     # Tr(x) = (2 q n0 - p1 n1) / (q den).

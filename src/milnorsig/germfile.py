@@ -77,7 +77,10 @@ def _parse_vertical_indices(entries):
         if not m:
             raise GermFileError(f"bad vertical_indices entry {s!r}")
         *pair, value = _ints(m[1].split("+") + [m[2]], "vertical_indices", n)
-        out["+".join(map(str, sorted(pair)))] = value
+        key = "+".join(map(str, sorted(pair)))
+        if key in out:
+            raise GermFileError(f"vertical_indices entry {n} gives {key!r} a second value")
+        out[key] = value
     return out
 
 
@@ -150,5 +153,6 @@ def load_germ(text: str) -> tuple[Germ, dict]:
 
 
 def load_germ_file(path: str) -> tuple[Germ, dict]:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig also reads a file saved with a byte-order mark
+    with open(path, encoding="utf-8-sig") as fh:
         return load_germ(fh.read())

@@ -3,10 +3,13 @@
 Grammar (whitespace insignificant, identifiers ASCII letters+digits starting
 with a letter):
 
-    expr   := ['-'] term (('+'|'-') term)*
+    expr   := ['-'] term (('+'|'-') ['-'] term)*
     term   := factor ('*' factor)*
     factor := base ('^' natliteral)?
     base   := intliteral ['/' natliteral] | identifier | '(' expr ')'
+
+A minus may open each term of a sum (``u + -v`` is u - v and ``u - -v`` is
+u + v) and nothing else: ``--u`` and ``u*-v`` are refused.
 
 Rational literals ``p/q`` are accepted in coefficient position.  Identifiers
 must be declared variables or the field generator.  A power is refused before

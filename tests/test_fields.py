@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from milnorsig.fields import (FieldElem, FieldError, NumberField, QQ, charpoly,
-                              parse_field, quadratic_roots, rational_sqrt,
-                              sqrt_in_field)
+from milnorsig.fields import (FieldElem, FieldError, NumberField, QQ, _ratio_sqrt,
+                              charpoly, parse_field, quadratic_roots, sqrt_in_field)
 from milnorsig.parser import parse_poly
 
 
@@ -75,9 +74,51 @@ def test_minimal_poly_kills_generator():
 
 
 def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
+    assert _ratio_sqrt(9, 4) == (3, 2)
+    assert _ratio_sqrt(-18, -8) == (3, 2)    # in lowest terms, signs cleared
+    assert _ratio_sqrt(0, -7) == (0, 1)
+    assert _ratio_sqrt(2, 1) is None
+    assert _ratio_sqrt(-1, 1) is None
+    assert _ratio_sqrt(1, 2) is None
+
+
+def test_quartic_splitting_into_quadratics_rejected():
+    # p - r was taken for p, so both split and were accepted as fields
+    for desc in ("Q[a]/(a^4 + a^2 + 1)",                   # (a^2 + a + 1)(a^2 - a + 1)
+                 "Q[a]/(a^4 + 2*a^3 + 4*a^2 + 3*a + 2)"):  # (a^2 + a + 1)(a^2 + a + 2)
+        with pytest.raises(FieldError, match="splits into two quadratics"):
+            parse_field(desc)
+    assert parse_field("Q[a]/(a^4 + 1)").degree == 4
+    assert parse_field("Q[a]/(a^4 - 2)").degree == 4
+
+
+def test_quartic_irreducibility_matches_sympy():
+    # monic quartics with no rational root, half of them products of two
+    # rational quadratics: a field exactly when sympy finds them irreducible
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(33)
+    seen = {True: 0, False: 0}
+    for i in range(600):
+        if i % 2:
+            a, b, c, d = (sympy.Rational(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+                          for _ in range(4))
+            m = sympy.Poly((x**2 + a * x + b) * (x**2 + c * x + d), x, domain="QQ")
+        else:
+            m = sympy.Poly(x**4 + sum(sympy.Rational(rng.randint(-9, 9), rng.choice([1, 1, 2]))
+                                      * x**k for k in range(4)), x, domain="QQ")
+        if any(f.degree() == 1 for f, _ in m.factor_list()[1]):
+            continue
+        coeffs = tuple(Fraction(int(c.p), int(c.q)) for c in reversed(m.all_coeffs()))
+        try:
+            NumberField("a", coeffs)
+            accepted = True
+        except FieldError as exc:
+            assert "splits into two quadratics" in str(exc), m
+            accepted = False
+        assert accepted == m.is_irreducible, m
+        seen[accepted] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_sqrt_in_quadratic_field():
@@ -118,26 +159,33 @@ def test_sqrt_of_a_square_is_found(desc):
             assert sqrt_in_field(F, y * y * F.generator()) is None, y
 
 
+def _rational_sqrt(x):
+    """The non-negative square root of a Fraction, or None."""
+    s, t = math.isqrt(abs(x.numerator)), math.isqrt(x.denominator)
+    ok = x >= 0 and s * s == x.numerator and t * t == x.denominator
+    return Fraction(s, t) if ok else None
+
+
 def _fraction_sqrt(field, x):
     """Reference: the square root of x in a field of degree <= 2 worked out
     in Fractions from the coordinates, the route sqrt_in_field took before it
     moved to integer coordinates; its root and sign are the ones kept."""
     if field.degree == 1:
-        r = rational_sqrt(x.coeffs[0])
+        r = _rational_sqrt(x.coeffs[0])
         return None if r is None else field.from_rational(r)
     c0, c1 = field.minimal_poly[:2]
     d0, d1 = x.coeffs
     if d1 == 0:
-        r = rational_sqrt(d0)
+        r = _rational_sqrt(d0)
         if r is not None:
             return field.from_rational(r)
-        b = rational_sqrt(4 * d0 / (c1 * c1 - 4 * c0))
+        b = _rational_sqrt(4 * d0 / (c1 * c1 - 4 * c0))
         return None if b is None else b * (field.generator() + c1 / 2)
-    r = rational_sqrt(d0 * d0 - c1 * d0 * d1 + c0 * d1 * d1)
+    r = _rational_sqrt(d0 * d0 - c1 * d0 * d1 + c0 * d1 * d1)
     if r is None:
         return None
     for n in (r, -r):
-        t = rational_sqrt(2 * d0 - c1 * d1 + 2 * n)
+        t = _rational_sqrt(2 * d0 - c1 * d1 + 2 * n)
         if t:
             return (x + n) * (1 / t)
     return None

@@ -7,11 +7,13 @@ import sys
 import pytest
 
 import milnorsig
-from milnorsig import cli
+from milnorsig import cli, localring
 from milnorsig.cli import (EXIT_ERROR, EXIT_OK, EXIT_OVERRIDES, main,
                            render_report, run_analyze, run_batch, run_selftest)
+from milnorsig.corpus import corank2
 from milnorsig.fields import FieldError
 from milnorsig.germfile import GermFileError, load_germ
+from milnorsig.localring import ResourceExceeded
 from milnorsig.parser import ParseError
 from milnorsig.poly import PolyError
 from milnorsig.signature import analyze
@@ -209,6 +211,11 @@ DEEP = "(" * 3000 + "u" + ")" * 3000
          "twist entry 0: a number of 5000 digits is too long"),
         ("vertical-index-digits", f'vertical_indices = ["0:-1", "0+1:{"9" * 5000}"]',
          "vertical_indices entry 1: a number of 5000 digits is too long"),
+        # the second value of each of these replaced the first
+        ("vertical-index-repeated", 'vertical_indices = ["0:-1", "0:-2"]',
+         "vertical_indices entry 1 gives '0' a second value"),
+        ("vertical-pair-repeated", 'vertical_indices = ["0+1:-7", "1+0:5"]',
+         "vertical_indices entry 1 gives '0+1' a second value"),
         ("zero-component", 'components = ["0"]',
          "components override '0' is the zero polynomial"),
         ("zero-double-curve", 'double_curve = "0"',
@@ -264,6 +271,31 @@ def test_field_generator_named_u_or_v_exits_1(tmp_path, capsys, gen):
     path.write_text(S1_TEXT.replace("Q(i)", "Q[i]/(i^2 + 1)"))
     assert run_analyze(str(path), "json") == EXIT_OK
     assert json.loads(capsys.readouterr().out)["sigma_F"] == -3
+
+
+def test_byte_order_mark_is_read(tmp_path, capsys):
+    # a file saved with a UTF-8 byte-order mark exited 1 with
+    # "line 1: key outside any section"
+    path = tmp_path / "s1.germ"
+    path.write_bytes(S1_TEXT.encode("utf-8-sig"))
+    assert run_analyze(str(path), "json") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["sigma_F"] == -3
+
+
+def test_reduction_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # the budget's error path: with no reduction step allowed, the first
+    # normal form of the corank-2 germ raises ResourceExceeded
+    monkeypatch.setattr(localring, "STEP_CAP", 0)
+    message = "normal form exceeded the reduction budget"
+    with pytest.raises(ResourceExceeded, match=message):
+        analyze(corank2())
+    path = tmp_path / "corank2.germ"
+    path.write_text(CORANK2_TEXT)
+    assert run_analyze(str(path)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "error:" in err[0] and message in err[0]
+    assert captured.out == ""
 
 
 def test_filesystem_errors_exit_1(tmp_path, capsys):

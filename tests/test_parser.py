@@ -50,7 +50,12 @@ def test_print_parse_fixed_point():
 def test_unary_minus_and_parens():
     assert parse_poly("-u + v", UV, QQ) == parse_poly("v - u", UV, QQ)
     assert parse_poly("-(u - v)", UV, QQ) == parse_poly("v - u", UV, QQ)
+    # a minus may open each term of a sum, and only there
     assert parse_poly("u - -v", UV, QQ) == parse_poly("u + v", UV, QQ)
+    assert parse_poly("u + -v", UV, QQ) == parse_poly("u - v", UV, QQ)
+    for src, pos in (("--u", 1), ("u*-v", 2)):
+        with pytest.raises(ParseError, match=f"found '-' \\(at position {pos}\\)"):
+            parse_poly(src, UV, QQ)
 
 
 def test_rational_literals():
