@@ -91,21 +91,27 @@ def run_batch(directory: str, fmt: str = "text") -> int:
     if not paths:
         print(f"{directory}: no .germ files found", file=sys.stderr)
         return EXIT_ERROR
-    worst = EXIT_OK
+    codes = []
     for p in paths:
         print(f"=== {p} ===")
-        rc = run_analyze(p, fmt)
-        worst = max(worst, rc)
-    return worst
+        codes.append(run_analyze(p, fmt))
+    counts = ", ".join(f"{codes.count(rc)} exit {rc}" for rc in sorted(set(codes)))
+    print(f"{len(codes)} germ files: {counts}")
+    return max(codes)
 
 
 def run_selftest(kmax: int = 5) -> int:
     if kmax < 5:
         print("selftest needs kmax >= 5", file=sys.stderr)
         return EXIT_ERROR
+    try:
+        germs = corpus(kmax)
+    except ValueError as exc:  # a corpus germ past the parser's limits
+        print(f"selftest: error: corpus(kmax={kmax}): {exc}", file=sys.stderr)
+        return EXIT_ERROR
     failures = 0
     total = 0
-    for germ in corpus(kmax):
+    for germ in germs:
         total += 1
         try:
             report = analyze(germ)

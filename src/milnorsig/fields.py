@@ -500,5 +500,7 @@ def parse_field(descriptor: str) -> NumberField:
         from .parser import parse_univariate_rational
 
         coeffs = parse_univariate_rational(body, gen)
+        if len(coeffs) == 2:
+            raise FieldError(f"{descriptor!r} has degree 1, so it is Q: write field = \"Q\"")
         return NumberField(gen, tuple(coeffs))
     raise FieldError(f"unsupported field descriptor: {descriptor!r}")

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import (_constant_lead, _univ_coeffs, monic_remainder, resultant_and_s1,
-                    squarefree_part, try_divide)
+from .arith import (_constant_lead, _univ_coeffs, monic_remainder, poly_gcd,
+                    resultant_and_s1, squarefree_part, try_divide)
 from .factor import OverrideRequired, factor_components, is_prime_factor
 from .localring import INFINITE, quotient_dim
 from .poly import Poly, PolyError, divided_difference
@@ -178,8 +178,6 @@ def corank(f: Germ) -> int:
 
 
 def crosscap_number(f: Germ) -> int:
-    if all(m.is_zero() for m in f.jacobian_minors):
-        raise AnalysisError("all Jacobian minors vanish identically")
     d = quotient_dim(f.jacobian_minors)
     if d == INFINITE:
         raise AnalysisError("not finitely determined along the cross-cap criterion")
@@ -202,6 +200,13 @@ def fold_normal_data(f: Germ) -> Poly | None:
     return Poly(UV, terms, f.field)
 
 
+def _v_axis_part(g: Poly) -> Poly:
+    """g(0, v) / v^k, k the order of g(0, v), in (u, v); zero when g(0, v) is."""
+    terms = {b: c for (a, b), c in g.terms.items() if a == 0}
+    k = min(terms, default=0)
+    return Poly(UV, {(0, b - k): c for b, c in terms.items()}, g.field)
+
+
 def multipoint_data(f: Germ) -> MultiPointData:
     if f.corank != 1:
         raise OverrideRequired("multiple-point spaces need a corank-1 germ; "
@@ -211,6 +216,14 @@ def multipoint_data(f: Germ) -> MultiPointData:
         raise OverrideRequired("corank-1 route needs coordinates with f1 = u; re-enter "
                                "the germ with f1 = u or supply the double_curve, twist "
                                "and T overrides")
+    # f(0, v) = (0, f2(0, v), f3(0, v)): a common root v* != 0 of the two is
+    # another preimage of 0, whose sheet R cannot tell from the germ's own
+    a, b = (_v_axis_part(g) for g in (f2, f3))
+    if not any(h.is_constant() and not h.is_zero() for h in (a, b)) and (
+            a.is_zero() and b.is_zero() or not poly_gcd(a, b).is_constant()):
+        raise OverrideRequired("f2(0, v) and f3(0, v) share a root v != 0, another "
+                               "preimage of 0; supply the double_curve, components, "
+                               "twist and T overrides")
     return MultiPointData(divided_difference(f2, "v", ("v1", "v2")),
                           divided_difference(f3, "v", ("v1", "v2")))
 
@@ -286,7 +299,7 @@ def presented_triple_points(f2: Poly, f3: Poly):
         lifted = {(a, b + 1, y): x for (a, b, y), x in col.terms.items()}
     gens = [M[j][i] for i in range(3) for j in range(3) if i != j]
     gens += [M[1][1] - M[0][0], M[2][2] - M[0][0]]
-    return quotient_dim(gens) if any(not m.is_zero() for m in gens) else INFINITE
+    return quotient_dim(gens)
 
 
 def triple_point_number(f: Germ) -> int:

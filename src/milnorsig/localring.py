@@ -16,6 +16,8 @@ generators is a unit.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .poly import Poly, PolyError
 
 INFINITE = float("inf")
@@ -27,12 +29,6 @@ STEP_CAP = 10 ** 6
 
 class ResourceExceeded(RuntimeError):
     pass
-
-
-class StandardBasis:
-    def __init__(self, basis, leading_ideal):
-        self.basis = basis
-        self.leading_ideal = leading_ideal  # minimal generating exponents
 
 
 def _divides(e1, e2) -> bool:
@@ -83,8 +79,9 @@ def _spoly(a: Poly, b: Poly) -> Poly:
     return ma * a - mb * b
 
 
-def standard_basis(gens: list[Poly]) -> StandardBasis:
-    """Mora's tangent-cone standard basis of (gens), nonzero non-units."""
+def standard_basis(gens: list[Poly]) -> list[Poly]:
+    """Mora's tangent-cone standard basis of (gens), nonzero non-units: the
+    generators and each nonzero S-polynomial normal form, normalized."""
     G = [g.normalized() for g in gens]
     leads = [g.leading()[0] for g in G]     # kept in step with G
     pairs = [(i, j) for i in range(len(G)) for j in range(i)]
@@ -106,30 +103,18 @@ def standard_basis(gens: list[Poly]) -> StandardBasis:
             leads.append(G[-1].leading()[0])
             k = len(G) - 1
             pairs.extend((k, t) for t in range(k))
-    minimal = dict.fromkeys(e for e in leads
-                            if not any(f != e and _divides(f, e) for f in leads))
-    return StandardBasis(G, list(minimal))
+    return G
 
 
 def _staircase_count(leading, nvars):
-    """Number of monomials outside the monomial ideal, or INFINITE."""
-    bounds = []
-    for i in range(nvars):
-        pure = [e[i] for e in leading if sum(e) == e[i]]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
-    count = 0
-    stack = [(0, ())]
-    while stack:
-        i, prefix = stack.pop()
-        if i == nvars:
-            if not any(_divides(e, prefix) for e in leading):
-                count += 1
-            continue
-        for k in range(bounds[i]):
-            stack.append((i + 1, prefix + (k,)))
-    return count
+    """Number of monomials outside the ideal of the exponents ``leading``,
+    or INFINITE; each lies below the least pure power of every variable."""
+    bounds = [min((e[i] for e in leading if sum(e) == e[i]), default=None)
+              for i in range(nvars)]
+    if None in bounds:
+        return INFINITE
+    return sum(not any(_divides(e, m) for e in leading)
+               for m in product(*map(range, bounds)))
 
 
 def linear_pivot(gens):
@@ -151,11 +136,11 @@ def linear_pivot(gens):
 
 def quotient_dim(generators):
     """dim O/I, or INFINITE, for I generated by an iterable of polynomials
-    over one ring, read in turn: zeros are left out and the first unit gives
-    0 with nothing after it read.  This is the one place where units are
-    decided.  Then the linear variables are eliminated (module docstring)
-    and Mora's standard basis counts what is left, unless one variable is
-    left: then I is generated by the generator of least order."""
+    over one ring, read in turn: zeros are left out, the first unit gives 0
+    with nothing after it read (units are decided here alone), and the zero
+    ideal gives INFINITE.  Then the linear variables are eliminated (module
+    docstring) and Mora's standard basis counts what is left, unless one
+    variable is left: then I is generated by the generator of least order."""
     gens = []
     for g in generators:
         if g.is_zero():
@@ -166,7 +151,7 @@ def quotient_dim(generators):
             return 0
         gens.append(g)
     if not gens:
-        raise PolyError("ideal needs at least one nonzero generator")
+        return INFINITE
     vars = gens[0].vars
     while (pivot := linear_pivot(gens)) is not None:
         k, x, root = pivot
@@ -179,7 +164,7 @@ def quotient_dim(generators):
         return INFINITE
     if len(vars) == 1:  # O is a discrete valuation ring: I = (x^(least order))
         return min(e[0] for g in gens for e in g.terms)
-    return _staircase_count(standard_basis(gens).leading_ideal, len(vars))
+    return _staircase_count([g.leading()[0] for g in standard_basis(gens)], len(vars))
 
 
 def intersection_multiplicity(h1: Poly, h2: Poly):

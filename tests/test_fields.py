@@ -255,6 +255,13 @@ def test_bad_descriptor():
         parse_field("R")
 
 
+def test_degree_1_descriptor_points_to_Q():
+    # Q[a]/(a - 3) built a field whose generator the parser refuses
+    for desc in ("Q[a]/(a - 3)", "Q[b]/(b)", "Q[a]/(2*a + 1)"):
+        with pytest.raises(FieldError, match='has degree 1, so it is Q: write field = "Q"'):
+            parse_field(desc)
+
+
 def test_quadratic_with_large_constant_is_fast():
     # bisection for rational roots needs no factoring of 10^23 + 3
     F = parse_field("Q[a]/(a^2 - 100000000000000000000003)")

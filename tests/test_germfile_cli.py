@@ -161,6 +161,11 @@ def test_run_analyze_exit_codes(tmp_path, capsys):
     affine.write_text('[germ]\nmap = ["u", "u*v", "u^2 + u^3*v"]\nfield = "Q"\n')
     assert run_analyze(str(affine)) == EXIT_ERROR
     assert "not finitely determined along the cross-cap criterion" in capsys.readouterr().err
+    # all three Jacobian minors vanish: the zero ideal has infinite colength
+    flat = tmp_path / "flat.germ"
+    flat.write_text('[germ]\nmap = ["u", "u^2", "u^3"]\nfield = "Q"\n')
+    assert run_analyze(str(flat)) == EXIT_ERROR
+    assert "not finitely determined along the cross-cap criterion" in capsys.readouterr().err
 
     wrong_twist = tmp_path / "wrong_twist.germ"
     wrong_twist.write_text(
@@ -271,6 +276,13 @@ def test_field_generator_named_u_or_v_exits_1(tmp_path, capsys, gen):
     path.write_text(S1_TEXT.replace("Q(i)", "Q[i]/(i^2 + 1)"))
     assert run_analyze(str(path), "json") == EXIT_OK
     assert json.loads(capsys.readouterr().out)["sigma_F"] == -3
+
+
+def test_degree_1_field_exits_1(tmp_path, capsys):
+    # Q[a]/(a - 3) was accepted as a field, and a germ file that used a
+    # exited 1 with "unknown identifier 'a'"
+    _assert_refused(tmp_path, capsys, '"u*v"]\nfield = "Q"',
+                    '"a*u*v"]\nfield = "Q[a]/(a - 3)"', FieldError, 'write field = "Q"')
 
 
 def test_byte_order_mark_is_read(tmp_path, capsys):
@@ -396,6 +408,27 @@ def test_override_components_that_miss_the_origin_exit_1(tmp_path, capsys):
     assert "override components [5] miss the origin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("double_curve, message", [
+    pytest.param("(u + v)^2*(u^2 + v)", "double_curve override is not squarefree",
+                 id="square"),
+    pytest.param("1 + u", "no double-curve component passes through the origin",
+                 id="unit"),
+])
+def test_double_curve_override_refusals_exit_1(tmp_path, capsys, double_curve, message):
+    # the corank-2 germ with its double_curve override replaced, and no
+    # components or twist overrides, so that the curve itself is factored
+    text = "".join(line for line in CORANK2_TEXT.splitlines(keepends=True)
+                   if not line.startswith(("double_curve", "components", "twist")))
+    text = text.replace("[overrides]\n", f'[overrides]\ndouble_curve = "{double_curve}"\n')
+    path = tmp_path / "g.germ"
+    path.write_text(text)
+    assert run_analyze(str(path)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "error:" in err[0] and message in err[0]
+    assert captured.out == ""
+
+
 def test_power_coefficient_bound_exits_1(tmp_path, capsys):
     # exited 1 with Python's own "Exceeds the limit (4300 digits)" while the
     # factorization refusal formatted the double curve
@@ -502,19 +535,24 @@ def test_run_batch(tmp_path, capsys):
     assert run_batch(str(tmp_path)) == EXIT_OK
     out = capsys.readouterr().out
     assert out.index("a.germ") < out.index("b.germ")
+    assert out.splitlines()[-1] == "2 germ files: 2 exit 0"
 
     (tmp_path / "c.germ").write_text(
         S1_TEXT.replace("signature = -3", "signature = 0"))
     assert run_batch(str(tmp_path)) == EXIT_ERROR
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines()[-1] == "3 germ files: 2 exit 0, 1 exit 1"
 
-    # a file that cannot be read is reported, and the others still are
+    # a file that cannot be read is reported, and the others still are; the
+    # exit code is the worst one, and the last line counts every code
     (tmp_path / "b2.germ").write_text(CROSS_CAP_TEXT.replace('"Q"', "3"))
-    assert run_batch(str(tmp_path)) == EXIT_ERROR
+    (tmp_path / "d.germ").write_text("\n".join(CORANK2_TEXT.splitlines()[:4]) + "\n")
+    assert run_batch(str(tmp_path)) == EXIT_OVERRIDES
     captured = capsys.readouterr()
     assert [line for line in captured.out.splitlines() if line.startswith("===")] == [
-        f"=== {tmp_path / name} ===" for name in ("a.germ", "b.germ", "b2.germ", "c.germ")]
+        f"=== {tmp_path / name} ==="
+        for name in ("a.germ", "b.germ", "b2.germ", "c.germ", "d.germ")]
     assert "sigma(F) = sigma(X) + T - C: -3" in captured.out
+    assert captured.out.splitlines()[-1] == "5 germ files: 2 exit 0, 2 exit 1, 1 exit 2"
     assert captured.err.count("error:") == 1 and "b2.germ" in captured.err
 
     empty = tmp_path / "empty"
@@ -564,6 +602,24 @@ def test_main_selftest_kmax(capsys, monkeypatch):
     fails = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("FAIL")]
     assert len(fails) == 1 and fails[0].startswith("FAIL S_2:")
+
+
+def test_main_selftest_kmax_10(capsys):
+    # the acceptance run of the whole corpus at kmax 10
+    assert main(["selftest", "--kmax", "10"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "40/40 passed"
+    assert all(line.startswith("ok") for line in lines[:-1])
+
+
+def test_selftest_corpus_past_the_parser_limits_exits_1(capsys):
+    # H_168 needs v^503, past the exponent limit 500: this was a ParseError
+    # traceback
+    assert main(["selftest", "--kmax", "168"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "error:" in err[0] and "exponent above the limit 500" in err[0]
+    assert captured.out == ""
 
 
 def test_cli_import_stays_light():

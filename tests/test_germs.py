@@ -12,7 +12,7 @@ from milnorsig.germs import (AnalysisError, Germ, OverrideRequired, OverrideSet,
                              double_curve_equation, fold_normal_data,
                              multipoint_data, presented_triple_points,
                              triple_point_number)
-from milnorsig.localring import quotient_dim
+from milnorsig.localring import INFINITE, quotient_dim
 from milnorsig.parser import parse_poly
 from milnorsig.poly import Poly
 from milnorsig.signature import analyze
@@ -107,6 +107,9 @@ def test_crosscap_swap_invariance():
 def test_crosscap_detects_non_finite():
     with pytest.raises(AnalysisError):
         crosscap_number(G(("u", "v^2", "v^2")))
+    # every Jacobian minor vanishes: the zero ideal has infinite colength
+    with pytest.raises(AnalysisError, match="not finitely determined along the cross-cap"):
+        crosscap_number(G(("u", "u^2", "u^3")))
 
 
 def test_fold_normal_data():
@@ -242,6 +245,13 @@ def test_presented_triple_points_match_the_generators():
                         for g in target_changed(f)]
 
 
+def test_presented_triple_points_of_a_zero_presentation():
+    # h = 0 makes M zero, so T is the colength of the zero ideal
+    v3 = parse_poly("v^3", UV, QQ)
+    assert presented_triple_points(v3, Poly.zero(UV, QQ)) == INFINITE
+    assert presented_triple_points(Poly.zero(UV, QQ), v3) == INFINITE
+
+
 def test_multipoint_symmetry():
     for f in (S(3), B(2), H(2)):
         mp = multipoint_data(f)
@@ -255,6 +265,38 @@ def test_multipoint_requires_corank1_shape():
         multipoint_data(corank2())
     with pytest.raises(OverrideRequired):
         multipoint_data(G(("u + v^2", "v^2", "u*v")))
+
+
+def test_other_preimages_of_0_are_refused(monkeypatch):
+    # each is the cross-cap at 0 with a second preimage of 0 at v = 1: the
+    # first two reported sigma = -1 by luck, the third exited 2 with "cannot
+    # certify a factorization", and in the last f2(0, v) is zero
+    for maps in (("u", "v^2 - v^3", "u*v"),
+                 ("u", "v^2 - v^3", "u*v + v^3 - v^4"),
+                 ("u", "v^2 - v^3", "u*v + u*v^3 + v^3 - v^4"),
+                 ("u", "u*v", "v^2 - v^3"),
+                 ("u", "u*v", "u^2 + u^3*v")):
+        with pytest.raises(OverrideRequired, match="another preimage of 0; supply the "
+                           "double_curve, components, twist and T overrides"):
+            multipoint_data(G(maps))
+    # the overrides named finish the first germ with the cross-cap's sigma
+    f = G(("u", "v^2 - v^3", "u*v"))
+    f.overrides = OverrideSet(double_curve=parse_poly("u", UV, QQ),
+                              components=[parse_poly("u", UV, QQ)],
+                              twist=[(0, 0)], T=0)
+    assert analyze(f).sigma_F == -1
+    # no other root: a part is a nonzero constant, or the two are coprime
+    for maps in (("u", "v^2 - v^3", "u*v + v^3"),
+                 ("u", "v^2 - v^3", "u*v + v^3 + v^4")):
+        assert multipoint_data(G(maps)).P is not None
+    # where a part is a nonzero constant, as on every corank-1 germ of the
+    # corpus, no gcd runs
+    calls = []
+    monkeypatch.setattr(germs, "poly_gcd", lambda a, b: calls.append((a, b)))
+    for f in corpus(10):
+        if f.corank == 1:
+            multipoint_data(f)
+    assert calls == []
 
 
 def test_double_curve_fold_examples():
