@@ -62,14 +62,19 @@ def factor_components(s: Poly) -> list[Poly]:
         if h.degree_in(x) == 1:
             factors.append(h.normalized())
             continue
+        supp = _support(h, x, y)
+        hull = _lower_hull([(i, j) for i, j, _ in supp])
         if h.degree_in(x) == 2:
-            pair = _split_by_edge_root(h, x, y)
+            pair = _split_by_edge_root(h, x, y, supp, hull)
             if pair is not None:
                 # both pieces are linear in x and, by Gauss's lemma, primitive
                 # as h is: irreducible, so final unless a unit
                 factors.extend(p.normalized() for p in pair if not p.is_unit_local())
                 continue
-        if _newton_certificate(h, x, y):
+        # no variable divides h, so its hull runs from (0, b) to some (a, 0);
+        # one edge with coprime ends makes h irreducible as a germ
+        (_, b), (a, j) = hull[:2]
+        if j == 0 and gcd(a, b) == 1:
             factors.append(h.normalized())
             continue
         raise OverrideRequired(
@@ -88,12 +93,17 @@ def _has_one_term_coefficient(h: Poly, v: str) -> bool:
 
 def is_prime_factor(h: Poly) -> bool:
     """Whether a factor from ``factor_components`` is irreducible as a
-    polynomial too, not only as a germ at the origin: a variable, a piece
-    linear in a variable (split off primitive), or a Newton-certified
-    binomial c*x^a + y^b with gcd(a, b) = 1.  A Newton-certified piece of
-    more terms may carry a factor that is a unit of the local ring, even a
-    square: (u - v^2)*(1 + u + v^2)^2 is certified whole."""
-    return len(h.terms) <= 2 or any(h.degree_in(x) == 1 for x in h.vars)
+    polynomial too, not only as a germ at the origin: linear in a variable
+    (split off primitive), or of degrees a in x and b in y, the ends (a, 0)
+    and (0, b) of its Newton polygon.  If h = g*w, g prime and w a unit of
+    the local ring, g keeps h's least powers on both axes (deg_x g >= a,
+    deg_y g >= b) while a nonconstant w adds degree in some variable: so
+    u^3 + u^2*v^2 + v^4 passes and (u - v^2)*(1 + u + v^2)^2 does not."""
+    if any(h.degree_in(x) == 1 for x in h.vars):
+        return True
+    x, y = (v for v in h.vars if h.degree_in(v) > 0)
+    (_, b), (a, _) = _lower_hull([(i, j) for i, j, _ in _support(h, x, y)])[:2]
+    return (h.degree_in(x), h.degree_in(y)) == (a, b)
 
 
 def canonical_key(p: Poly):
@@ -127,15 +137,14 @@ def _lower_hull(points):
     return hull
 
 
-def _split_by_edge_root(h: Poly, x: str, y: str):
-    """Try to split off a factor x - c*y^m found on a Newton-polygon edge.
+def _split_by_edge_root(h: Poly, x: str, y: str, supp, hull):
+    """Try to split off a factor x - c*y^m found on an edge of h's Newton
+    polygon ``hull``, built from ``supp`` = ``_support(h, x, y)``.
 
     h has degree 2 in x, and a segment of the hull holds one support point
     per x-exponent, so each edge polynomial has degree 1 or 2 and a nonzero
     constant term: its roots c are nonzero.  Returns (factor, quotient) or
     None."""
-    supp = _support(h, x, y)
-    hull = _lower_hull([(i, j) for i, j, _ in supp])
     field = h.field
     for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
         di, dj = i2 - i1, j1 - j2
@@ -159,16 +168,3 @@ def _split_by_edge_root(h: Poly, x: str, y: str):
             if q is not None:
                 return cand, q
     return None
-
-
-def _newton_certificate(h: Poly, x: str, y: str) -> bool:
-    """Single-edge Newton polygon with coprime endpoints: certifies that h is
-    irreducible as a curve germ at the origin."""
-    supp = _support(h, x, y)
-    a = min((i for i, j, _ in supp if j == 0), default=None)
-    b = min((j for i, j, _ in supp if i == 0), default=None)
-    if a is None or b is None or a < 1 or b < 1:
-        return False
-    if gcd(a, b) != 1:
-        return False
-    return all(i * b + j * a >= a * b for i, j, _ in supp)

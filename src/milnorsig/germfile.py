@@ -2,7 +2,7 @@
 
 Sections [germ], [overrides], [expected] hold key = value lines; values are
 Python-style literals (quoted strings, bracketed lists, integers).  Comments
-start with '#'.
+start with '#' outside quotes.
 """
 
 from __future__ import annotations
@@ -23,21 +23,24 @@ def _parse_sections(text: str) -> dict:
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
+        # only a header loses its trailing comment here: a value keeps a '#'
+        # inside quotes, and literal_eval skips a trailing comment
+        header = line.split("#", 1)[0].rstrip()
+        if header.startswith("[") and header.endswith("]"):
+            current = header[1:-1].strip()
             if current in sections:
                 raise GermFileError(f"line {lineno}: duplicate section [{current}]")
             sections[current] = {}
             continue
         if current is None:
             raise GermFileError(f"line {lineno}: key outside any section")
-        if "=" not in line:
-            raise GermFileError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
+        if not eq or "#" in key:
+            raise GermFileError(f"line {lineno}: expected key = value")
         if key in sections[current]:
             raise GermFileError(f"line {lineno}: duplicate key {key!r}")
         try:

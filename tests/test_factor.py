@@ -1,11 +1,13 @@
 import functools
+import random
+from math import gcd
 
 import pytest
 
 from milnorsig import arith, factor, germs
 from milnorsig.arith import _content, _univ_coeffs, try_divide
 from milnorsig.corpus import corpus
-from milnorsig.factor import OverrideRequired, factor_components
+from milnorsig.factor import OverrideRequired, factor_components, is_prime_factor
 from milnorsig.fields import QQ, parse_field
 from milnorsig.germs import double_curve_equation
 from milnorsig.parser import parse_poly
@@ -96,6 +98,97 @@ def test_even_case_certificate():
     for k in (2, 4):
         a = parse_poly(f"v^2 + u^{k + 1}", UV, QQ)
         assert factor_components(a) == [a]
+
+
+def _single_edge_rule(points):
+    """The certificate as an inequality on the support: every point on or
+    above the segment from (0, b) to (a, 0), the least powers on the axes,
+    and gcd(a, b) = 1."""
+    a = min(i for i, j in points if j == 0)
+    b = min(j for i, j in points if i == 0)
+    return gcd(a, b) == 1 and all(i * b + j * a >= a * b for i, j in points)
+
+
+def _poly(points, rng):
+    # generic coefficients: the content in each variable is a constant
+    return Poly(UV, {e: QQ.from_rational(rng.choice((-1, 1)) * rng.randint(1, 10**6))
+                     for e in points}, QQ)
+
+
+def test_hull_certificate_matches_the_support_inequality():
+    # the factorizer reads the certificate off the lower hull it built for
+    # the edge split; on supports with points on both axes, none at the
+    # origin and degree >= 3 in each variable (so no linear or edge-split
+    # route applies), it certifies h whole exactly when the inequality holds
+    rng = random.Random(35)
+    seen = {True: 0, False: 0}
+    for _ in range(2500):
+        a, b = rng.randint(1, 7), rng.randint(1, 7)
+        points = {(a, 0), (0, b), (rng.randint(3, 8), rng.randint(3, 8))}
+        points |= {(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(rng.randint(0, 6))}
+        points.discard((0, 0))
+        h = _poly(points, rng)
+        try:
+            certified = factor_components(h) == [h.normalized()]
+        except OverrideRequired:
+            certified = False
+        assert certified == _single_edge_rule(points), sorted(points)
+        seen[certified] += 1
+    assert min(seen.values()) > 500, seen
+
+
+def test_is_prime_factor_reads_the_axis_ends():
+    # a certified piece whose degrees are its Newton polygon's axis ends is
+    # a prime polynomial; one that carries a unit factor has a larger degree
+    for src, prime in (("u^3 + u^2*v^2 + v^4", True),
+                       ("(u - v^2)*(1 + u + v^2)^2", False),
+                       ("(u^3 + v^2)*(1 + u + v^2)", False)):
+        h = parse_poly(src, UV, QQ)
+        assert factor_components(h) == [h.normalized()], src
+        assert is_prime_factor(h.normalized()) is prime, src
+
+
+def _certified_piece(rng):
+    """A random g certified whole by its one-edge Newton polygon from (0, b)
+    to (a, 0), a, b >= 2 coprime, with most points inside the box a x b."""
+    while True:
+        a, b = rng.randint(2, 6), rng.randint(2, 6)
+        if gcd(a, b) == 1:
+            break
+    points = {(a, 0), (0, b)}
+    for _ in range(rng.randint(0, 5)):
+        i, j = rng.randint(0, a + (rng.random() < 0.2)), rng.randint(0, b)
+        if i * b + j * a >= a * b:
+            points.add((i, j))
+    return _poly(points, rng)
+
+
+def test_accepted_pieces_are_irreducible_polynomials():
+    # the box rule is sufficient, not necessary: every piece it accepts is
+    # irreducible over Q by sympy, and the piece times a nonconstant unit of
+    # the local ring is declined
+    sp = pytest.importorskip("sympy")
+    u, v = sp.symbols("u v")
+
+    def to_sympy(p):
+        return sp.Poly.from_dict({e: c.as_rational() for e, c in p.terms.items()},
+                                 u, v, domain=sp.QQ)
+
+    rng = random.Random(35)
+    accepted = 0
+    for _ in range(300):
+        g = _certified_piece(rng)
+        assert factor_components(g) == [g.normalized()]
+        if not is_prime_factor(g):
+            continue
+        accepted += 1
+        _, factors = to_sympy(g).factor_list()
+        assert [m for _, m in factors] == [1], g
+        points = {(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 3))}
+        points = (points - {(0, 0)}) or {(1, 0)}
+        w = Poly.constant(1, UV, QQ) + _poly(points, rng)
+        assert not is_prime_factor(g * w), (g, w)
+    assert accepted > 100
 
 
 def test_incomplete_factorization_raises():

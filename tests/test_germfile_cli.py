@@ -83,6 +83,22 @@ def test_load_germ_errors():
         load_germ(CORANK2_TEXT.replace('"4:twisted"', '"4:untwisted-with:4"'))
 
 
+def test_hash_inside_quotes_is_kept():
+    # each line was cut at its first '#', so name = "S#1" exited 1 with
+    # "bad value for 'name': unterminated string literal"
+    text = (S1_TEXT.replace('name = "S_1"', 'name = "S#1"   # the first S_k')
+            .replace('field = "Q(i)"', 'field = "Q(i)"  # for the branches u -+ i*v')
+            .replace("[expected]", "[expected]  # checked against the report")
+            .replace("T = 0", "T = 0 # no triple point"))
+    germ, expected = load_germ(text)
+    assert germ.name == "S#1"
+    assert str(germ.field) == "Q(i)"
+    assert expected == {"signature": -3, "C": 2, "T": 0}
+    # a '#' in a key is still no key
+    with pytest.raises(GermFileError, match="line 9: expected key = value"):
+        load_germ(text.replace("C = 2", "foo # = 3"))
+
+
 def test_T_override_must_be_a_non_negative_integer():
     # T = -1 on H_2 gave sigma_F = -4 with every check passing
     h2 = ('[germ]\nmap = ["u", "u*v + v^5", "v^3"]\nfield = "Q(zeta3)"\n'

@@ -365,16 +365,23 @@ def test_germ_data_computed_once_per_analyze(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     # squarefree_part: none where the resultant's own factors certify it as
-    # the curve (cross-cap, S_2 and H_3), the double_curve override check on
-    # the corank-2 germ, and the curve of a resultant that is one reduced
-    # branch of three terms, which is_prime_factor declines; the component
-    # route then reuses the resultant's factorization
-    reductions = {"cross-cap": 0, "S_2": 0, "H_3": 0, "corank-2": 1, "three-term": 1}
+    # the curve (cross-cap, S_2, H_3 and the reduced three-term branch
+    # u^3 + u^2*v^2 + v^4, a prime by its Newton polygon's axis ends), and
+    # one for the double_curve override check on the corank-2 germ and for
+    # the unit-carrying R = (u^3 + v^2)*(1 + u + v^2), certified whole but
+    # declined by is_prime_factor; the component route then reuses R's
+    # factorization
+    reductions = {"cross-cap": 0, "S_2": 0, "H_3": 0, "corank-2": 1,
+                  "three-term": 0, "unit-carrying": 1}
     three_term = load_germ(_germ_text(("u", "v^2", "v*(u^3 + u^2*v^2 + v^4)"), "Q"))[0]
     three_term.name = "three-term"
-    for germ in (cross_cap(), S(2), H(3), corank2(), three_term):
+    unit_carrying = load_germ(_germ_text(
+        ("u", "v^2", "v*(u^3 + v^2)*(1 + u + v^2)"), "Q"))[0]
+    unit_carrying.name = "unit-carrying"
+    sigma = {}
+    for germ in (cross_cap(), S(2), H(3), corank2(), three_term, unit_carrying):
         calls.clear()
-        analyze(germ)
+        sigma[germ.name] = analyze(germ).sigma_F
         once = ["corank", "fold_normal_data", "multipoint_data"]
         if germ.name == "corank-2":
             # a refusal is not kept but read again, and each read stops at
@@ -382,11 +389,15 @@ def test_germ_data_computed_once_per_analyze(monkeypatch):
             once.remove("multipoint_data")
             assert calls["divided_difference"] == 0, calls
         assert max(calls[n] for n in once) == 1, (germ.name, calls)
-        assert calls["factor_components"] <= 1, (germ.name, calls)
+        assert calls["factor_components"] == (germ.name != "corank-2"), (germ.name, calls)
         assert calls["squarefree_part"] == reductions[germ.name], (germ.name, calls)
-    # the counts of the last germ: the fallback factored R once
-    assert three_term.multipoint.branches is None
-    assert calls["factor_components"] == 1
+    assert [str(h) for h in three_term.multipoint.branches] == ["u^3 + u^2*v^2 + v^4"]
+    # the last germ: the fallback factored R once, and its one component
+    # is R itself, unit factor and all
+    assert unit_carrying.multipoint.branches is None
+    assert component_set(unit_carrying).components == [
+        unit_carrying.multipoint.resultant.normalized()]
+    assert sigma["three-term"] == sigma["unit-carrying"] == -3
 
 
 def _count_calls(monkeypatch, home=arith, name="squarefree_part"):
